@@ -15,7 +15,6 @@ import time
 
 from .graphs import (
     DEFAULT_EDGE_BUDGET,
-    EdgeBudgetError,
     Graph,
     GraphFormatError,
     encode_graph6,
@@ -25,7 +24,13 @@ from .graphs import (
     parse_graph6,
 )
 from . import geodesic
-from .invariants import digraph_report, geodetic_number, hull_number, orientable_numbers
+from .invariants import (
+    NUMBER_KEYS,
+    digraph_report,
+    geodetic_number,
+    hull_number,
+    orientable_numbers,
+)
 from .orienters import (
     complete_graph_orientations,
     d1_from_d2,
@@ -34,8 +39,7 @@ from .orienters import (
 )
 from .verifier import corpus_run
 
-_SUP = {"g_min": "g⁻", "g_max": "g⁺", "h_min": "h⁻", "h_max": "h⁺",
-        "con_min": "con⁻", "con_max": "con⁺"}
+_SUP = dict(zip(NUMBER_KEYS, ("g⁻", "g⁺", "h⁻", "h⁺", "con⁻", "con⁺")))
 
 
 def _fail(msg: str, code: int) -> int:
@@ -68,8 +72,7 @@ def _arcs_str(d) -> str:
 
 
 def _numbers_line(values: dict[str, int]) -> str:
-    return " ".join(f"{_SUP[k]}={values[k]}" for k in
-                    ("g_min", "g_max", "h_min", "h_max", "con_min", "con_max"))
+    return " ".join(f"{_SUP[k]}={values[k]}" for k in NUMBER_KEYS)
 
 
 def cmd_invariants(args) -> int:
@@ -96,9 +99,7 @@ def cmd_invariants(args) -> int:
     csv_writer = None
     if args.format == "csv":
         csv_writer = csv.writer(out)
-        csv_writer.writerow(
-            ["graph", "n", "m", "g_min", "g_max", "h_min", "h_max", "con_min", "con_max"]
-        )
+        csv_writer.writerow(["graph", "n", "m", *NUMBER_KEYS])
     for g in graphs:
         gid = encode_graph6(g)
         t0 = time.perf_counter()
@@ -115,12 +116,10 @@ def cmd_invariants(args) -> int:
             json.dump(rec, out)
             out.write("\n")
         elif csv_writer is not None:
-            v = nums.values()
-            csv_writer.writerow([gid, g.n, g.m] + [v[k] for k in
-                                ("g_min", "g_max", "h_min", "h_max", "con_min", "con_max")])
+            csv_writer.writerow([gid, g.n, g.m] + [getattr(nums, k) for k in NUMBER_KEYS])
         else:
             out.write(f"{gid} (n={g.n} m={g.m}): {_numbers_line(nums.values())}\n")
-            for key in ("g_min", "g_max", "h_min", "h_max", "con_min", "con_max"):
+            for key in NUMBER_KEYS:
                 wit = getattr(nums, key + "_witness")
                 out.write(f"  {_SUP[key]} witness: {_arcs_str(wit)}\n")
     return 0
@@ -224,19 +223,12 @@ def _emit_corpus(report, fmt, out) -> None:
         return
     if fmt == "csv":
         w = csv.writer(out)
-        w.writerow(["line", "graph", "status", "ok", "case", "g_min", "g_max",
-                    "h_min", "h_max", "con_min", "con_max"])
+        w.writerow(["line", "graph", "status", "ok", "case", *NUMBER_KEYS])
         for rec in report.records:
             cls = rec.classification
-            nums = None
-            if rec.separation is not None:
-                nums = rec.separation.numbers.values()
-            elif cls is not None:
-                nums = {k: getattr(cls, k) for k in
-                        ("g_min", "g_max", "h_min", "h_max", "con_min", "con_max")}
+            nums = rec.separation.numbers if rec.separation is not None else cls
             row = [rec.line, rec.text, rec.status, rec.ok, cls.case if cls else ""]
-            row += [nums[k] for k in ("g_min", "g_max", "h_min", "h_max",
-                                      "con_min", "con_max")] if nums else [""] * 6
+            row += [getattr(nums, k) for k in NUMBER_KEYS] if nums is not None else [""] * 6
             w.writerow(row)
         return
     for rec in report.records:
@@ -362,13 +354,8 @@ def main(argv=None) -> int:
         args.corpus = sys.stdin.read().splitlines()
     try:
         return args.func(args)
-    except GraphFormatError as exc:
-        return _fail(str(exc), 2)
-    except EdgeBudgetError as exc:
-        return _fail(str(exc), 2)
-    except FileNotFoundError as exc:
-        return _fail(str(exc), 2)
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError) as exc:
+        # GraphFormatError and EdgeBudgetError are ValueErrors
         return _fail(str(exc), 2)
     except BrokenPipeError:
         return 0

@@ -247,11 +247,12 @@ def encode_graph6(g: Graph) -> str:
 # ---------------------------------------------------------------------------
 # edge-list text format: first line n, then one "u v" pair per line
 
-def parse_edge_list(text: str) -> Graph:
-    lines = text.splitlines()
+def _parse_pairs(text: str, kind: str) -> tuple[int, list[tuple[int, int]]]:
+    """Vertex count and 'u v' pairs; `kind` is "edge" (unordered) or "arc"."""
     header = None
-    edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(lines, start=1):
+    pairs: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if not stripped:
             continue
@@ -264,49 +265,6 @@ def parse_edge_list(text: str) -> Graph:
                 ) from None
             if header < 0:
                 raise GraphFormatError(f"line {lineno}: negative vertex count")
-            continue
-        parts = stripped.split()
-        if len(parts) != 2:
-            raise GraphFormatError(
-                f"line {lineno}: expected 'u v', got {stripped!r}"
-            )
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphFormatError(
-                f"line {lineno}: non-integer endpoint in {stripped!r}"
-            ) from None
-        if not (0 <= u < header and 0 <= v < header):
-            raise GraphFormatError(
-                f"line {lineno}: endpoint out of range [0,{header}) in ({u},{v})"
-            )
-        if u == v:
-            raise GraphFormatError(f"line {lineno}: self-loop at {u}")
-        e = (u, v) if u < v else (v, u)
-        if e in edges:
-            raise GraphFormatError(f"line {lineno}: duplicate edge ({u},{v})")
-        edges.append(e)
-    if header is None:
-        raise GraphFormatError("empty edge list: missing vertex count")
-    return Graph(header, tuple(sorted(edges)))
-
-
-def parse_arc_list(text: str) -> Digraph:
-    """Directed variant of the edge-list format: ordered 'u v' means u -> v."""
-    lines = text.splitlines()
-    header = None
-    arcs: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(lines, start=1):
-        stripped = raw.strip()
-        if not stripped:
-            continue
-        if header is None:
-            try:
-                header = int(stripped)
-            except ValueError:
-                raise GraphFormatError(
-                    f"line {lineno}: expected vertex count, got {stripped!r}"
-                ) from None
             continue
         parts = stripped.split()
         if len(parts) != 2:
@@ -323,12 +281,24 @@ def parse_arc_list(text: str) -> Digraph:
             )
         if u == v:
             raise GraphFormatError(f"line {lineno}: self-loop at {u}")
-        if (u, v) in arcs:
-            raise GraphFormatError(f"line {lineno}: duplicate arc ({u},{v})")
-        arcs.append((u, v))
+        pair = (u, v) if kind == "arc" or u < v else (v, u)
+        if pair in seen:
+            raise GraphFormatError(f"line {lineno}: duplicate {kind} ({u},{v})")
+        seen.add(pair)
+        pairs.append(pair)
     if header is None:
-        raise GraphFormatError("empty arc list: missing vertex count")
-    return Digraph.from_arcs(header, arcs)
+        raise GraphFormatError(f"empty {kind} list: missing vertex count")
+    return header, pairs
+
+
+def parse_edge_list(text: str) -> Graph:
+    n, edges = _parse_pairs(text, "edge")
+    return Graph(n, tuple(sorted(edges)))
+
+
+def parse_arc_list(text: str) -> Digraph:
+    """Directed variant of the edge-list format: ordered 'u v' means u -> v."""
+    return Digraph.from_arcs(*_parse_pairs(text, "arc"))
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,11 @@ forced to contain all extreme vertices (which belong to every geodetic set
 and every hull-set).  Witnesses are therefore the lexicographically least
 optima and reruns are diffable.
 
-Internally everything runs on integer bitmasks with a precomputed matrix of
-interval masks per digraph; the public functions translate to and from
-vertex tuples.
+Internally everything runs on one bitmask kernel per digraph (the matrix of
+interval masks and the mask of extreme vertices), built once and shared by
+the g, h and con searches.  Each search runs alone: asking for g never pays
+for the con search.  The public functions translate to and from vertex
+tuples.
 """
 
 from __future__ import annotations
@@ -139,69 +141,72 @@ def _min_superset(n: int, seed: int, test) -> int:
     raise AssertionError("unreachable: the full vertex set always passes")
 
 
-def _invariant_masks(n: int, out_masks, in_masks):
-    """(g, g_witness, h, h_witness, con, con_witness) with bitmask witnesses.
+def _kernel(n: int, out_masks, in_masks):
+    """(interval-mask matrix, extreme-vertex mask): the input of every search."""
+    return _interval_masks(n, out_masks), _extreme_mask(n, out_masks, in_masks)
 
-    con entries are (0, 0) when n < 2 (no proper nonempty subsets to rank).
-    """
-    iv = _interval_masks(n, out_masks)
+
+def _geodetic_witness(n: int, iv, ext: int) -> int:
     full = (1 << n) - 1
-    ext = _extreme_mask(n, out_masks, in_masks)
+    return _min_superset(n, ext, lambda s: _set_interval(iv, s) == full)
 
-    gw = _min_superset(n, ext, lambda s: _set_interval(iv, s) == full)
-    hw = _min_superset(n, ext, lambda s: _hull_mask(iv, s) == full)
 
-    if n < 2:
-        cw = 0
-        con = 0
-    elif ext:
+def _hull_witness(n: int, iv, ext: int) -> int:
+    full = (1 << n) - 1
+    return _min_superset(n, ext, lambda s: _hull_mask(iv, s) == full)
+
+
+def _convex_witness(n: int, iv, ext: int) -> int:
+    """Least largest convex proper subset (n >= 2); its size is con."""
+    if ext:
         # Prop.: the (n-1)-sets V - v are convex exactly for extreme v, so the
         # lexicographically least maximum witness drops the largest extreme vertex
-        cw = full & ~(1 << (ext.bit_length() - 1))
-        con = n - 1
-    else:
-        con, cw = 0, 0
-        for size in range(n - 1, 0, -1):
-            found = None
-            for combo in itertools.combinations(range(n), size):
-                s = 0
-                for v in combo:
-                    s |= 1 << v
-                if _set_interval(iv, s) == s:
-                    found = s
-                    break
-            if found is not None:
-                con, cw = size, found
-                break
-    return (gw.bit_count(), gw, hw.bit_count(), hw, con, cw)
+        return ((1 << n) - 1) & ~(1 << (ext.bit_length() - 1))
+    for size in range(n - 1, 0, -1):
+        for combo in itertools.combinations(range(n), size):
+            s = 0
+            for v in combo:
+                s |= 1 << v
+            if _set_interval(iv, s) == s:
+                return s
+    raise AssertionError("unreachable: every singleton is convex")
+
+
+def _witnesses(n: int, out_masks, in_masks) -> tuple[int, int, int]:
+    """Bitmask witnesses of g, h and con over one kernel build."""
+    iv, ext = _kernel(n, out_masks, in_masks)
+    return (_geodetic_witness(n, iv, ext), _hull_witness(n, iv, ext),
+            _convex_witness(n, iv, ext))
 
 
 # ---------------------------------------------------------------------------
 # per-digraph API
 
 
+def _number(d: Digraph, search) -> tuple[int, tuple[int, ...]]:
+    w = search(d.n, *_kernel(d.n, d.out_masks, d.in_masks))
+    return w.bit_count(), tuple(bits(w))
+
+
 def geodetic_number(d: Digraph) -> tuple[int, tuple[int, ...]]:
     """Minimum size of S with I[S] = V, plus the lexicographically least witness."""
     if d.n < 1:
         raise ValueError("geodetic number needs at least one vertex")
-    g, gw, _, _, _, _ = _invariant_masks(d.n, d.out_masks, d.in_masks)
-    return g, tuple(bits(gw))
+    return _number(d, _geodetic_witness)
 
 
 def hull_number(d: Digraph) -> tuple[int, tuple[int, ...]]:
     """Minimum size of S whose convex hull is V, plus the least witness."""
     if d.n < 1:
         raise ValueError("hull number needs at least one vertex")
-    _, _, h, hw, _, _ = _invariant_masks(d.n, d.out_masks, d.in_masks)
-    return h, tuple(bits(hw))
+    return _number(d, _hull_witness)
 
 
 def convexity_number(d: Digraph) -> tuple[int, tuple[int, ...]]:
     """Size of the largest convex proper subset, plus the least witness."""
     if d.n < 2:
         raise ValueError("convexity number needs at least two vertices")
-    _, _, _, _, con, cw = _invariant_masks(d.n, d.out_masks, d.in_masks)
-    return con, tuple(bits(cw))
+    return _number(d, _convex_witness)
 
 
 @dataclass(frozen=True)
@@ -231,12 +236,15 @@ class DigraphReport:
 def digraph_report(d: Digraph) -> DigraphReport:
     if d.n < 2:
         raise ValueError("reports need at least two vertices")
-    g, gw, h, hw, con, cw = _invariant_masks(d.n, d.out_masks, d.in_masks)
-    return DigraphReport(d.n, g, h, con, tuple(bits(gw)), tuple(bits(hw)), tuple(bits(cw)))
+    gw, hw, cw = _witnesses(d.n, d.out_masks, d.in_masks)
+    return DigraphReport(d.n, gw.bit_count(), hw.bit_count(), cw.bit_count(),
+                         tuple(bits(gw)), tuple(bits(hw)), tuple(bits(cw)))
 
 
 # ---------------------------------------------------------------------------
 # orientable numbers
+
+NUMBER_KEYS = ("g_min", "g_max", "h_min", "h_max", "con_min", "con_max")
 
 
 @dataclass(frozen=True)
@@ -264,14 +272,7 @@ class OrientableNumbers:
     orientations: int
 
     def values(self) -> dict[str, int]:
-        return {
-            "g_min": self.g_min,
-            "g_max": self.g_max,
-            "h_min": self.h_min,
-            "h_max": self.h_max,
-            "con_min": self.con_min,
-            "con_max": self.con_max,
-        }
+        return {k: getattr(self, k) for k in NUMBER_KEYS}
 
     def to_json_dict(self) -> dict:
         out = dict(self.values())
@@ -279,12 +280,7 @@ class OrientableNumbers:
         out["m"] = self.m
         out["orientations"] = self.orientations
         out["witnesses"] = {
-            "g_min": [list(a) for a in self.g_min_witness.arcs],
-            "g_max": [list(a) for a in self.g_max_witness.arcs],
-            "h_min": [list(a) for a in self.h_min_witness.arcs],
-            "h_max": [list(a) for a in self.h_max_witness.arcs],
-            "con_min": [list(a) for a in self.con_min_witness.arcs],
-            "con_max": [list(a) for a in self.con_max_witness.arcs],
+            k: [list(a) for a in getattr(self, f"{k}_witness").arcs] for k in NUMBER_KEYS
         }
         return out
 
@@ -306,8 +302,7 @@ def _sweep_chunk(args):
     best = None
     for idx in range(start, stop):
         outs, ins = _build_out_in_masks(n, edges, idx << shift)
-        g, _, h, _, con, _ = _invariant_masks(n, outs, ins)
-        vals = (g, h, con)
+        vals = [w.bit_count() for w in _witnesses(n, outs, ins)]
         if best is None:
             best = [[v, idx, v, idx] for v in vals]
             continue

@@ -29,6 +29,7 @@ from .graphs import (
     parse_graph6,
 )
 from .invariants import (
+    NUMBER_KEYS,
     OrientableNumbers,
     convexity_number,
     geodetic_number,
@@ -142,16 +143,8 @@ class HgClassification:
     case: str
 
     def to_json_dict(self) -> dict:
-        return {
-            "graph": self.graph_id,
-            "case": self.case,
-            "g_min": self.g_min,
-            "g_max": self.g_max,
-            "h_min": self.h_min,
-            "h_max": self.h_max,
-            "con_min": self.con_min,
-            "con_max": self.con_max,
-        }
+        return {"graph": self.graph_id, "case": self.case,
+                **{k: getattr(self, k) for k in NUMBER_KEYS}}
 
 
 def classify_values(g_min: int, g_max: int, h_min: int, h_max: int) -> str:
@@ -166,11 +159,13 @@ def classify_values(g_min: int, g_max: int, h_min: int, h_max: int) -> str:
     return "UNCLASSIFIED"
 
 
-def _require_suite_input(g: Graph) -> None:
+def _suite_numbers(g: Graph, numbers, **sweep) -> OrientableNumbers:
+    """Validate a suite's input; sweep its orientations unless `numbers` is given."""
     if g.n < 3:
         raise ValueError("theorem suites need at least three vertices")
     if not is_connected(g):
         raise ValueError("theorem suites need a connected graph")
+    return numbers if numbers is not None else orientable_numbers(g, **sweep)
 
 
 def _hull_sets(d2: Digraph, minimum_only: bool):
@@ -187,7 +182,7 @@ def _hull_sets(d2: Digraph, minimum_only: bool):
     return found
 
 
-def _check_claims(g: Graph, d2, sel, d1, minimum_only: bool, failures: list[Failure]) -> int:
+def _check_claims(d2, sel, d1, minimum_only: bool, failures: list[Failure]) -> int:
     dist2 = geodesic.all_pairs_distances(d2)
     dist1 = geodesic.all_pairs_distances(d1)
     hull_sets = _hull_sets(d2, minimum_only)
@@ -225,14 +220,8 @@ def verify_separation(
     numbers: OrientableNumbers | None = None,
 ) -> SeparationReport:
     """Check g- < g+ and h- < h+ by enumeration and by construction."""
-    _require_suite_input(g)
-    if numbers is None:
-        numbers = orientable_numbers(
-            g,
-            use_reversal_symmetry=use_reversal_symmetry,
-            edge_budget=edge_budget,
-            workers=workers,
-        )
+    numbers = _suite_numbers(g, numbers, use_reversal_symmetry=use_reversal_symmetry,
+                             edge_budget=edge_budget, workers=workers)
     failures: list[Failure] = []
     if not numbers.g_min < numbers.g_max:
         failures.append(Failure("g-separation", f"g-={numbers.g_min} !< g+={numbers.g_max}"))
@@ -277,7 +266,7 @@ def verify_separation(
             failures.append(Failure("construct-g", f"g(D1)={g1} !< g(D2)={g2}", d2.arcs))
         if not h1 < h2:
             failures.append(Failure("construct-h", f"h(D1)={h1} !< h(D2)={h2}", d2.arcs))
-        hull_sets_checked = _check_claims(g, d2, sel, d1, g.n > 5, failures)
+        hull_sets_checked = _check_claims(d2, sel, d1, g.n > 5, failures)
 
     return SeparationReport(
         graph_id=encode_graph6(g),
@@ -300,14 +289,8 @@ def verify_convexity(
     numbers: OrientableNumbers | None = None,
 ) -> ConvexityReport:
     """Check con+ = n-1 and [con- = n-1 iff an end-vertex exists]."""
-    _require_suite_input(g)
-    if numbers is None:
-        numbers = orientable_numbers(
-            g,
-            use_reversal_symmetry=use_reversal_symmetry,
-            edge_budget=edge_budget,
-            workers=workers,
-        )
+    numbers = _suite_numbers(g, numbers, use_reversal_symmetry=use_reversal_symmetry,
+                             edge_budget=edge_budget, workers=workers)
     failures: list[Failure] = []
     n = g.n
     if numbers.con_max != n - 1:
@@ -373,25 +356,14 @@ def classify_hg(
     workers: int | None = None,
     numbers: OrientableNumbers | None = None,
 ) -> HgClassification:
-    _require_suite_input(g)
-    if numbers is None:
-        numbers = orientable_numbers(
-            g,
-            use_reversal_symmetry=use_reversal_symmetry,
-            edge_budget=edge_budget,
-            workers=workers,
-        )
+    numbers = _suite_numbers(g, numbers, use_reversal_symmetry=use_reversal_symmetry,
+                             edge_budget=edge_budget, workers=workers)
     return HgClassification(
         graph_id=encode_graph6(g),
         n=g.n,
         m=g.m,
-        g_min=numbers.g_min,
-        g_max=numbers.g_max,
-        h_min=numbers.h_min,
-        h_max=numbers.h_max,
-        con_min=numbers.con_min,
-        con_max=numbers.con_max,
         case=classify_values(numbers.g_min, numbers.g_max, numbers.h_min, numbers.h_max),
+        **numbers.values(),
     )
 
 

@@ -117,6 +117,14 @@ def test_orient_complete(capsys):
     assert "g(reversed-path)=2" in out
 
 
+def test_orient_complete_large_n_asks_only_for_g(capsys):
+    # the reversed-path tournament has no extreme vertex, so a con search
+    # here would be exponential in n
+    code, out, _ = run(capsys, "orient", "complete", "--n", "70")
+    assert code == 0
+    assert "g(reversed-path)=2, witness {0, 69}" in out
+
+
 def test_orient_d1d2_refuses_complete(capsys):
     code, _, err = run(capsys, "orient", "d1d2", "--edges", K4_EDGES)
     assert code == 2

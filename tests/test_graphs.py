@@ -21,6 +21,7 @@ from oriconvex.graphs import (
     min_degree,
     orientation_count,
     orientation_from_index,
+    parse_arc_list,
     parse_edge_list,
     parse_graph6,
     reverse,
@@ -108,6 +109,7 @@ def test_edge_list_p3():
     "text, fragment",
     [
         ("3\n0 1\n0 1", "duplicate edge"),
+        ("3\n0 1\n1 0", "duplicate edge"),
         ("2\n0 2", "out of range"),
         ("2\n1 1", "self-loop"),
         ("x", "expected vertex count"),
@@ -122,6 +124,29 @@ def test_edge_list_errors(text, fragment):
 
 def test_edge_list_tolerates_blank_lines():
     assert parse_edge_list("\n3\n\n0 1\n\n1 2\n") == path_graph(3)
+
+
+@pytest.mark.parametrize(
+    "text, fragment",
+    [
+        ("3\n0 1\n0 1", "duplicate arc"),
+        ("2\n0 2", "out of range"),
+        ("2\n1 1", "self-loop"),
+        ("x", "expected vertex count"),
+        ("3\n0 1 2", "expected 'u v'"),
+        ("3\n0 x", "non-integer endpoint"),
+        ("", "missing vertex count"),
+        ("-1", "negative vertex count"),
+        ("-1\n0 1", "negative vertex count"),
+    ],
+)
+def test_arc_list_errors(text, fragment):
+    with pytest.raises(GraphFormatError, match=fragment):
+        parse_arc_list(text)
+
+
+def test_arc_list_keeps_both_directions():
+    assert parse_arc_list("2\n1 0\n0 1").arcs == ((0, 1), (1, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,11 @@ import random
 
 import pytest
 
+from oriconvex import invariants
 from oriconvex.graphs import Digraph, Graph, enumerate_orientations, reverse
 from oriconvex.geodesic import convex_hull, interval_of_set, all_pairs_distances, is_convex
 from oriconvex.invariants import (
+    DigraphReport,
     convexity_number,
     digraph_report,
     geodetic_number,
@@ -89,6 +91,30 @@ def test_report_bundles_the_three():
     rep = digraph_report(d)
     assert (rep.g, rep.h, rep.con) == (4, 4, 3)
     assert rep.convexity_witness == (0, 1, 2)
+
+
+def test_each_search_runs_alone(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("search ran for another invariant")
+
+    d = transitive_tournament(5)
+    monkeypatch.setattr(invariants, "_convex_witness", refuse)
+    assert geodetic_number(d) == (5, (0, 1, 2, 3, 4))
+    assert hull_number(d) == (5, (0, 1, 2, 3, 4))
+    with pytest.raises(AssertionError, match="another invariant"):
+        convexity_number(d)
+    monkeypatch.undo()
+    monkeypatch.setattr(invariants, "_geodetic_witness", refuse)
+    monkeypatch.setattr(invariants, "_hull_witness", refuse)
+    assert convexity_number(d) == (4, (0, 1, 2, 3))
+
+
+def test_report_matches_the_three_searches():
+    rng = random.Random(2718)
+    for _ in range(40):
+        d = random_digraph(rng, rng.randint(2, 7))
+        (g, gw), (h, hw), (con, cw) = geodetic_number(d), hull_number(d), convexity_number(d)
+        assert digraph_report(d) == DigraphReport(d.n, g, h, con, gw, hw, cw)
 
 
 # ---------------------------------------------------------------------------
