@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 import time
@@ -47,20 +48,31 @@ def _fail(msg: str, code: int) -> int:
     return code
 
 
+def _stdin():
+    """stdin read as latin-1, one character per byte: a non-ASCII byte then
+    fails to parse where it stands (one graph6 line) instead of failing the
+    decode of the whole input."""
+    if not hasattr(sys.stdin, "buffer"):  # a text stream put in place of stdin
+        return sys.stdin
+    return io.StringIO(sys.stdin.buffer.read().decode("latin-1"), newline=None)
+
+
 def _read_source(path: str) -> str:
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="ascii") as fh:
+        return _stdin().read()
+    with open(path, "r", encoding="latin-1") as fh:
         return fh.read()
 
 
 def _input_graphs(args) -> list[Graph]:
     if args.edges is not None:
-        text = sys.stdin.read() if args.edges == "-" else args.edges
+        text = _stdin().read() if args.edges == "-" else args.edges
         return [parse_edge_list(text.replace("\\n", "\n"))]
     if args.input is None:
         raise GraphFormatError("no input given: use --input or --edges")
-    lines = _read_source(args.input).splitlines()
+    # not splitlines(): it also breaks at bytes such as 0x85, which must
+    # fail as the graph6 data byte they are
+    lines = _read_source(args.input).split("\n")
     graphs = [parse_graph6(ln) for ln in lines if ln.strip()]
     if not graphs:
         raise GraphFormatError("no graphs in input")
@@ -78,7 +90,7 @@ def _numbers_line(values: dict[str, int]) -> str:
 def cmd_invariants(args) -> int:
     out = sys.stdout
     if args.arcs is not None:
-        text = sys.stdin.read() if args.arcs == "-" else args.arcs
+        text = _stdin().read() if args.arcs == "-" else args.arcs
         d = parse_arc_list(text.replace("\\n", "\n"))
         rep = digraph_report(d)
         if args.format == "json":
@@ -274,21 +286,6 @@ def cmd_verify(args) -> int:
     return report.exit_status()
 
 
-def cmd_classify(args) -> int:
-    try:
-        report = corpus_run(
-            args.corpus,
-            suite="classify",
-            edge_budget=args.budget,
-            use_reversal_symmetry=args.symmetry,
-            workers=args.workers,
-        )
-    except OSError as exc:
-        return _fail(str(exc), 2)
-    _emit_corpus(report, args.format, sys.stdout)
-    return report.exit_status()
-
-
 def _add_input_options(p, with_arcs=False):
     p.add_argument("--input", help="graph6 file, one graph per line ('-' for stdin)")
     p.add_argument("--edges", help="inline edge list: 'n' then 'u v' pairs ('-' for stdin)")
@@ -296,47 +293,45 @@ def _add_input_options(p, with_arcs=False):
         p.add_argument("--arcs", help="inline arc list for a digraph ('-' for stdin)")
 
 
-def _add_common(p):
-    p.add_argument("--budget", type=int, default=DEFAULT_EDGE_BUDGET,
-                   help="edge budget guarding the 2^m enumeration (default %(default)s)")
-    p.add_argument("--symmetry", action=argparse.BooleanOptionalAction, default=True,
-                   help="halve the sweep using reversal symmetry (default on)")
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.add_argument("--workers", type=int, default=None,
-                   help="worker processes for orientation/corpus fan-out")
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="oriconvex",
         description="Geodetic, hull and convexity numbers over digraph orientations",
     )
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    # the settings of the orientation sweep, for the commands that run one
+    sweep = argparse.ArgumentParser(add_help=False, parents=[fmt])
+    sweep.add_argument("--budget", type=int, default=DEFAULT_EDGE_BUDGET,
+                       help="edge budget guarding the 2^m enumeration (default %(default)s)")
+    sweep.add_argument("--symmetry", action=argparse.BooleanOptionalAction, default=True,
+                       help="halve the sweep using reversal symmetry (default on)")
+    sweep.add_argument("--workers", type=int, default=None,
+                       help="worker processes (>= 1) for orientation/corpus fan-out")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("invariants", help="six orientable numbers of a graph, "
-                       "or g/h/con of a digraph")
+    p = sub.add_parser("invariants", parents=[sweep], help="six orientable numbers "
+                       "of a graph, or g/h/con of a digraph")
     _add_input_options(p, with_arcs=True)
-    _add_common(p)
     p.set_defaults(func=cmd_invariants)
 
-    p = sub.add_parser("orient", help="run a constructive orientation")
+    p = sub.add_parser("orient", parents=[fmt], help="run a constructive orientation")
     p.add_argument("mode", choices=("extreme-free", "d1d2", "complete"))
     _add_input_options(p)
     p.add_argument("--n", type=int, help="order of the complete graph (mode complete)")
-    _add_common(p)
     p.set_defaults(func=cmd_orient)
 
-    p = sub.add_parser("verify", help="run theorem suites over a graph6 corpus")
+    p = sub.add_parser("verify", parents=[sweep],
+                       help="run theorem suites over a graph6 corpus")
     p.add_argument("corpus", help="graph6 file ('-' reads stdin)")
     p.add_argument("--suite", choices=("separation", "convexity", "classify", "all"),
                    default="all")
-    _add_common(p)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("classify", help="h/g case classification over a corpus")
+    p = sub.add_parser("classify", parents=[sweep],
+                       help="h/g case classification over a corpus (verify --suite classify)")
     p.add_argument("corpus", help="graph6 file ('-' reads stdin)")
-    _add_common(p)
-    p.set_defaults(func=cmd_classify)
+    p.set_defaults(func=cmd_verify, suite="classify")
 
     return ap
 
@@ -351,7 +346,7 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
     if args.command in ("verify", "classify") and args.corpus == "-":
-        args.corpus = sys.stdin.read().splitlines()
+        args.corpus = _stdin()
     try:
         return args.func(args)
     except (ValueError, FileNotFoundError) as exc:

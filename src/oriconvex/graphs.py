@@ -141,18 +141,8 @@ class Digraph:
                 raise ValueError(f"duplicate arc {a}")
         return cls(n, tuple(norm))
 
-    @property
-    def arc_count(self) -> int:
-        return len(self.arcs)
-
     def has_arc(self, u: int, v: int) -> bool:
         return u != v and bool(self.out_masks[u] >> v & 1)
-
-    def out_neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(bits(self.out_masks[v]))
-
-    def in_neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(bits(self.in_masks[v]))
 
     def out_degree(self, v: int) -> int:
         return self.out_masks[v].bit_count()

@@ -15,6 +15,7 @@ tuples.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -315,10 +316,6 @@ def _sweep_chunk(args):
 
 
 def _merge(acc, part):
-    if acc is None:
-        return part
-    if part is None:
-        return acc
     for slot, other in zip(acc, part):
         # strict comparisons keep the least index per extremum (chunks arrive
         # in ascending index order)
@@ -327,6 +324,17 @@ def _merge(acc, part):
         if other[2] > slot[2]:
             slot[2], slot[3] = other[2], other[3]
     return acc
+
+
+def fan_out(fn, jobs: list, workers: int | None = None) -> list:
+    """``[fn(j) for j in jobs]``, across `workers` processes when there are
+    two or more of each; `fn` must be top-level so it pickles."""
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    if workers and workers > 1 and len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, jobs))
+    return [fn(j) for j in jobs]
 
 
 def orientable_numbers(
@@ -347,18 +355,11 @@ def orientable_numbers(
     total = orientation_count(g, use_reversal_symmetry)
     shift = 1 if (use_reversal_symmetry and g.m > 0) else 0
 
-    if workers and workers > 1 and total >= 4 * workers:
-        bound = (total + workers - 1) // workers
-        chunks = [
-            (g.n, g.edges, lo, min(lo + bound, total), shift)
-            for lo in range(0, total, bound)
-        ]
-        acc = None
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_sweep_chunk, chunks):
-                acc = _merge(acc, part)
-    else:
-        acc = _sweep_chunk((g.n, g.edges, 0, total, shift))
+    parts = workers if workers and workers > 1 and total >= 4 * workers else 1
+    bound = (total + parts - 1) // parts
+    chunks = [(g.n, g.edges, lo, min(lo + bound, total), shift)
+              for lo in range(0, total, bound)]
+    acc = functools.reduce(_merge, fan_out(_sweep_chunk, chunks, workers))
 
     (gmin, gmin_i, gmax, gmax_i), (hmin, hmin_i, hmax, hmax_i), (cmin, cmin_i, cmax, cmax_i) = acc
 

@@ -12,7 +12,6 @@ offending orientation and vertex set, so they can be replayed.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from . import geodesic
@@ -32,6 +31,7 @@ from .invariants import (
     NUMBER_KEYS,
     OrientableNumbers,
     convexity_number,
+    fan_out,
     geodetic_number,
     hull_number,
     orientable_numbers,
@@ -159,13 +159,13 @@ def classify_values(g_min: int, g_max: int, h_min: int, h_max: int) -> str:
     return "UNCLASSIFIED"
 
 
-def _suite_numbers(g: Graph, numbers, **sweep) -> OrientableNumbers:
+def _suite_numbers(g: Graph, numbers) -> OrientableNumbers:
     """Validate a suite's input; sweep its orientations unless `numbers` is given."""
     if g.n < 3:
         raise ValueError("theorem suites need at least three vertices")
     if not is_connected(g):
         raise ValueError("theorem suites need a connected graph")
-    return numbers if numbers is not None else orientable_numbers(g, **sweep)
+    return numbers if numbers is not None else orientable_numbers(g)
 
 
 def _hull_sets(d2: Digraph, minimum_only: bool):
@@ -211,17 +211,9 @@ def _check_claims(d2, sel, d1, minimum_only: bool, failures: list[Failure]) -> i
     return len(hull_sets)
 
 
-def verify_separation(
-    g: Graph,
-    *,
-    edge_budget: int = DEFAULT_EDGE_BUDGET,
-    use_reversal_symmetry: bool = True,
-    workers: int | None = None,
-    numbers: OrientableNumbers | None = None,
-) -> SeparationReport:
+def verify_separation(g: Graph, *, numbers: OrientableNumbers | None = None) -> SeparationReport:
     """Check g- < g+ and h- < h+ by enumeration and by construction."""
-    numbers = _suite_numbers(g, numbers, use_reversal_symmetry=use_reversal_symmetry,
-                             edge_budget=edge_budget, workers=workers)
+    numbers = _suite_numbers(g, numbers)
     failures: list[Failure] = []
     if not numbers.g_min < numbers.g_max:
         failures.append(Failure("g-separation", f"g-={numbers.g_min} !< g+={numbers.g_max}"))
@@ -280,17 +272,9 @@ def verify_separation(
     )
 
 
-def verify_convexity(
-    g: Graph,
-    *,
-    edge_budget: int = DEFAULT_EDGE_BUDGET,
-    use_reversal_symmetry: bool = True,
-    workers: int | None = None,
-    numbers: OrientableNumbers | None = None,
-) -> ConvexityReport:
+def verify_convexity(g: Graph, *, numbers: OrientableNumbers | None = None) -> ConvexityReport:
     """Check con+ = n-1 and [con- = n-1 iff an end-vertex exists]."""
-    numbers = _suite_numbers(g, numbers, use_reversal_symmetry=use_reversal_symmetry,
-                             edge_budget=edge_budget, workers=workers)
+    numbers = _suite_numbers(g, numbers)
     failures: list[Failure] = []
     n = g.n
     if numbers.con_max != n - 1:
@@ -321,16 +305,6 @@ def verify_convexity(
             )
         if min_degree(g) >= 2:
             d = extreme_free_orientation(g)
-            extremes = geodesic.extreme_vertices(d)
-            if extremes:
-                failures.append(
-                    Failure(
-                        "extreme-free",
-                        f"constructed orientation has extreme vertices {sorted(extremes)}",
-                        d.arcs,
-                        tuple(sorted(extremes)),
-                    )
-                )
             val, wit = convexity_number(d)
             if val >= n - 1:
                 failures.append(
@@ -348,16 +322,8 @@ def verify_convexity(
     )
 
 
-def classify_hg(
-    g: Graph,
-    *,
-    edge_budget: int = DEFAULT_EDGE_BUDGET,
-    use_reversal_symmetry: bool = True,
-    workers: int | None = None,
-    numbers: OrientableNumbers | None = None,
-) -> HgClassification:
-    numbers = _suite_numbers(g, numbers, use_reversal_symmetry=use_reversal_symmetry,
-                             edge_budget=edge_budget, workers=workers)
+def classify_hg(g: Graph, *, numbers: OrientableNumbers | None = None) -> HgClassification:
+    numbers = _suite_numbers(g, numbers)
     return HgClassification(
         graph_id=encode_graph6(g),
         n=g.n,
@@ -504,11 +470,15 @@ def corpus_run(
     """Run the selected suites over graph6 lines (an iterable or a file path).
 
     One record per input line, in input order; parse failures are recorded
-    and the run continues.
+    and the run continues.  A file is read as latin-1, one character per
+    byte, so a byte that is not graph6 (non-ASCII included) makes only its
+    own line a parse-error.
     """
     suites = _normalize_suites(suite)
+    if edge_budget < 0:
+        raise ValueError(f"edge budget must be at least 0, got {edge_budget}")
     if isinstance(lines, (str, bytes)):
-        with open(lines, "r", encoding="ascii") as fh:
+        with open(lines, "r", encoding="latin-1") as fh:
             payload = [ln.strip() for ln in fh]
     else:
         payload = [str(ln).strip() for ln in lines]
@@ -517,9 +487,4 @@ def corpus_run(
         for i, text in enumerate(payload, start=1)
         if text
     ]
-    if workers and workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_run_line, jobs))
-    else:
-        records = [_run_line(j) for j in jobs]
-    return CorpusReport(records=records, suites=suites)
+    return CorpusReport(records=fan_out(_run_line, jobs, workers), suites=suites)

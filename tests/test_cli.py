@@ -1,3 +1,4 @@
+import io
 import json
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import pytest
 from oriconvex.cli import main
 from oriconvex.graphs import encode_graph6
 from oriconvex.smallgraphs import connected_graphs
-from conftest import complete_graph
+from conftest import DATA_DIR, complete_graph
 
 C5_EDGES = "5\\n0 1\\n1 2\\n2 3\\n3 4\\n4 0"
 K4_EDGES = "4\\n0 1\\n0 2\\n0 3\\n1 2\\n1 3\\n2 3"
@@ -125,6 +126,13 @@ def test_orient_complete_large_n_asks_only_for_g(capsys):
     assert "g(reversed-path)=2, witness {0, 69}" in out
 
 
+def test_orient_takes_no_sweep_settings():
+    # orient runs no orientation sweep, so --budget/--symmetry/--workers are usage errors
+    with pytest.raises(SystemExit) as exc:
+        main(["orient", "d1d2", "--edges", P3_EDGES, "--workers", "2"])
+    assert exc.value.code == 2
+
+
 def test_orient_d1d2_refuses_complete(capsys):
     code, _, err = run(capsys, "orient", "d1d2", "--edges", K4_EDGES)
     assert code == 2
@@ -188,6 +196,50 @@ def test_classify_csv(capsys, corpus5):
     rows = out.strip().splitlines()
     assert rows[0].split(",")[:3] == ["line", "graph", "status"]
     assert len(rows) == 22
+
+
+@pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+def test_classify_is_verify_suite_classify(capsys, fmt):
+    corpus = str(DATA_DIR / "connected_n5.g6")
+    code, out, _ = run(capsys, "classify", corpus, "--format", fmt)
+    code2, out2, _ = run(capsys, "verify", corpus, "--suite", "classify", "--format", fmt)
+    assert code == code2 == 0
+    assert out == out2
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--budget", "-1"], "edge budget must be at least 0, got -1"),
+    (["--workers", "0"], "workers must be at least 1, got 0"),
+    (["--workers", "-3"], "workers must be at least 1, got -3"),
+], ids=["budget-1", "workers0", "workers-3"])
+def test_verify_rejects_out_of_range_settings(capsys, corpus5, flags, named):
+    code, out, err = run(capsys, "verify", corpus5, *flags)
+    assert code == 2
+    assert out == ""
+    assert named in err
+
+
+NON_ASCII_CORPUS = b"Bw\nD\xc3hc\nDhc\n"  # line 2 holds one byte outside ASCII
+
+
+def _assert_only_line_two_fails(code, out):
+    assert code == 2
+    records = [json.loads(ln) for ln in out.strip().splitlines()]
+    assert [r.get("status") for r in records[:3]] == ["ok", "parse-error", "ok"]
+    assert records[1]["reason"] == "trailing garbage at byte 3"
+    assert records[0]["ok"] and records[2]["ok"]
+    assert records[3]["summary"]["parse_errors"] == 1
+
+
+def test_verify_non_ascii_line_fails_alone_from_file(capsys, tmp_path):
+    path = tmp_path / "mixed.g6"
+    path.write_bytes(NON_ASCII_CORPUS)
+    _assert_only_line_two_fails(*run(capsys, "verify", str(path), "--format", "json")[:2])
+
+
+def test_verify_non_ascii_line_fails_alone_from_stdin(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(NON_ASCII_CORPUS)))
+    _assert_only_line_two_fails(*run(capsys, "verify", "-", "--format", "json")[:2])
 
 
 def test_stdin_edge_list(capsys, monkeypatch):

@@ -194,12 +194,21 @@ def test_symmetry_flag_changes_nothing():
 
 
 def test_workers_change_nothing():
-    g = cycle_graph(6)
-    serial = orientable_numbers(g)
-    fanned = orientable_numbers(g, workers=2)
-    assert serial.values() == fanned.values()
-    for key in ("g_min", "g_max", "h_min", "h_max", "con_min", "con_max"):
-        assert getattr(serial, key + "_witness") == getattr(fanned, key + "_witness")
+    for g, workers in (
+        (cycle_graph(6), 2),
+        (cycle_graph(6), 3),  # 32 orientations in uneven chunks of 11, 11 and 10
+        (path_graph(3), 2),  # 2 orientations: one chunk, run inline
+    ):
+        serial = orientable_numbers(g)
+        fanned = orientable_numbers(g, workers=workers)
+        assert serial.values() == fanned.values()
+        for key in ("g_min", "g_max", "h_min", "h_max", "con_min", "con_max"):
+            assert getattr(serial, key + "_witness") == getattr(fanned, key + "_witness")
+
+
+def test_workers_below_one_rejected():
+    with pytest.raises(ValueError, match="workers must be at least 1, got 0"):
+        orientable_numbers(cycle_graph(4), workers=0)
 
 
 def test_preconditions():

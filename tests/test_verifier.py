@@ -159,6 +159,13 @@ def test_corpus_run_workers_match_serial():
     assert serial.summary() == fanned.summary()
 
 
+def test_corpus_run_rejects_out_of_range_settings():
+    with pytest.raises(ValueError, match="workers must be at least 1, got 0"):
+        corpus_run(["Bw"], workers=0)
+    with pytest.raises(ValueError, match="edge budget must be at least 0, got -1"):
+        corpus_run(["Bw"], edge_budget=-1)
+
+
 def test_corpus_run_rejects_unknown_suite():
     with pytest.raises(ValueError):
         corpus_run(["Bw"], suite="nonsense")
