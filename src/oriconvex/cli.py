@@ -2,7 +2,8 @@
 
 Everything printed on stdout is derived deterministically from the input
 and the flags; timing and diagnostics go to stderr.  Exit codes: 0 all
-checks pass, 1 a theorem check failed, 2 input or usage trouble.
+checks pass, 1 a theorem check failed, 2 input or usage trouble, or a
+corpus run in which no graph was checked.
 """
 
 from __future__ import annotations
@@ -72,8 +73,16 @@ def _input_graphs(args) -> list[Graph]:
         raise GraphFormatError("no input given: use --input or --edges")
     # not splitlines(): it also breaks at bytes such as 0x85, which must
     # fail as the graph6 data byte they are
-    lines = _read_source(args.input).split("\n")
-    graphs = [parse_graph6(ln) for ln in lines if ln.strip()]
+    graphs = []
+    for lineno, ln in enumerate(_read_source(args.input).split("\n"), start=1):
+        if not ln.strip():
+            continue
+        try:
+            graphs.append(parse_graph6(ln))
+        except GraphFormatError as exc:
+            # shown as parsed: strip() would also drop bytes such as 0x85
+            text = ln.rstrip("\r")
+            raise GraphFormatError(f"line {lineno} ({text}): {exc}") from None
     if not graphs:
         raise GraphFormatError("no graphs in input")
     return graphs
@@ -113,14 +122,16 @@ def cmd_invariants(args) -> int:
         csv_writer = csv.writer(out)
         csv_writer.writerow(["graph", "n", "m", *NUMBER_KEYS])
     for g in graphs:
-        gid = encode_graph6(g)
         t0 = time.perf_counter()
+        # the sweep validates g first, so a bad graph is reported as what it
+        # is, not as a graph6 encoding limit
         nums = orientable_numbers(
             g,
             use_reversal_symmetry=args.symmetry,
             edge_budget=args.budget,
             workers=args.workers,
         )
+        gid = encode_graph6(g)
         print(f"{gid}: {time.perf_counter() - t0:.2f}s", file=sys.stderr)
         if args.format == "json":
             rec = nums.to_json_dict()
@@ -283,6 +294,8 @@ def cmd_verify(args) -> int:
     print(f"{len(report.records)} lines in {time.perf_counter() - t0:.2f}s",
           file=sys.stderr)
     _emit_corpus(report, args.format, sys.stdout)
+    if not report.graphs:
+        return _fail("no graph was checked", 2)
     return report.exit_status()
 
 

@@ -412,8 +412,8 @@ class CorpusReport:
         return out
 
     def exit_status(self) -> int:
-        """0 all pass, 1 theorem violation, 2 input trouble."""
-        if self.parse_errors:
+        """0 all pass, 1 theorem violation, 2 input trouble or no graph checked."""
+        if self.parse_errors or not self.graphs:
             return 2
         if self.violations:
             return 1

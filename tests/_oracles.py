@@ -3,7 +3,9 @@
 These deliberately avoid the package's bitmask search machinery: distances
 come from Floyd-Warshall over the arc list, and the set searches enumerate
 every subset by size with no pruning, deciding membership through the
-public definitional interval/hull functions.
+public definitional interval/hull functions.  The orientation-sweep oracle
+is the exception: it runs the per-digraph searches (checked against the
+oracles here) on every orientation, with none of the sweep's pruning.
 """
 
 from __future__ import annotations
@@ -11,8 +13,9 @@ from __future__ import annotations
 import itertools
 import random
 
-from oriconvex.graphs import Digraph, Graph
+from oriconvex.graphs import Digraph, Graph, orientation_count, orientation_from_index
 from oriconvex import geodesic
+from oriconvex.invariants import NUMBER_KEYS, digraph_report
 
 
 def oracle_distances(d: Digraph):
@@ -85,6 +88,43 @@ def oracle_hull_by_intersection(d: Digraph, s) -> frozenset:
             if s <= cand and geodesic.is_convex(d, cand):
                 out &= cand
     return out
+
+
+def oracle_sweep(g: Graph, use_reversal_symmetry: bool = True, start: int = 0,
+                 stop: int | None = None) -> list[list[int]]:
+    """The orientation sweep with no pruning over indices [start, stop): g, h
+    and con of every orientation, by the per-digraph searches (which the
+    oracles above check).
+
+    Returns one [min, min index, max, max index] slot each for g, h and con;
+    an index is the least one attaining its extremum.
+    """
+    if stop is None:
+        stop = orientation_count(g, use_reversal_symmetry)
+    best = None
+    for idx in range(start, stop):
+        rep = digraph_report(orientation_from_index(g, idx, use_reversal_symmetry))
+        vals = (rep.g, rep.h, rep.con)
+        if best is None:
+            best = [[v, idx, v, idx] for v in vals]
+            continue
+        for slot, v in zip(best, vals):
+            if v < slot[0]:
+                slot[0], slot[1] = v, idx
+            if v > slot[2]:
+                slot[2], slot[3] = v, idx
+    return best
+
+
+def oracle_orientable_numbers(g: Graph, use_reversal_symmetry: bool = True) -> dict:
+    """{key: (value, witness digraph)} for each key of NUMBER_KEYS, from the
+    unpruned sweep over every orientation."""
+    slots = oracle_sweep(g, use_reversal_symmetry)
+    pairs = [p for slot in slots for p in ((slot[0], slot[1]), (slot[2], slot[3]))]
+    return {
+        key: (v, orientation_from_index(g, idx, use_reversal_symmetry))
+        for key, (v, idx) in zip(NUMBER_KEYS, pairs)
+    }
 
 
 def random_digraph(rng: random.Random, n: int, p: float = 0.4) -> Digraph:

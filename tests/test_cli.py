@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import subprocess
@@ -75,6 +76,24 @@ def test_invariants_parse_error(capsys):
     code, _, err = run(capsys, "invariants", "--edges", "3\\n0 9")
     assert code == 2
     assert "out of range" in err
+
+
+def test_invariants_input_names_the_failing_line(capsys, tmp_path):
+    path = tmp_path / "three.g6"
+    path.write_bytes(b"Bw\nBw\nD\x85hc\n")
+    code, out, err = run(capsys, "invariants", "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert "line 3 (D\x85hc): trailing garbage at byte 3" in err
+
+
+def test_invariants_reports_disconnection_before_encoding(capsys):
+    # 63 vertices is also past the graph6 short form, but connectivity is
+    # the real problem and is checked first
+    code, _, err = run(capsys, "invariants", "--edges", "63\\n0 1")
+    assert code == 2
+    assert "connected" in err
+    assert "graph6" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +236,31 @@ def test_verify_rejects_out_of_range_settings(capsys, corpus5, flags, named):
     assert code == 2
     assert out == ""
     assert named in err
+
+
+def test_verify_with_no_graph_checked_fails(capsys):
+    code, out, err = run(capsys, "verify", "--budget", "0", str(DATA_DIR / "connected_n5.g6"))
+    assert code == 2
+    assert out.count(": skipped: ") == 21
+    assert "no graph was checked" in err
+
+
+# sha256 of `verify --suite all --format json` stdout, pinned so that a
+# faster sweep cannot change a byte of the output unnoticed
+VERIFY_JSON_SHA256 = {
+    "connected_n3": "f4612c903dfd217639a33cd95356b14efc09c2bdc20f6d4c0218c141e549f1a5",
+    "connected_n4": "9b27fe84d117abf6f93c4c055c23f5d1fba0092d4f50740e6638365505406c1c",
+    "connected_n5": "0d4e4c282f0674df4e667f9949a047b210ddf4200713e0febfa198c8895e4716",
+    "trees_upto_n7": "f81a94a019836b66fc480e0125af5789252289aedd9706477559dd68648b1298",
+}
+
+
+@pytest.mark.parametrize("corpus", sorted(VERIFY_JSON_SHA256))
+def test_verify_json_stdout_is_pinned(capsys, corpus):
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--format", "json",
+                       str(DATA_DIR / f"{corpus}.g6"))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_JSON_SHA256[corpus]
 
 
 NON_ASCII_CORPUS = b"Bw\nD\xc3hc\nDhc\n"  # line 2 holds one byte outside ASCII

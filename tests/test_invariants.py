@@ -1,9 +1,18 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oriconvex import invariants
-from oriconvex.graphs import Digraph, Graph, enumerate_orientations, reverse
+from oriconvex.graphs import (
+    Digraph,
+    Graph,
+    enumerate_orientations,
+    orientation_count,
+    parse_graph6,
+    reverse,
+)
 from oriconvex.geodesic import convex_hull, interval_of_set, all_pairs_distances, is_convex
 from oriconvex.invariants import (
     DigraphReport,
@@ -14,9 +23,16 @@ from oriconvex.invariants import (
     orientable_numbers,
 )
 from oriconvex.smallgraphs import connected_graphs
-from conftest import complete_bipartite, complete_graph, cycle_graph, path_graph
+from conftest import DATA_DIR, complete_bipartite, complete_graph, cycle_graph, path_graph
 
-from _oracles import oracle_convexity, oracle_geodetic, oracle_hull, random_digraph
+from _oracles import (
+    oracle_convexity,
+    oracle_geodetic,
+    oracle_hull,
+    oracle_orientable_numbers,
+    oracle_sweep,
+    random_digraph,
+)
 
 
 def transitive_tournament(n):
@@ -204,6 +220,52 @@ def test_workers_change_nothing():
         assert serial.values() == fanned.values()
         for key in ("g_min", "g_max", "h_min", "h_max", "con_min", "con_max"):
             assert getattr(serial, key + "_witness") == getattr(fanned, key + "_witness")
+
+
+@st.composite
+def small_connected_graphs(draw):
+    """A random spanning tree on 3..6 vertices plus up to four more edges
+    (at most 9 edges keeps the unpruned oracle sweep short)."""
+    n = draw(st.integers(3, 6))
+    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    chords = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in tree]
+    extra = draw(st.lists(st.sampled_from(chords), unique=True, max_size=4)) if chords else []
+    return Graph.from_edges(n, tree + extra)
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_connected_graphs())
+def test_pruned_sweep_matches_the_exhaustive_sweep(g):
+    for sym in (True, False):
+        want = oracle_orientable_numbers(g, use_reversal_symmetry=sym)
+        for workers in (None, 2):
+            got = orientable_numbers(g, use_reversal_symmetry=sym, workers=workers)
+            for key in invariants.NUMBER_KEYS:
+                assert (getattr(got, key), getattr(got, key + "_witness")) == want[key], (
+                    key, sym, workers)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_connected_graphs(), st.booleans(), st.data())
+def test_pruned_chunk_matches_the_exhaustive_chunk(g, sym, data):
+    # a chunk may start anywhere, e.g. at an orientation with no extreme vertex
+    total = orientation_count(g, sym)
+    start = data.draw(st.integers(0, total - 1))
+    stop = data.draw(st.integers(start + 1, total))
+    shift = 1 if sym else 0
+    slots, _ = invariants._sweep_chunk((g.n, g.edges, start, stop, shift))
+    assert slots == oracle_sweep(g, sym, start, stop)
+
+
+def test_exact_searches_counted_on_the_n5_corpus():
+    lines = (DATA_DIR / "connected_n5.g6").read_text().split()
+    runs = [orientable_numbers(parse_graph6(ln)) for ln in lines]
+    searched = tuple(sum(col) for col in zip(*(r.exact_searches for r in runs)))
+    total = sum(r.orientations for r in runs)
+    assert (len(runs), total) == (21, 1544)
+    assert searched == (100, 74, 14)
+    assert all(count < total for count in searched)
+    assert "exact_searches" not in runs[0].to_json_dict()
 
 
 def test_workers_below_one_rejected():

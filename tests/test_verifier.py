@@ -128,7 +128,7 @@ def test_corpus_run_empty_file(tmp_path):
     path.write_text("")
     report = corpus_run(str(path))
     assert report.records == []
-    assert report.exit_status() == 0
+    assert report.exit_status() == 2  # nothing was checked
 
 
 def test_corpus_run_records_parse_errors_and_continues(tmp_path):
@@ -146,7 +146,7 @@ def test_corpus_run_skips_out_of_scope_lines():
     lines = ["@", "A_", encode_graph6(Graph.from_edges(4, [(0, 1), (2, 3)]))]
     report = corpus_run(lines, suite="convexity")
     assert all(r.status == "skipped" for r in report.records)
-    assert report.exit_status() == 0
+    assert report.exit_status() == 2  # nothing was checked
 
 
 def test_corpus_run_workers_match_serial():
