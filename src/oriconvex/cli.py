@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import string
 import sys
 import time
 
@@ -71,11 +72,11 @@ def _input_graphs(args) -> list[Graph]:
         return [parse_edge_list(text.replace("\\n", "\n"))]
     if args.input is None:
         raise GraphFormatError("no input given: use --input or --edges")
-    # not splitlines(): it also breaks at bytes such as 0x85, which must
-    # fail as the graph6 data byte they are
+    # not splitlines() or a bare strip(): they also break or drop bytes such
+    # as 0x85, which must fail as the graph6 data byte they are
     graphs = []
     for lineno, ln in enumerate(_read_source(args.input).split("\n"), start=1):
-        if not ln.strip():
+        if not ln.strip(string.whitespace):
             continue
         try:
             graphs.append(parse_graph6(ln))
@@ -311,10 +312,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="oriconvex",
         description="Geodetic, hull and convexity numbers over digraph orientations",
     )
-    fmt = argparse.ArgumentParser(add_help=False)
-    fmt.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    # the settings of the orientation sweep, for the commands that run one
-    sweep = argparse.ArgumentParser(add_help=False, parents=[fmt])
+    # the output format and the settings of the orientation sweep, for the
+    # commands that run one
+    sweep = argparse.ArgumentParser(add_help=False)
+    sweep.add_argument("--format", choices=("text", "json", "csv"), default="text")
     sweep.add_argument("--budget", type=int, default=DEFAULT_EDGE_BUDGET,
                        help="edge budget guarding the 2^m enumeration (default %(default)s)")
     sweep.add_argument("--symmetry", action=argparse.BooleanOptionalAction, default=True,
@@ -328,8 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_options(p, with_arcs=True)
     p.set_defaults(func=cmd_invariants)
 
-    p = sub.add_parser("orient", parents=[fmt], help="run a constructive orientation")
+    p = sub.add_parser("orient", help="run a constructive orientation")
     p.add_argument("mode", choices=("extreme-free", "d1d2", "complete"))
+    p.add_argument("--format", choices=("text", "json"), default="text")
     _add_input_options(p)
     p.add_argument("--n", type=int, help="order of the complete graph (mode complete)")
     p.set_defaults(func=cmd_orient)

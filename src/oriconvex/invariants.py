@@ -8,9 +8,11 @@ optima and reruns are diffable.
 
 Internally everything runs on one bitmask kernel per digraph (the matrix of
 interval masks and the mask of extreme vertices), built once and shared by
-the g, h and con searches.  Each search runs alone: asking for g never pays
-for the con search.  The public functions translate to and from vertex
-tuples.
+the g, h and con searches.  One BFS per source builds it: each vertex ORs
+in the geodesic masks of its predecessors on the BFS frontier, and the
+extreme vertices are those interior to no geodesic.  Each search runs
+alone: asking for g never pays for the con search.  The public functions
+translate to and from vertex tuples.
 
 The orientation sweep builds the kernel once per orientation and runs an
 exact search only when cheap bounds cannot place the value inside the
@@ -45,57 +47,41 @@ from .graphs import (
 # bitmask core (shared by the per-digraph API and the orientation sweep)
 
 
-def _distance_matrix(n: int, out_masks) -> list[list[int]]:
-    # unreachable pairs get the sentinel n: no dipath on n vertices has n arcs,
-    # and n + anything can never equal a finite distance in the sum criterion
-    dist = [[n] * n for _ in range(n)]
-    for s in range(n):
-        row = dist[s]
-        row[s] = 0
-        seen = 1 << s
-        frontier = 1 << s
-        depth = 0
+def _interval_masks(n: int, out_masks) -> list[list[int]]:
+    """iv[u][v] = I[u,v] as a bitmask, from one BFS per source.
+
+    The BFS from u gives row[w], the vertices on some u->w geodesic: every
+    vertex first reached at depth k + 1 ORs in the row of each of its
+    in-neighbours at depth k.  A vertex u cannot reach keeps row 0, so no
+    distance matrix and no unreachable sentinel are needed.
+    """
+    rows = []
+    for u in range(n):
+        row = [0] * n
+        row[u] = seen = frontier = 1 << u
         while frontier:
-            depth += 1
             nxt = 0
             f = frontier
             while f:
                 b = f & -f
                 f ^= b
-                nxt |= out_masks[b.bit_length() - 1]
-            frontier = nxt & ~seen
-            seen |= frontier
-            f = frontier
-            while f:
-                b = f & -f
-                f ^= b
-                row[b.bit_length() - 1] = depth
-        dist[s] = row
-    return dist
-
-
-def _interval_masks(n: int, out_masks) -> list[list[int]]:
-    dist = _distance_matrix(n, out_masks)
-    iv = [[0] * n for _ in range(n)]
+                p = b.bit_length() - 1
+                new = out_masks[p] & ~seen
+                nxt |= new
+                rp = row[p]
+                while new:
+                    c = new & -new
+                    new ^= c
+                    row[c.bit_length() - 1] |= rp | c
+            seen |= nxt
+            frontier = nxt
+        rows.append(row)
+    # in place: each pair reads rows[u][v] and rows[v][u] once, before writing both
     for u in range(n):
-        iv[u][u] = 1 << u
-        du = dist[u]
+        ru = rows[u]
         for v in range(u + 1, n):
-            mask = (1 << u) | (1 << v)
-            duv = du[v]
-            if duv < n:
-                for w in range(n):
-                    if du[w] + dist[w][v] == duv:
-                        mask |= 1 << w
-            dvu = dist[v][u]
-            if dvu < n:
-                dv = dist[v]
-                for w in range(n):
-                    if dv[w] + dist[w][u] == dvu:
-                        mask |= 1 << w
-            iv[u][v] = mask
-            iv[v][u] = mask
-    return iv
+            ru[v] = rows[v][u] = ru[v] | rows[v][u] | (1 << u) | (1 << v)
+    return rows
 
 
 def _set_interval(iv, smask: int) -> int:
@@ -117,23 +103,6 @@ def _hull_mask(iv, smask: int) -> int:
         cur = nxt
 
 
-def _extreme_mask(n: int, out_masks, in_masks) -> int:
-    x = 0
-    for v in range(n):
-        outs = out_masks[v]
-        t = in_masks[v]
-        ok = True
-        while t:
-            b = t & -t
-            t ^= b
-            if outs & ~out_masks[b.bit_length() - 1] & ~b:
-                ok = False
-                break
-        if ok:
-            x |= 1 << v
-    return x
-
-
 def _min_superset(n: int, seed: int, test) -> int:
     """Smallest superset of `seed` passing `test`, lexicographically least.
 
@@ -152,9 +121,20 @@ def _min_superset(n: int, seed: int, test) -> int:
     raise AssertionError("unreachable: the full vertex set always passes")
 
 
-def _kernel(n: int, out_masks, in_masks):
-    """(interval-mask matrix, extreme-vertex mask): the input of every search."""
-    return _interval_masks(n, out_masks), _extreme_mask(n, out_masks, in_masks)
+def _kernel(n: int, out_masks):
+    """(interval-mask matrix, extreme-vertex mask): the input of every search.
+
+    The matrix comes from one BFS per source (`_interval_masks`).  A vertex
+    is extreme iff it is interior to no geodesic (see `geodesic.is_extreme`),
+    so the extreme vertices are those in no interval I[u,v] less its ends.
+    """
+    iv = _interval_masks(n, out_masks)
+    inner = 0
+    for u in range(n):
+        row = iv[u]
+        for v in range(u + 1, n):
+            inner |= row[v] & ~((1 << u) | (1 << v))
+    return iv, ((1 << n) - 1) & ~inner
 
 
 def _geodetic_witness(n: int, iv, ext: int) -> int:
@@ -183,19 +163,12 @@ def _convex_witness(n: int, iv, ext: int) -> int:
     raise AssertionError("unreachable: every singleton is convex")
 
 
-def _witnesses(n: int, out_masks, in_masks) -> tuple[int, int, int]:
-    """Bitmask witnesses of g, h and con over one kernel build."""
-    iv, ext = _kernel(n, out_masks, in_masks)
-    return (_geodetic_witness(n, iv, ext), _hull_witness(n, iv, ext),
-            _convex_witness(n, iv, ext))
-
-
 # ---------------------------------------------------------------------------
 # per-digraph API
 
 
 def _number(d: Digraph, search) -> tuple[int, tuple[int, ...]]:
-    w = search(d.n, *_kernel(d.n, d.out_masks, d.in_masks))
+    w = search(d.n, *_kernel(d.n, d.out_masks))
     return w.bit_count(), tuple(bits(w))
 
 
@@ -247,8 +220,11 @@ class DigraphReport:
 def digraph_report(d: Digraph) -> DigraphReport:
     if d.n < 2:
         raise ValueError("reports need at least two vertices")
-    gw, hw, cw = _witnesses(d.n, d.out_masks, d.in_masks)
-    return DigraphReport(d.n, gw.bit_count(), hw.bit_count(), cw.bit_count(),
+    n = d.n
+    iv, ext = _kernel(n, d.out_masks)
+    gw, hw, cw = (search(n, iv, ext)
+                  for search in (_geodetic_witness, _hull_witness, _convex_witness))
+    return DigraphReport(n, gw.bit_count(), hw.bit_count(), cw.bit_count(),
                          tuple(bits(gw)), tuple(bits(hw)), tuple(bits(cw)))
 
 
@@ -299,15 +275,13 @@ class OrientableNumbers:
         return out
 
 
-def _build_out_in_masks(n, edges, index):
+def _build_out_masks(n, edges, index):
     outs = [0] * n
-    ins = [0] * n
     for j, (u, v) in enumerate(edges):
         if index >> j & 1:
             u, v = v, u
         outs[u] |= 1 << v
-        ins[v] |= 1 << u
-    return outs, ins
+    return outs
 
 
 # recent witnesses per invariant that a chunk tries as bounds; on the n = 6
@@ -337,8 +311,7 @@ def _sweep_chunk(args):
     recent_g, recent_h, recent_c = [], [], []
     runs = [0, 0, 0]
     for idx in range(start, stop):
-        outs, ins = _build_out_in_masks(n, edges, idx << shift)
-        iv, ext = _kernel(n, outs, ins)
+        iv, ext = _kernel(n, _build_out_masks(n, edges, idx << shift))
         # extreme vertices lie in every geodetic set and hull-set, and a
         # single vertex is its own hull: g >= h >= low
         low = max(ext.bit_count(), 2)

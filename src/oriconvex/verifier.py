@@ -12,6 +12,7 @@ offending orientation and vertex set, so they can be replayed.
 from __future__ import annotations
 
 import itertools
+import string
 from dataclasses import dataclass, field
 
 from . import geodesic
@@ -472,16 +473,17 @@ def corpus_run(
     One record per input line, in input order; parse failures are recorded
     and the run continues.  A file is read as latin-1, one character per
     byte, so a byte that is not graph6 (non-ASCII included) makes only its
-    own line a parse-error.
+    own line a parse-error.  Lines lose ASCII whitespace only: a bare
+    strip() would also drop the bytes 0x85 and 0xA0 and pass the rest.
     """
     suites = _normalize_suites(suite)
     if edge_budget < 0:
         raise ValueError(f"edge budget must be at least 0, got {edge_budget}")
     if isinstance(lines, (str, bytes)):
         with open(lines, "r", encoding="latin-1") as fh:
-            payload = [ln.strip() for ln in fh]
+            payload = [ln.strip(string.whitespace) for ln in fh]
     else:
-        payload = [str(ln).strip() for ln in lines]
+        payload = [str(ln).strip(string.whitespace) for ln in lines]
     jobs = [
         (i, text, suites, edge_budget, use_reversal_symmetry)
         for i, text in enumerate(payload, start=1)

@@ -87,6 +87,22 @@ def test_invariants_input_names_the_failing_line(capsys, tmp_path):
     assert "line 3 (D\x85hc): trailing garbage at byte 3" in err
 
 
+# sha256 of `invariants --input data/connected_n5.g6 --format json` stdout,
+# which carries the six witness orientations of every graph, byte for byte
+INVARIANTS_JSON_SHA256 = {
+    "symmetry": "d23a067a0ccd7f561801b5c9e12c0614840f9579fd046544147855228cd1ee67",
+    "no-symmetry": "e46500716f8f99a7f2e69094d645b0495991ad55ec66d307da9b6eba8863f2e1",
+}
+
+
+@pytest.mark.parametrize("symmetry", sorted(INVARIANTS_JSON_SHA256))
+def test_invariants_json_witnesses_are_pinned(capsys, symmetry):
+    code, out, _ = run(capsys, "invariants", "--input", str(DATA_DIR / "connected_n5.g6"),
+                       "--format", "json", f"--{symmetry}")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == INVARIANTS_JSON_SHA256[symmetry]
+
+
 def test_invariants_reports_disconnection_before_encoding(capsys):
     # 63 vertices is also past the graph6 short form, but connectivity is
     # the real problem and is checked first
@@ -150,6 +166,16 @@ def test_orient_takes_no_sweep_settings():
     with pytest.raises(SystemExit) as exc:
         main(["orient", "d1d2", "--edges", P3_EDGES, "--workers", "2"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [["complete", "--n", "4"], ["d1d2", "--edges", P3_EDGES]],
+                         ids=["complete", "d1d2"])
+def test_orient_has_no_csv_format(capsys, argv):
+    # orient has no CSV writer; csv used to print the text report
+    with pytest.raises(SystemExit) as exc:
+        main(["orient", *argv, "--format", "csv"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_orient_d1d2_refuses_complete(capsys):
@@ -284,6 +310,28 @@ def test_verify_non_ascii_line_fails_alone_from_file(capsys, tmp_path):
 def test_verify_non_ascii_line_fails_alone_from_stdin(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(NON_ASCII_CORPUS)))
     _assert_only_line_two_fails(*run(capsys, "verify", "-", "--format", "json")[:2])
+
+
+def test_verify_strips_only_ascii_whitespace(capsys, tmp_path):
+    # str.strip() counts 0x85 and 0xA0 as whitespace; graph6 does not
+    path = tmp_path / "nbsp.g6"
+    path.write_bytes(b"Bw\x85\nBw\xa0\n")
+    code, out, _ = run(capsys, "verify", str(path), "--format", "json")
+    assert code == 2
+    records = [json.loads(ln) for ln in out.splitlines()]
+    assert [(r["graph"], r["status"], r["reason"]) for r in records[:2]] == [
+        ("Bw\x85", "parse-error", "trailing garbage at byte 2"),
+        ("Bw\xa0", "parse-error", "trailing garbage at byte 2"),
+    ]
+
+
+def test_invariants_input_takes_no_0x85_for_a_blank_line(capsys, tmp_path):
+    path = tmp_path / "nel.g6"
+    path.write_bytes(b"Bw\n\x85\n")
+    code, out, err = run(capsys, "invariants", "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert "line 2 (\x85): invalid graph6 header byte 133 at byte 0" in err
 
 
 def test_stdin_edge_list(capsys, monkeypatch):

@@ -9,11 +9,19 @@ from oriconvex.graphs import (
     Digraph,
     Graph,
     enumerate_orientations,
+    mask_of,
     orientation_count,
     parse_graph6,
     reverse,
 )
-from oriconvex.geodesic import convex_hull, interval_of_set, all_pairs_distances, is_convex
+from oriconvex.geodesic import (
+    all_pairs_distances,
+    convex_hull,
+    extreme_vertices,
+    interval,
+    interval_of_set,
+    is_convex,
+)
 from oriconvex.invariants import (
     DigraphReport,
     convexity_number,
@@ -26,6 +34,7 @@ from oriconvex.smallgraphs import connected_graphs
 from conftest import DATA_DIR, complete_bipartite, complete_graph, cycle_graph, path_graph
 
 from _oracles import (
+    all_digraphs,
     oracle_convexity,
     oracle_geodetic,
     oracle_hull,
@@ -131,6 +140,33 @@ def test_report_matches_the_three_searches():
         d = random_digraph(rng, rng.randint(2, 7))
         (g, gw), (h, hw), (con, cw) = geodetic_number(d), hull_number(d), convexity_number(d)
         assert digraph_report(d) == DigraphReport(d.n, g, h, con, gw, hw, cw)
+
+
+# ---------------------------------------------------------------------------
+# the kernel against the frozenset reference in geodesic.py
+
+
+def _assert_kernel_matches_reference(d):
+    iv, ext = invariants._kernel(d.n, d.out_masks)
+    dist = all_pairs_distances(d)
+    for u in range(d.n):
+        for v in range(d.n):
+            assert iv[u][v] == mask_of(interval(d, dist, u, v)), (d.arcs, u, v)
+    assert ext == mask_of(extreme_vertices(d)), d.arcs
+
+
+def test_kernel_matches_reference_on_every_small_digraph():
+    for n in range(1, 5):
+        for d in all_digraphs(n):
+            _assert_kernel_matches_reference(d)
+
+
+def test_kernel_matches_reference_on_random_digraphs():
+    # sparse draws leave unreachable pairs, dense ones many 2-cycles
+    rng = random.Random(6061)
+    for _ in range(300):
+        n, p = rng.randint(1, 9), rng.choice((0.1, 0.25, 0.5, 0.8))
+        _assert_kernel_matches_reference(random_digraph(rng, n, p))
 
 
 # ---------------------------------------------------------------------------
