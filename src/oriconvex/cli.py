@@ -12,7 +12,6 @@ import argparse
 import csv
 import io
 import json
-import string
 import sys
 import time
 
@@ -21,6 +20,7 @@ from .graphs import (
     Graph,
     GraphFormatError,
     encode_graph6,
+    graph6_lines,
     is_complete,
     parse_arc_list,
     parse_edge_list,
@@ -59,34 +59,28 @@ def _stdin():
     return io.StringIO(sys.stdin.buffer.read().decode("latin-1"), newline=None)
 
 
-def _read_source(path: str) -> str:
-    if path == "-":
-        return _stdin().read()
-    with open(path, "r", encoding="latin-1") as fh:
-        return fh.read()
-
-
 def _input_graphs(args) -> list[Graph]:
     if args.edges is not None:
         text = _stdin().read() if args.edges == "-" else args.edges
         return [parse_edge_list(text.replace("\\n", "\n"))]
     if args.input is None:
         raise GraphFormatError("no input given: use --input or --edges")
-    # not splitlines() or a bare strip(): they also break or drop bytes such
-    # as 0x85, which must fail as the graph6 data byte they are
     graphs = []
-    for lineno, ln in enumerate(_read_source(args.input).split("\n"), start=1):
-        if not ln.strip(string.whitespace):
-            continue
+    for lineno, text in graph6_lines(_stdin() if args.input == "-" else args.input):
         try:
-            graphs.append(parse_graph6(ln))
+            graphs.append(parse_graph6(text))
         except GraphFormatError as exc:
-            # shown as parsed: strip() would also drop bytes such as 0x85
-            text = ln.rstrip("\r")
             raise GraphFormatError(f"line {lineno} ({text}): {exc}") from None
     if not graphs:
         raise GraphFormatError("no graphs in input")
     return graphs
+
+
+def _one_graph(args) -> Graph:
+    graphs = _input_graphs(args)
+    if len(graphs) != 1:
+        raise GraphFormatError(f"orient takes one graph, got {len(graphs)}")
+    return graphs[0]
 
 
 def _arcs_str(d) -> str:
@@ -126,12 +120,7 @@ def cmd_invariants(args) -> int:
         t0 = time.perf_counter()
         # the sweep validates g first, so a bad graph is reported as what it
         # is, not as a graph6 encoding limit
-        nums = orientable_numbers(
-            g,
-            use_reversal_symmetry=args.symmetry,
-            edge_budget=args.budget,
-            workers=args.workers,
-        )
+        nums = orientable_numbers(g, edge_budget=args.budget, workers=args.workers)
         gid = encode_graph6(g)
         print(f"{gid}: {time.perf_counter() - t0:.2f}s", file=sys.stderr)
         if args.format == "json":
@@ -155,7 +144,7 @@ def cmd_orient(args) -> int:
         if args.n is not None:
             n = args.n
         else:
-            g = _input_graphs(args)[0]
+            g = _one_graph(args)
             if not is_complete(g):
                 return _fail("orient complete needs a complete graph (or --n)", 2)
             n = g.n
@@ -184,7 +173,7 @@ def cmd_orient(args) -> int:
             )
         return 0
 
-    g = _input_graphs(args)[0]
+    g = _one_graph(args)
     if args.mode == "extreme-free":
         try:
             d = extreme_free_orientation(g)
@@ -287,7 +276,6 @@ def cmd_verify(args) -> int:
             args.corpus,
             suite=args.suite,
             edge_budget=args.budget,
-            use_reversal_symmetry=args.symmetry,
             workers=args.workers,
         )
     except OSError as exc:
@@ -318,8 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--format", choices=("text", "json", "csv"), default="text")
     sweep.add_argument("--budget", type=int, default=DEFAULT_EDGE_BUDGET,
                        help="edge budget guarding the 2^m enumeration (default %(default)s)")
-    sweep.add_argument("--symmetry", action=argparse.BooleanOptionalAction, default=True,
-                       help="halve the sweep using reversal symmetry (default on)")
     sweep.add_argument("--workers", type=int, default=None,
                        help="worker processes (>= 1) for orientation/corpus fan-out")
     sub = ap.add_subparsers(dest="command", required=True)

@@ -7,6 +7,7 @@ bitmasks so the exhaustive searches elsewhere in the package stay cheap.
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -219,6 +220,28 @@ def parse_graph6(text: str) -> Graph:
     return Graph(n, tuple(sorted(edges)))
 
 
+def graph6_lines(source) -> list[tuple[int, str]]:
+    """(line number, text) of each nonblank line of a graph6 source.
+
+    `source` is a file path or an iterable of lines, each str or bytes.  A
+    file and bytes are read as latin-1, one character per byte, so a byte
+    that is not graph6 (non-ASCII included) fails to parse on its own line.
+    Lines lose ASCII whitespace only, which is never a graph6 byte: a bare
+    strip() would also drop 0x85 and 0xA0 and pass the rest of the line.
+    """
+    if isinstance(source, (str, bytes)):
+        with open(source, "r", encoding="latin-1") as fh:
+            return graph6_lines(list(fh))
+    out = []
+    for lineno, raw in enumerate(source, start=1):
+        if isinstance(raw, bytes):
+            raw = raw.decode("latin-1")
+        text = raw.strip(string.whitespace)
+        if text:
+            out.append((lineno, text))
+    return out
+
+
 def encode_graph6(g: Graph) -> str:
     """Encode as one graph6 line (no header, no newline)."""
     if g.n > _G6_MAX_N:
@@ -326,25 +349,20 @@ def is_complete(g: Graph) -> bool:
 # ---------------------------------------------------------------------------
 # orientations
 
-def orientation_count(g: Graph, use_reversal_symmetry: bool = False) -> int:
-    if g.m == 0:
-        return 1
-    return 1 << (g.m - 1 if use_reversal_symmetry else g.m)
+def orientation_count(g: Graph) -> int:
+    """2^m: every orientation of g, both members of each {D, reverse(D)} pair."""
+    return 1 << g.m
 
 
-def orientation_from_index(
-    g: Graph, index: int, use_reversal_symmetry: bool = False
-) -> Digraph:
+def orientation_from_index(g: Graph, index: int) -> Digraph:
     """Orientation number `index`: bit j flips edge j from low->high to high->low.
 
-    With the symmetry flag, indices run over [0, 2^(m-1)) and edge 0 keeps its
-    low->high direction, picking one representative per {D, reverse(D)} pair.
+    Index i ^ (2^m - 1) is the reverse of index i, so the even indices (edge 0
+    low->high) hold one orientation of each {D, reverse(D)} pair.
     """
-    total = orientation_count(g, use_reversal_symmetry)
+    total = orientation_count(g)
     if not 0 <= index < total:
         raise ValueError(f"orientation index {index} outside [0, {total})")
-    if use_reversal_symmetry and g.m > 0:
-        index <<= 1
     arcs = []
     for j, (u, v) in enumerate(g.edges):
         arcs.append((v, u) if index >> j & 1 else (u, v))
@@ -352,20 +370,13 @@ def orientation_from_index(
 
 
 def enumerate_orientations(
-    g: Graph,
-    use_reversal_symmetry: bool = False,
-    edge_budget: int = DEFAULT_EDGE_BUDGET,
+    g: Graph, *, edge_budget: int = DEFAULT_EDGE_BUDGET
 ) -> Iterator[Digraph]:
-    """Yield each orientation of g exactly once.
-
-    Without the symmetry flag all 2^m orientations appear; with it, one
-    representative of each {D, reverse(D)} pair (g, h and con are invariant
-    under full arc reversal because intervals are direction-symmetric).
-    """
+    """Yield all 2^m orientations of g once each, in index order."""
     if g.m > edge_budget:
         raise EdgeBudgetError(g.m, edge_budget)
-    for index in range(orientation_count(g, use_reversal_symmetry)):
-        yield orientation_from_index(g, index, use_reversal_symmetry)
+    for index in range(orientation_count(g)):
+        yield orientation_from_index(g, index)
 
 
 class PartialOrientation:

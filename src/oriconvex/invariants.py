@@ -14,7 +14,11 @@ extreme vertices are those interior to no geodesic.  Each search runs
 alone: asking for g never pays for the con search.  The public functions
 translate to and from vertex tuples.
 
-The orientation sweep builds the kernel once per orientation and runs an
+I[u,v] joins the u->v and the v->u geodesics, so g, h and con do not change
+when every arc is reversed.  The orientation sweep therefore visits one
+orientation of each {D, reverse(D)} pair: sweep index idx is orientation
+idx << 1 of `graphs.orientation_from_index`, the 2^(m-1) orientations that
+keep edge 0 low->high.  It builds the kernel once per orientation and runs an
 exact search only when cheap bounds cannot place the value inside the
 running [min, max] of its chunk.  The extreme vertices give g >= h >=
 max(#extreme, 2); a recent geodetic (hull) witness joined with them that
@@ -39,7 +43,6 @@ from .graphs import (
     Graph,
     bits,
     is_connected,
-    orientation_count,
     orientation_from_index,
 )
 
@@ -238,8 +241,9 @@ NUMBER_KEYS = ("g_min", "g_max", "h_min", "h_max", "con_min", "con_max")
 class OrientableNumbers:
     """Exact min/max of g, h, con over all orientations, with witnesses.
 
-    Each witness is the enumerated orientation of least index attaining the
+    Each witness is the swept orientation of least index attaining the
     extremum, so results are independent of chunking and worker count.
+    `orientations` is the number swept, 2^(m-1): one per {D, reverse(D)} pair.
     """
 
     n: int
@@ -297,7 +301,8 @@ def _remember(recent: list, w: int) -> None:
 
 
 def _sweep_chunk(args):
-    """Aggregate one contiguous index range; top-level for pickling.
+    """Aggregate sweep indices [start, stop) (orientations idx << 1); top-level
+    for pickling.
 
     Returns the [min, min index, max, max index] slot of g, h and con, and the
     number of exact g, h and con searches run.  An exact search runs only when
@@ -305,13 +310,13 @@ def _sweep_chunk(args):
     a value placed there moves neither strict update, so the slots are those
     of searching every orientation.
     """
-    n, edges, start, stop, shift = args
+    n, edges, start, stop = args
     full = (1 << n) - 1
     gs = hs = cs = None
     recent_g, recent_h, recent_c = [], [], []
     runs = [0, 0, 0]
     for idx in range(start, stop):
-        iv, ext = _kernel(n, _build_out_masks(n, edges, idx << shift))
+        iv, ext = _kernel(n, _build_out_masks(n, edges, idx << 1))
         # extreme vertices lie in every geodetic set and hull-set, and a
         # single vertex is its own hull: g >= h >= low
         low = max(ext.bit_count(), 2)
@@ -394,11 +399,11 @@ def fan_out(fn, jobs: list, workers: int | None = None) -> list:
 def orientable_numbers(
     g: Graph,
     *,
-    use_reversal_symmetry: bool = True,
     edge_budget: int = DEFAULT_EDGE_BUDGET,
     workers: int | None = None,
 ) -> OrientableNumbers:
-    """Enumerate every orientation of g and aggregate the six extremes."""
+    """Sweep one orientation of each {D, reverse(D)} pair of g and aggregate
+    the six extremes (reversal changes none of them)."""
     if g.n < 3:
         raise ValueError("orientable numbers need at least three vertices")
     if not is_connected(g):
@@ -406,12 +411,11 @@ def orientable_numbers(
     if g.m > edge_budget:
         raise EdgeBudgetError(g.m, edge_budget)
 
-    total = orientation_count(g, use_reversal_symmetry)
-    shift = 1 if (use_reversal_symmetry and g.m > 0) else 0
+    total = 1 << (g.m - 1)
 
     parts = workers if workers and workers > 1 and total >= 4 * workers else 1
     bound = (total + parts - 1) // parts
-    chunks = [(g.n, g.edges, lo, min(lo + bound, total), shift)
+    chunks = [(g.n, g.edges, lo, min(lo + bound, total))
               for lo in range(0, total, bound)]
     results = fan_out(_sweep_chunk, chunks, workers)
     acc = functools.reduce(_merge, [slots for slots, _ in results])
@@ -420,7 +424,7 @@ def orientable_numbers(
     (gmin, gmin_i, gmax, gmax_i), (hmin, hmin_i, hmax, hmax_i), (cmin, cmin_i, cmax, cmax_i) = acc
 
     def wit(idx):
-        return orientation_from_index(g, idx, use_reversal_symmetry)
+        return orientation_from_index(g, idx << 1)
 
     return OrientableNumbers(
         n=g.n,

@@ -12,7 +12,6 @@ offending orientation and vertex set, so they can be replayed.
 from __future__ import annotations
 
 import itertools
-import string
 from dataclasses import dataclass, field
 
 from . import geodesic
@@ -23,6 +22,7 @@ from .graphs import (
     GraphFormatError,
     encode_graph6,
     end_vertices,
+    graph6_lines,
     is_complete,
     is_connected,
     min_degree,
@@ -225,26 +225,17 @@ def verify_separation(g: Graph, *, numbers: OrientableNumbers | None = None) -> 
     if is_complete(g):
         route = "complete"
         d_max, d_min = complete_graph_orientations(g.n)
-        for name, d, expect in (
-            ("g_of_transitive", d_max, g.n),
-            ("g_of_reversed_path", d_min, 2),
-        ):
-            val, _ = geodetic_number(d)
-            constructed[name] = val
-            if val != expect:
-                failures.append(
-                    Failure("complete-route", f"{name}={val}, expected {expect}", d.arcs)
-                )
-        for name, d, expect in (
-            ("h_of_transitive", d_max, g.n),
-            ("h_of_reversed_path", d_min, 2),
-        ):
-            val, _ = hull_number(d)
-            constructed[name] = val
-            if val != expect:
-                failures.append(
-                    Failure("complete-route", f"{name}={val}, expected {expect}", d.arcs)
-                )
+        for search, key in ((geodetic_number, "g"), (hull_number, "h")):
+            for name, d, expect in (
+                (f"{key}_of_transitive", d_max, g.n),
+                (f"{key}_of_reversed_path", d_min, 2),
+            ):
+                val, _ = search(d)
+                constructed[name] = val
+                if val != expect:
+                    failures.append(
+                        Failure("complete-route", f"{name}={val}, expected {expect}", d.arcs)
+                    )
         hull_sets_checked = 0
     else:
         route = "induced-path"
@@ -434,7 +425,7 @@ def _normalize_suites(suite) -> tuple[str, ...]:
 
 
 def _run_line(args) -> LineRecord:
-    lineno, text, suites, edge_budget, use_reversal_symmetry = args
+    lineno, text, suites, edge_budget = args
     try:
         g = parse_graph6(text)
     except GraphFormatError as exc:
@@ -448,9 +439,7 @@ def _run_line(args) -> LineRecord:
             lineno, text, "skipped", f"{g.m} edges exceeds the budget of {edge_budget}"
         )
     record = LineRecord(lineno, text, "ok")
-    numbers = orientable_numbers(
-        g, use_reversal_symmetry=use_reversal_symmetry, edge_budget=edge_budget
-    )
+    numbers = orientable_numbers(g, edge_budget=edge_budget)
     if "separation" in suites:
         record.separation = verify_separation(g, numbers=numbers)
     if "convexity" in suites:
@@ -465,28 +454,16 @@ def corpus_run(
     suite="all",
     *,
     edge_budget: int = DEFAULT_EDGE_BUDGET,
-    use_reversal_symmetry: bool = True,
     workers: int | None = None,
 ) -> CorpusReport:
-    """Run the selected suites over graph6 lines (an iterable or a file path).
+    """Run the selected suites over graph6 lines (an iterable or a file path,
+    read by `graphs.graph6_lines`).
 
-    One record per input line, in input order; parse failures are recorded
-    and the run continues.  A file is read as latin-1, one character per
-    byte, so a byte that is not graph6 (non-ASCII included) makes only its
-    own line a parse-error.  Lines lose ASCII whitespace only: a bare
-    strip() would also drop the bytes 0x85 and 0xA0 and pass the rest.
+    One record per nonblank input line, in input order; parse failures are
+    recorded and the run continues.
     """
     suites = _normalize_suites(suite)
     if edge_budget < 0:
         raise ValueError(f"edge budget must be at least 0, got {edge_budget}")
-    if isinstance(lines, (str, bytes)):
-        with open(lines, "r", encoding="latin-1") as fh:
-            payload = [ln.strip(string.whitespace) for ln in fh]
-    else:
-        payload = [str(ln).strip(string.whitespace) for ln in lines]
-    jobs = [
-        (i, text, suites, edge_budget, use_reversal_symmetry)
-        for i, text in enumerate(payload, start=1)
-        if text
-    ]
+    jobs = [(i, text, suites, edge_budget) for i, text in graph6_lines(lines)]
     return CorpusReport(records=fan_out(_run_line, jobs, workers), suites=suites)

@@ -90,20 +90,25 @@ def oracle_hull_by_intersection(d: Digraph, s) -> frozenset:
     return out
 
 
-def oracle_sweep(g: Graph, use_reversal_symmetry: bool = True, start: int = 0,
-                 stop: int | None = None) -> list[list[int]]:
-    """The orientation sweep with no pruning over indices [start, stop): g, h
-    and con of every orientation, by the per-digraph searches (which the
-    oracles above check).
+def halved_orientations(g: Graph) -> list[Digraph]:
+    """One orientation of each {D, reverse(D)} pair, in the sweep's index
+    order: sweep index i is orientation 2 * i, which keeps edge 0 low->high."""
+    return [orientation_from_index(g, 2 * i) for i in range(orientation_count(g) // 2)]
+
+
+def oracle_sweep(g: Graph, start: int = 0, stop: int | None = None) -> list[list[int]]:
+    """The orientation sweep with no pruning over sweep indices [start, stop)
+    (index i is orientation 2 * i): g, h and con of every orientation, by the
+    per-digraph searches (which the oracles above check).
 
     Returns one [min, min index, max, max index] slot each for g, h and con;
     an index is the least one attaining its extremum.
     """
     if stop is None:
-        stop = orientation_count(g, use_reversal_symmetry)
+        stop = orientation_count(g) // 2
     best = None
     for idx in range(start, stop):
-        rep = digraph_report(orientation_from_index(g, idx, use_reversal_symmetry))
+        rep = digraph_report(orientation_from_index(g, 2 * idx))
         vals = (rep.g, rep.h, rep.con)
         if best is None:
             best = [[v, idx, v, idx] for v in vals]
@@ -116,13 +121,13 @@ def oracle_sweep(g: Graph, use_reversal_symmetry: bool = True, start: int = 0,
     return best
 
 
-def oracle_orientable_numbers(g: Graph, use_reversal_symmetry: bool = True) -> dict:
+def oracle_orientable_numbers(g: Graph) -> dict:
     """{key: (value, witness digraph)} for each key of NUMBER_KEYS, from the
-    unpruned sweep over every orientation."""
-    slots = oracle_sweep(g, use_reversal_symmetry)
+    unpruned sweep over one orientation of each {D, reverse(D)} pair."""
+    slots = oracle_sweep(g)
     pairs = [p for slot in slots for p in ((slot[0], slot[1]), (slot[2], slot[3]))]
     return {
-        key: (v, orientation_from_index(g, idx, use_reversal_symmetry))
+        key: (v, orientation_from_index(g, 2 * idx))
         for key, (v, idx) in zip(NUMBER_KEYS, pairs)
     }
 

@@ -89,18 +89,25 @@ def test_invariants_input_names_the_failing_line(capsys, tmp_path):
 
 # sha256 of `invariants --input data/connected_n5.g6 --format json` stdout,
 # which carries the six witness orientations of every graph, byte for byte
-INVARIANTS_JSON_SHA256 = {
-    "symmetry": "d23a067a0ccd7f561801b5c9e12c0614840f9579fd046544147855228cd1ee67",
-    "no-symmetry": "e46500716f8f99a7f2e69094d645b0495991ad55ec66d307da9b6eba8863f2e1",
-}
+INVARIANTS_JSON_SHA256 = "d23a067a0ccd7f561801b5c9e12c0614840f9579fd046544147855228cd1ee67"
 
 
-@pytest.mark.parametrize("symmetry", sorted(INVARIANTS_JSON_SHA256))
-def test_invariants_json_witnesses_are_pinned(capsys, symmetry):
+def test_invariants_json_witnesses_are_pinned(capsys):
     code, out, _ = run(capsys, "invariants", "--input", str(DATA_DIR / "connected_n5.g6"),
-                       "--format", "json", f"--{symmetry}")
+                       "--format", "json")
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == INVARIANTS_JSON_SHA256[symmetry]
+    assert hashlib.sha256(out.encode()).hexdigest() == INVARIANTS_JSON_SHA256
+
+
+@pytest.mark.parametrize("flag", ["--symmetry", "--no-symmetry"])
+@pytest.mark.parametrize("command", ["invariants", "verify", "classify"])
+def test_sweep_has_no_symmetry_setting(capsys, command, flag):
+    # reversal halving is always on: the sweep has no setting for it
+    source = ["--edges", P3_EDGES] if command == "invariants" else [str(DATA_DIR / "connected_n3.g6")]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *source, flag])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_invariants_reports_disconnection_before_encoding(capsys):
@@ -162,7 +169,7 @@ def test_orient_complete_large_n_asks_only_for_g(capsys):
 
 
 def test_orient_takes_no_sweep_settings():
-    # orient runs no orientation sweep, so --budget/--symmetry/--workers are usage errors
+    # orient runs no orientation sweep, so --budget/--workers are usage errors
     with pytest.raises(SystemExit) as exc:
         main(["orient", "d1d2", "--edges", P3_EDGES, "--workers", "2"])
     assert exc.value.code == 2
@@ -176,6 +183,15 @@ def test_orient_has_no_csv_format(capsys, argv):
         main(["orient", *argv, "--format", "csv"])
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("mode", ["d1d2", "extreme-free", "complete"])
+def test_orient_takes_exactly_one_graph(capsys, mode):
+    # it used to run graph 1 of a corpus and ignore the rest
+    code, out, err = run(capsys, "orient", mode, "--input", str(DATA_DIR / "connected_n5.g6"))
+    assert code == 2
+    assert out == ""
+    assert "orient takes one graph, got 21" in err
 
 
 def test_orient_d1d2_refuses_complete(capsys):
@@ -323,6 +339,18 @@ def test_verify_strips_only_ascii_whitespace(capsys, tmp_path):
         ("Bw\x85", "parse-error", "trailing garbage at byte 2"),
         ("Bw\xa0", "parse-error", "trailing garbage at byte 2"),
     ]
+
+
+def test_input_and_corpus_readers_strip_the_same_whitespace(capsys, tmp_path):
+    # one reader: leading and trailing ASCII whitespace is never graph6
+    path = tmp_path / "spaced.g6"
+    path.write_bytes(b" Bw\nBw\t\n")
+    code, out, _ = run(capsys, "verify", str(path), "--suite", "separation")
+    assert code == 0
+    assert out.count("Bw: pass") == 2
+    code, out, _ = run(capsys, "invariants", "--input", str(path), "--format", "csv")
+    assert code == 0
+    assert [row.split(",")[0] for row in out.splitlines()[1:]] == ["Bw", "Bw"]
 
 
 def test_invariants_input_takes_no_0x85_for_a_blank_line(capsys, tmp_path):

@@ -20,7 +20,13 @@ from oriconvex.geodesic import (
 from oriconvex.smallgraphs import connected_graphs
 from conftest import cycle_graph
 
-from _oracles import all_digraphs, oracle_distances, oracle_hull_by_intersection, random_digraph
+from _oracles import (
+    all_digraphs,
+    halved_orientations,
+    oracle_distances,
+    oracle_hull_by_intersection,
+    random_digraph,
+)
 
 DIR_P3 = Digraph.from_arcs(3, [(0, 1), (1, 2)])
 DIR_C4 = Digraph.from_arcs(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
@@ -94,7 +100,7 @@ def test_mutually_unreachable_pair():
 def test_interval_symmetry_exhaustive_small():
     for n in (3, 4, 5):
         for g in connected_graphs(n):
-            for d in enumerate_orientations(g, use_reversal_symmetry=True):
+            for d in halved_orientations(g):
                 dist = all_pairs_distances(d)
                 for u in range(n):
                     for v in range(u + 1, n):
@@ -235,7 +241,7 @@ def test_extreme_three_way_equivalence_all_digraphs_n_up_to_4():
 
 def test_extreme_three_way_equivalence_orientations_n5():
     for g in connected_graphs(5):
-        for d in enumerate_orientations(g, use_reversal_symmetry=True):
+        for d in halved_orientations(g):
             _check_three_way(d)
 
 

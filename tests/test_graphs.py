@@ -26,6 +26,7 @@ from oriconvex.graphs import (
     parse_graph6,
     reverse,
 )
+from oriconvex.invariants import orientable_numbers
 from conftest import complete_graph, cycle_graph, path_graph
 
 from _oracles import random_digraph
@@ -205,8 +206,9 @@ def test_digraph_allows_two_cycles_but_not_loops():
 
 def test_p3_orientation_counts():
     p3 = path_graph(3)
-    assert len(list(enumerate_orientations(p3))) == 4
-    assert len(list(enumerate_orientations(p3, use_reversal_symmetry=True))) == 2
+    assert len(list(enumerate_orientations(p3))) == orientation_count(p3) == 4
+    # the sweep visits one orientation of each {D, reverse(D)} pair
+    assert orientable_numbers(p3).orientations == 2
 
 
 def test_k3_has_two_directed_triangles():
@@ -234,12 +236,17 @@ def test_orientations_are_distinct():
 
 
 def test_symmetry_halving_covers_everything_up_to_reversal():
+    # sweep index idx is orientation idx << 1; the complement of an index is
+    # the reversed orientation
     g = cycle_graph(4)
     full = {d.arcs for d in enumerate_orientations(g)}
-    half = list(enumerate_orientations(g, use_reversal_symmetry=True))
-    assert len(half) == 8
+    swept = orientable_numbers(g).orientations
+    half = [orientation_from_index(g, idx << 1) for idx in range(swept)]
+    assert swept == 8
     covered = {d.arcs for d in half} | {reverse(d).arcs for d in half}
     assert covered == full
+    for idx in range(16):
+        assert orientation_from_index(g, idx ^ 15) == reverse(orientation_from_index(g, idx))
 
 
 def test_edge_budget_refusal_names_requirement():
@@ -255,15 +262,13 @@ def test_orientation_index_bounds():
     g = path_graph(3)
     with pytest.raises(ValueError):
         orientation_from_index(g, 4)
-    with pytest.raises(ValueError):
-        orientation_from_index(g, 2, use_reversal_symmetry=True)
+    assert orientation_from_index(g, 3).arcs == ((1, 0), (2, 1))
     assert orientation_count(g) == 4
 
 
 def test_edgeless_graph_has_one_orientation():
     g = Graph.from_edges(3, [])
     assert [d.arcs for d in enumerate_orientations(g)] == [()]
-    assert [d.arcs for d in enumerate_orientations(g, use_reversal_symmetry=True)] == [()]
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from oriconvex.graphs import (
     Graph,
     enumerate_orientations,
     mask_of,
-    orientation_count,
     parse_graph6,
     reverse,
 )
@@ -238,13 +237,6 @@ def test_p3_convexity_extremes_coincide():
     assert nums.con_min == nums.con_max == 2
 
 
-def test_symmetry_flag_changes_nothing():
-    for g in (cycle_graph(5), complete_graph(4), path_graph(4)):
-        a = orientable_numbers(g, use_reversal_symmetry=True)
-        b = orientable_numbers(g, use_reversal_symmetry=False)
-        assert a.values() == b.values()
-
-
 def test_workers_change_nothing():
     for g, workers in (
         (cycle_graph(6), 2),
@@ -272,25 +264,24 @@ def small_connected_graphs(draw):
 @settings(max_examples=25, deadline=None)
 @given(small_connected_graphs())
 def test_pruned_sweep_matches_the_exhaustive_sweep(g):
-    for sym in (True, False):
-        want = oracle_orientable_numbers(g, use_reversal_symmetry=sym)
-        for workers in (None, 2):
-            got = orientable_numbers(g, use_reversal_symmetry=sym, workers=workers)
-            for key in invariants.NUMBER_KEYS:
-                assert (getattr(got, key), getattr(got, key + "_witness")) == want[key], (
-                    key, sym, workers)
+    want = oracle_orientable_numbers(g)
+    for workers in (None, 2):
+        got = orientable_numbers(g, workers=workers)
+        assert got.orientations == 2 ** (g.m - 1)
+        for key in invariants.NUMBER_KEYS:
+            assert (getattr(got, key), getattr(got, key + "_witness")) == want[key], (
+                key, workers)
 
 
 @settings(max_examples=40, deadline=None)
-@given(small_connected_graphs(), st.booleans(), st.data())
-def test_pruned_chunk_matches_the_exhaustive_chunk(g, sym, data):
+@given(small_connected_graphs(), st.data())
+def test_pruned_chunk_matches_the_exhaustive_chunk(g, data):
     # a chunk may start anywhere, e.g. at an orientation with no extreme vertex
-    total = orientation_count(g, sym)
+    total = 2 ** (g.m - 1)
     start = data.draw(st.integers(0, total - 1))
     stop = data.draw(st.integers(start + 1, total))
-    shift = 1 if sym else 0
-    slots, _ = invariants._sweep_chunk((g.n, g.edges, start, stop, shift))
-    assert slots == oracle_sweep(g, sym, start, stop)
+    slots, _ = invariants._sweep_chunk((g.n, g.edges, start, stop))
+    assert slots == oracle_sweep(g, start, stop)
 
 
 def test_exact_searches_counted_on_the_n5_corpus():

@@ -142,6 +142,18 @@ def test_corpus_run_records_parse_errors_and_continues(tmp_path):
     assert report.exit_status() == 2
 
 
+def test_corpus_run_reads_bytes_lines(tmp_path):
+    # bytes are decoded as latin-1, not parsed as their repr "b'Bw'"
+    path = tmp_path / "k3.g6"
+    path.write_bytes(b"Bw\n\nBw\r\n")
+    with open(path, "rb") as fh:
+        from_file = corpus_run(fh, suite="separation")
+    for report in (corpus_run([b"Bw"], suite="separation"), from_file):
+        assert report.exit_status() == 0
+        assert [r.text for r in report.records] == ["Bw"] * len(report.records)
+    assert [r.line for r in from_file.records] == [1, 3]
+
+
 def test_corpus_run_skips_out_of_scope_lines():
     lines = ["@", "A_", encode_graph6(Graph.from_edges(4, [(0, 1), (2, 3)]))]
     report = corpus_run(lines, suite="convexity")
