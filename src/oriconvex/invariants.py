@@ -15,10 +15,15 @@ alone: asking for g never pays for the con search.  The public functions
 translate to and from vertex tuples.
 
 I[u,v] joins the u->v and the v->u geodesics, so g, h and con do not change
-when every arc is reversed.  The orientation sweep therefore visits one
-orientation of each {D, reverse(D)} pair: sweep index idx is orientation
-idx << 1 of `graphs.orientation_from_index`, the 2^(m-1) orientations that
-keep edge 0 low->high.  It builds the kernel once per orientation and runs an
+when every arc is reversed, nor under an automorphism of G.  The sweep index
+space holds one orientation of each {D, reverse(D)} pair: sweep index idx is
+orientation idx << 1 of `graphs.orientation_from_index`, the 2^(m-1)
+orientations that keep edge 0 low->high.  Of these the sweep visits only the
+least index of each orbit under Aut(G) x {id, full reversal} (McKay's
+canonical representatives, applied to orientations).  Witnesses do not move:
+the least index attaining an extremum shares its value with its whole orbit,
+so nothing in the orbit lies below it, and it is that orbit's least index.
+The sweep builds the kernel once per visited orientation and runs an
 exact search only when cheap bounds cannot place the value inside the
 running [min, max] of its chunk.  The extreme vertices give g >= h >=
 max(#extreme, 2); a recent geodetic (hull) witness joined with them that
@@ -33,6 +38,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -45,6 +51,7 @@ from .graphs import (
     is_connected,
     orientation_from_index,
 )
+from .smallgraphs import automorphism_generators
 
 # ---------------------------------------------------------------------------
 # bitmask core (shared by the per-digraph API and the orientation sweep)
@@ -241,9 +248,10 @@ NUMBER_KEYS = ("g_min", "g_max", "h_min", "h_max", "con_min", "con_max")
 class OrientableNumbers:
     """Exact min/max of g, h, con over all orientations, with witnesses.
 
-    Each witness is the swept orientation of least index attaining the
+    Each witness is the orientation of least sweep index attaining the
     extremum, so results are independent of chunking and worker count.
-    `orientations` is the number swept, 2^(m-1): one per {D, reverse(D)} pair.
+    `orientations` is the size of the sweep index space, 2^(m-1): one per
+    {D, reverse(D)} pair.
     """
 
     n: int
@@ -264,6 +272,9 @@ class OrientableNumbers:
     # g, h and con searches the sweep ran; the rest were settled by bounds.
     # Depends on the chunking, so it is left out of equality and of the JSON.
     exact_searches: tuple[int, int, int] = field(compare=False)
+    # sweep indices visited: the orbit minima under Aut(G) and full reversal.
+    # A counter, not a result, so it is left out of equality and of the JSON.
+    orbit_representatives: int = field(compare=False)
 
     def values(self) -> dict[str, int]:
         return {k: getattr(self, k) for k in NUMBER_KEYS}
@@ -301,21 +312,21 @@ def _remember(recent: list, w: int) -> None:
 
 
 def _sweep_chunk(args):
-    """Aggregate sweep indices [start, stop) (orientations idx << 1); top-level
-    for pickling.
+    """Aggregate the ascending sweep indices `indices` (orientations idx << 1);
+    top-level for pickling.
 
-    Returns the [min, min index, max, max index] slot of g, h and con, and the
-    number of exact g, h and con searches run.  An exact search runs only when
-    the bounds below cannot place the value inside the running [min, max];
-    a value placed there moves neither strict update, so the slots are those
-    of searching every orientation.
+    Returns the [min, min index, max, max index] slot of g, h and con (None
+    when `indices` is empty), and the number of exact g, h and con searches
+    run.  An exact search runs only when the bounds below cannot place the
+    value inside the running [min, max]; a value placed there moves neither
+    strict update, so the slots are those of searching every index given.
     """
-    n, edges, start, stop = args
+    n, edges, indices = args
     full = (1 << n) - 1
     gs = hs = cs = None
     recent_g, recent_h, recent_c = [], [], []
     runs = [0, 0, 0]
-    for idx in range(start, stop):
+    for idx in indices:
         iv, ext = _kernel(n, _build_out_masks(n, edges, idx << 1))
         # extreme vertices lie in every geodetic set and hull-set, and a
         # single vertex is its own hull: g >= h >= low
@@ -375,7 +386,15 @@ def _record(slot, v: int, idx: int):
 
 
 def _merge(acc, part):
-    for slot, other in zip(acc, part):
+    """Fold the slots of a later chunk into `acc`; a chunk that held no index
+    has None slots."""
+    for k, other in enumerate(part):
+        slot = acc[k]
+        if other is None:
+            continue
+        if slot is None:
+            acc[k] = other
+            continue
         # strict comparisons keep the least index per extremum (chunks arrive
         # in ascending index order)
         if other[0] < slot[0]:
@@ -396,14 +415,77 @@ def fan_out(fn, jobs: list, workers: int | None = None) -> list:
     return [fn(j) for j in jobs]
 
 
+def _orbit_minima(g: Graph):
+    """The sweep indices least in their orbit under Aut(g) x {id, full
+    reversal}, ascending: a range when Aut(g) is trivial, else an array.
+
+    A generator p of Aut(g) maps edge j to edge e(j) and flips it when p
+    turns it high->low, so orientation index o maps to P(o) ^ flips, with P
+    moving bit j to bit e(j); an image with edge 0 high->low is complemented
+    (full reversal) back into the halved space.  P comes from three lookup
+    tables over slices of the sweep index.  A bytearray marks the indices
+    seen; each orbit is walked once, from its least index.
+    """
+    total = 1 << (g.m - 1)
+    gens = automorphism_generators(g)
+    if not gens:
+        return range(total)
+    full = (1 << g.m) - 1
+    where = {e: j for j, e in enumerate(g.edges)}
+    width = -(-(g.m - 1) // 3)  # sweep index bits per table
+    low = (1 << width) - 1
+    maps = []
+    for p in gens:
+        image, flips = [], 0
+        for u, v in g.edges:
+            a, b = p[u], p[v]
+            j = where[(a, b) if a < b else (b, a)]
+            image.append(1 << j)
+            if a > b:
+                flips |= 1 << j
+        tables = []
+        for t in range(3):
+            # sweep index bit k is edge k + 1 (edge 0 stays low->high)
+            part = image[1 + t * width:1 + (t + 1) * width]
+            table = [0] * (1 << len(part))
+            for x in range(1, len(table)):
+                lsb = x & -x
+                table[x] = table[x ^ lsb] | part[lsb.bit_length() - 1]
+            tables.append(table)
+        tables[0] = [y ^ flips for y in tables[0]]  # the flips ride on one table
+        maps.append(tables)
+
+    seen = bytearray(total)
+    reps = array("q")
+    idx = 0
+    while idx >= 0:
+        reps.append(idx)
+        seen[idx] = 1
+        stack = [idx]
+        while stack:
+            x = stack.pop()
+            a, b, c = x & low, x >> width & low, x >> 2 * width
+            for t0, t1, t2 in maps:
+                y = t0[a] ^ t1[b] ^ t2[c]
+                if y & 1:
+                    y ^= full
+                y >>= 1
+                if not seen[y]:
+                    seen[y] = 1
+                    stack.append(y)
+        idx = seen.find(0, idx + 1)
+    return reps
+
+
 def orientable_numbers(
     g: Graph,
     *,
     edge_budget: int = DEFAULT_EDGE_BUDGET,
     workers: int | None = None,
 ) -> OrientableNumbers:
-    """Sweep one orientation of each {D, reverse(D)} pair of g and aggregate
-    the six extremes (reversal changes none of them)."""
+    """Sweep one orientation of each orbit of g's orientations under Aut(g)
+    and full reversal, and aggregate the six extremes (neither changes g, h
+    or con)."""
     if g.n < 3:
         raise ValueError("orientable numbers need at least three vertices")
     if not is_connected(g):
@@ -411,12 +493,12 @@ def orientable_numbers(
     if g.m > edge_budget:
         raise EdgeBudgetError(g.m, edge_budget)
 
-    total = 1 << (g.m - 1)
-
-    parts = workers if workers and workers > 1 and total >= 4 * workers else 1
-    bound = (total + parts - 1) // parts
-    chunks = [(g.n, g.edges, lo, min(lo + bound, total))
-              for lo in range(0, total, bound)]
+    reps = _orbit_minima(g)
+    # orbit minima crowd the low indices, so chunks split the minima evenly
+    # rather than the index range
+    parts = workers if workers and workers > 1 and len(reps) >= 4 * workers else 1
+    size = -(-len(reps) // parts)
+    chunks = [(g.n, g.edges, reps[lo:lo + size]) for lo in range(0, len(reps), size)]
     results = fan_out(_sweep_chunk, chunks, workers)
     acc = functools.reduce(_merge, [slots for slots, _ in results])
     searches = tuple(sum(col) for col in zip(*[runs for _, runs in results]))
@@ -441,6 +523,7 @@ def orientable_numbers(
         h_max_witness=wit(hmax_i),
         con_min_witness=wit(cmin_i),
         con_max_witness=wit(cmax_i),
-        orientations=total,
+        orientations=1 << (g.m - 1),
         exact_searches=searches,
+        orbit_representatives=len(reps),
     )

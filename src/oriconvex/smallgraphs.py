@@ -42,57 +42,106 @@ def _invariant_key(adj: Adjacency):
     return (len(adj), _edge_count(adj), tuple(sorted(_refine_colors(adj))))
 
 
-def _isomorphic(adj1: Adjacency, adj2: Adjacency) -> bool:
+def _extend_isomorphism(adj1: Adjacency, adj2: Adjacency, c1, c2, prefix=()):
+    """A colour-preserving isomorphism adj1 -> adj2 that maps v to w for each
+    (v, w) of `prefix`, as a list (mapping[v] is the image of v), or None."""
     n = len(adj1)
-    if n != len(adj2):
-        return False
-    c1 = _refine_colors(adj1)
-    c2 = _refine_colors(adj2)
-    if sorted(c1) != sorted(c2):
-        return False
-    candidates = defaultdict(list)
+    by_color = defaultdict(list)
     for w in range(n):
-        candidates[c2[w]].append(w)
-    # map rare colour classes first to cut the branching factor
-    order = sorted(range(n), key=lambda v: (len(candidates[c1[v]]), v))
+        by_color[c2[w]].append(w)
+    # the prescribed vertices first, then always the vertex with the most
+    # placed neighbours (its image must be a neighbour of theirs), rare colour
+    # classes first to cut the branching factor
+    order = [v for v, _ in prefix]
+    placed = [0]  # placed[d]: the vertices order[:d]
+    for v in order:
+        placed.append(placed[-1] | 1 << v)
+    while len(order) < n:
+        done = placed[-1]
+        v = min((v for v in range(n) if not done >> v & 1),
+                key=lambda v: (-(adj1[v] & done).bit_count(), len(by_color[c1[v]]), v))
+        order.append(v)
+        placed.append(done | 1 << v)
+    forced = dict(prefix)
     mapping = [-1] * n
-    mapped_src = 0
 
-    def extend(depth: int) -> bool:
-        nonlocal mapped_src
+    def extend(depth: int, used: int) -> bool:
         if depth == n:
             return True
         v = order[depth]
-        nbrs_mapped = adj1[v] & mapped_src
-        for w in candidates[c1[v]]:
-            if w in mapping:
+        nbrs = adj1[v] & placed[depth]
+        want = 0  # the images of v's placed neighbours
+        for u in bits(nbrs):
+            want |= 1 << mapping[u]
+        if v in forced:
+            cands = (forced[v],)
+        elif nbrs:
+            cands = bits(adj2[mapping[(nbrs & -nbrs).bit_length() - 1]])
+        else:
+            cands = by_color[c1[v]]
+        failed = []
+        for w in cands:
+            if used >> w & 1 or c2[w] != c1[v] or adj2[w] & used != want:
                 continue
-            ok = True
-            t = nbrs_mapped
-            while t:
-                b = t & -t
-                t ^= b
-                if not adj2[w] >> mapping[b.bit_length() - 1] & 1:
-                    ok = False
-                    break
-            if ok:
-                t = mapped_src & ~adj1[v]
-                while t:
-                    b = t & -t
-                    t ^= b
-                    if adj2[w] >> mapping[b.bit_length() - 1] & 1:
-                        ok = False
-                        break
-            if ok:
-                mapping[v] = w
-                mapped_src |= 1 << v
-                if extend(depth + 1):
-                    return True
-                mapped_src &= ~(1 << v)
-                mapping[v] = -1
+            # swapping twins w and f fixes every placed image, so if v -> f
+            # did not extend, v -> w does not either
+            if any(adj2[f] & ~(1 << w) == adj2[w] & ~(1 << f) for f in failed):
+                continue
+            mapping[v] = w
+            if extend(depth + 1, used | 1 << w):
+                return True
+            failed.append(w)
+        mapping[v] = -1
         return False
 
-    return extend(0)
+    return mapping if extend(0, 0) else None
+
+
+def _isomorphic(adj1: Adjacency, adj2: Adjacency) -> bool:
+    if len(adj1) != len(adj2):
+        return False
+    c1 = _refine_colors(adj1)
+    c2 = _refine_colors(adj2)
+    return sorted(c1) == sorted(c2) and _extend_isomorphism(adj1, adj2, c1, c2) is not None
+
+
+def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
+    """Generators of Aut(g) as vertex permutations (p[v] is the image of v);
+    empty when the group is trivial.
+
+    Walks the pointwise-stabiliser chain of the base 0, 1, ..., n - 1 from the
+    deepest level up.  At level i the generators found so far fix 0..i-1 and
+    generate the stabiliser of 0..i; for each vertex w of i's colour outside
+    their orbit of i, one automorphism fixing 0..i-1 and mapping i to w is
+    searched for and kept.  The orbit of i then equals that of the stabiliser
+    of 0..i-1, so by orbit-stabiliser the generators generate it.  The group
+    itself is never listed (a star K1,k has k! automorphisms).
+    """
+    n, adj = g.n, g.adj
+    colors = _refine_colors(adj)
+    gens: list[tuple[int, ...]] = []
+    for i in range(n - 2, -1, -1):
+        orbit = _orbit(i, gens)
+        for w in range(i + 1, n):
+            if w in orbit or colors[w] != colors[i]:
+                continue
+            prefix = [(v, v) for v in range(i)] + [(i, w)]
+            perm = _extend_isomorphism(adj, adj, colors, colors, prefix)
+            if perm is not None:
+                gens.append(tuple(perm))
+                orbit = _orbit(i, gens)
+    return gens
+
+
+def _orbit(v: int, perms) -> set[int]:
+    orbit, todo = {v}, [v]
+    while todo:
+        x = todo.pop()
+        for p in perms:
+            if p[x] not in orbit:
+                orbit.add(p[x])
+                todo.append(p[x])
+    return orbit
 
 
 class _Deduper:

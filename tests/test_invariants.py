@@ -29,7 +29,7 @@ from oriconvex.invariants import (
     hull_number,
     orientable_numbers,
 )
-from oriconvex.smallgraphs import connected_graphs
+from oriconvex.smallgraphs import automorphism_generators, connected_graphs
 from conftest import DATA_DIR, complete_bipartite, complete_graph, cycle_graph, path_graph
 
 from _oracles import (
@@ -37,6 +37,7 @@ from _oracles import (
     oracle_convexity,
     oracle_geodetic,
     oracle_hull,
+    oracle_orbit_minima,
     oracle_orientable_numbers,
     oracle_sweep,
     random_digraph,
@@ -240,7 +241,7 @@ def test_p3_convexity_extremes_coincide():
 def test_workers_change_nothing():
     for g, workers in (
         (cycle_graph(6), 2),
-        (cycle_graph(6), 3),  # 32 orientations in uneven chunks of 11, 11 and 10
+        (cycle_graph(6), 3),  # 8 orbit minima, under 4 per worker: one chunk, run inline
         (path_graph(3), 2),  # 2 orientations: one chunk, run inline
     ):
         serial = orientable_numbers(g)
@@ -276,12 +277,14 @@ def test_pruned_sweep_matches_the_exhaustive_sweep(g):
 @settings(max_examples=40, deadline=None)
 @given(small_connected_graphs(), st.data())
 def test_pruned_chunk_matches_the_exhaustive_chunk(g, data):
-    # a chunk may start anywhere, e.g. at an orientation with no extreme vertex
+    # a chunk may start anywhere, e.g. at an orientation with no extreme
+    # vertex, and holds the orbit minima in [start, stop)
     total = 2 ** (g.m - 1)
     start = data.draw(st.integers(0, total - 1))
     stop = data.draw(st.integers(start + 1, total))
-    slots, _ = invariants._sweep_chunk((g.n, g.edges, start, stop))
-    assert slots == oracle_sweep(g, start, stop)
+    indices = [i for i in oracle_orbit_minima(g) if start <= i < stop]
+    slots, _ = invariants._sweep_chunk((g.n, g.edges, indices))
+    assert slots == (oracle_sweep(g, indices) or [None, None, None])
 
 
 def test_exact_searches_counted_on_the_n5_corpus():
@@ -290,9 +293,97 @@ def test_exact_searches_counted_on_the_n5_corpus():
     searched = tuple(sum(col) for col in zip(*(r.exact_searches for r in runs)))
     total = sum(r.orientations for r in runs)
     assert (len(runs), total) == (21, 1544)
-    assert searched == (100, 74, 14)
+    assert searched == (84, 65, 14)
     assert all(count < total for count in searched)
+    assert sum(r.orbit_representatives for r in runs) == 308
     assert "exact_searches" not in runs[0].to_json_dict()
+    assert "orbit_representatives" not in runs[0].to_json_dict()
+
+
+# ---------------------------------------------------------------------------
+# orbit reduction: the sweep visits only the orbit minima under Aut(G) x reversal
+
+
+def test_orbit_minima_match_the_oracle():
+    for n in (3, 4, 5, 6):
+        for g in connected_graphs(n):
+            assert list(invariants._orbit_minima(g)) == oracle_orbit_minima(g), g
+
+
+@pytest.mark.parametrize("corpus, minima, total", [
+    ("connected_n5", 308, 1544),
+    ("connected_n6", 10787, 69056),
+])
+def test_orbit_minima_totals_on_the_corpora(corpus, minima, total):
+    graphs = [parse_graph6(ln) for ln in (DATA_DIR / f"{corpus}.g6").read_text().split()]
+    assert sum(len(invariants._orbit_minima(g)) for g in graphs) == minima
+    assert sum(2 ** (g.m - 1) for g in graphs) == total
+
+
+def test_orbit_representatives_counted_over_n5_and_n6(swept_numbers):
+    table, _ = swept_numbers
+    for n, want in ((5, 308), (6, 10787)):
+        got = [nums for (order, _), nums in table.items() if order == n]
+        assert sum(nums.orbit_representatives for nums in got) == want
+        assert all(nums.orientations == 2 ** (nums.m - 1) for nums in got)
+
+
+def test_trivial_automorphism_group_marks_nothing():
+    # the smallest asymmetric tree: legs of lengths 1, 2 and 3 at vertex 2
+    g = Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (2, 6)])
+    assert automorphism_generators(g) == []
+    assert invariants._orbit_minima(g) == range(2 ** (g.m - 1))
+
+
+def test_automorphism_generators_of_a_large_star_stay_few():
+    # Aut(K1,15) is S_15: one generator per level of the stabiliser chain
+    star = Graph.from_edges(16, [(0, i) for i in range(1, 16)])
+    gens = automorphism_generators(star)
+    assert len(gens) == 14
+    assert all(p[0] == 0 and sorted(p) == list(range(16)) for p in gens)
+    # an orientation of a star is settled by how many arcs leave the centre;
+    # reversal pairs k with 15 - k
+    assert len(invariants._orbit_minima(star)) == 8
+
+
+@pytest.mark.parametrize("g", [
+    Graph.from_edges(11, [(0, i) for i in range(1, 11)]),
+    complete_bipartite(3, 3),
+], ids=["K1,10", "K3,3"])
+def test_symmetric_inputs_match_the_oracle(g):
+    want = oracle_orientable_numbers(g)
+    got = orientable_numbers(g)
+    for key in invariants.NUMBER_KEYS:
+        assert (getattr(got, key), getattr(got, key + "_witness")) == want[key], key
+
+
+def test_workers_split_the_orbit_minima_evenly(monkeypatch):
+    seen = []
+    fan_out = invariants.fan_out
+
+    def spy(fn, jobs, workers=None):
+        seen.extend(jobs)
+        return fan_out(fn, jobs, workers)
+
+    monkeypatch.setattr(invariants, "fan_out", spy)
+    g = complete_bipartite(2, 4)
+    serial = orientable_numbers(g)
+    seen.clear()
+    fanned = orientable_numbers(g, workers=3)
+    sizes = [len(indices) for _, _, indices in seen]
+    assert len(sizes) == 3 and max(sizes) - min(sizes) <= 1
+    assert [i for _, _, indices in seen for i in indices] == list(invariants._orbit_minima(g))
+    assert serial == fanned
+
+
+def test_merge_takes_a_chunk_without_orbit_minima():
+    g = cycle_graph(5)
+    empty, runs = invariants._sweep_chunk((g.n, g.edges, []))
+    assert empty == [None, None, None] and runs == [0, 0, 0]
+    slots, _ = invariants._sweep_chunk((g.n, g.edges, [0, 3]))
+    want = [list(slot) for slot in slots]
+    assert invariants._merge([list(s) for s in slots], empty) == want
+    assert invariants._merge([None, None, None], [list(s) for s in slots]) == want
 
 
 def test_workers_below_one_rejected():
