@@ -1,10 +1,13 @@
 """Exact geodetic, hull and convexity numbers, per digraph and over orientations.
 
-The searches here are exact and deterministic: candidate sets are scanned by
-increasing size and lexicographically within a size, and every candidate is
-forced to contain all extreme vertices (which belong to every geodetic set
-and every hull-set).  Witnesses are therefore the lexicographically least
-optima and reruns are diffable.
+The searches here are exact and deterministic, and every witness is the
+lexicographically least optimum, so reruns are diffable.  The g and h
+searches scan candidate sets by increasing size and lexicographically within
+a size, and every candidate contains all extreme vertices (which belong to
+every geodetic set and every hull-set).  The con search is V less the
+largest extreme vertex when there is one.  Otherwise it walks the convex
+sets upward from the empty set by closure extension (they are closed under
+intersection), cutting every subtree that cannot beat the best size found.
 
 Internally everything runs on one bitmask kernel per digraph (the matrix of
 interval masks and the mask of extreme vertices), built once and shared by
@@ -104,13 +107,48 @@ def _set_interval(iv, smask: int) -> int:
     return out
 
 
-def _hull_mask(iv, smask: int) -> int:
+def _is_convex(iv, s: int) -> bool:
+    """I[s] == s, stopping at the first pair whose interval leaves s."""
+    out = ~s
+    rest = s
+    while rest:
+        b = rest & -rest
+        rest ^= b
+        row = iv[b.bit_length() - 1]
+        r = rest
+        while r:
+            c = r & -r
+            r ^= c
+            if row[c.bit_length() - 1] & out:
+                return False
+    return True
+
+
+def _hull_mask(iv, smask: int, convex: int = 0, stop: int = 0) -> int:
+    """Convex hull of `smask`, given a convex subset `convex` of it.
+
+    Each round ORs in the intervals of the pairs that touch a vertex added
+    in the round before (at first, a vertex outside `convex`).  The pairs
+    inside the older part were taken in an earlier round or lie in
+    `convex`, which holds their intervals.  Once the hull meets `stop` it
+    returns early, with only part of the hull.
+    """
     cur = smask
-    while True:
-        nxt = _set_interval(iv, cur)
-        if nxt == cur:
-            return cur
+    fresh = smask & ~convex
+    while fresh and not cur & stop:
+        nxt = cur
+        while fresh:
+            b = fresh & -fresh
+            fresh ^= b
+            row = iv[b.bit_length() - 1]
+            m = cur
+            while m:
+                c = m & -m
+                m ^= c
+                nxt |= row[c.bit_length() - 1]
+        fresh = nxt & ~cur
         cur = nxt
+    return cur
 
 
 def _min_superset(n: int, seed: int, test) -> int:
@@ -158,19 +196,74 @@ def _hull_witness(n: int, iv, ext: int) -> int:
 
 
 def _convex_witness(n: int, iv, ext: int) -> int:
-    """Least largest convex proper subset (n >= 2); its size is con."""
+    """Least largest convex proper subset (n >= 2); its size is con.
+
+    With an extreme vertex the answer is V less the largest one; otherwise
+    `_convex_up` walks the convex sets upward from the empty set.
+    """
     if ext:
         # Prop.: the (n-1)-sets V - v are convex exactly for extreme v, so the
         # lexicographically least maximum witness drops the largest extreme vertex
         return ((1 << n) - 1) & ~(1 << (ext.bit_length() - 1))
-    for size in range(n - 1, 0, -1):
-        for combo in itertools.combinations(range(n), size):
-            s = 0
-            for v in combo:
-                s |= 1 << v
-            if _set_interval(iv, s) == s:
-                return s
-    raise AssertionError("unreachable: every singleton is convex")
+    return _convex_up(n, iv)
+
+
+def _convex_up(n: int, iv) -> int:
+    """The largest proper convex set, lexicographically least among those of
+    its size, by a walk over the convex sets upward from the empty set.
+
+    Convex sets are closed under intersection, so hull() is a closure
+    operator and the convex sets are its closed sets.  They are listed by
+    prefix-preserving closure extension (Uno, Kiyomi and Arimura, LCM ver. 2,
+    2004): the root is the empty set with core -1, and convex C with core c
+    has the child H = hull(C | {v}) with core v for each v > c outside C
+    whose H agrees with C on the vertices below v.  Every other convex set P
+    has exactly one parent, hull(P & {0..v-1}) for the least v with
+    hull(P & {0..v}) = P, so each convex set is visited once, with no
+    record of those seen.  Since C is convex, hull(C | {v}) only needs the
+    pairs that touch the new vertices.
+
+    A subtree agrees with its root below the root's core, so C's subtree
+    adds only vertices above c.  A vertex v with hull(C | {v}) = V is
+    forbidden: no proper convex superset of C holds it, so it stays
+    forbidden in the children, and a hull that meets it is V and is not
+    taken to the end.  No set in C's subtree is larger than |C|
+    plus the unforbidden vertices above c outside C.
+
+    The depth-first walk pops the children in increasing core order, and so
+    visits the sets of one size in lexicographic order.  Two such sets lie
+    under two children H_v and H_w (v < w) of one set, and H_v's subtree is
+    walked first; the sets agree below v, and only the first holds v, so it
+    is the lesser.  So the first set of the largest size is the least one,
+    every later set of that size is greater, and a subtree whose bound does
+    not exceed the best size so far is cut.  The answer is the first hit of
+    a scan of the subsets by decreasing size, lexicographically within a size.
+    """
+    full = (1 << n) - 1
+    best = bsize = 0
+    stack = [(0, -1, 0)]  # (convex set, core, forbidden vertices)
+    while stack:
+        c, core, forb = stack.pop()
+        size = c.bit_count()
+        if size > bsize:
+            best, bsize = c, size
+        # the unforbidden vertices above the core, outside c
+        cand = full & ~((1 << (core + 1)) - 1) & ~c & ~forb
+        if size + cand.bit_count() <= bsize:
+            continue
+        kids = []
+        while cand:
+            b = cand & -cand
+            cand ^= b
+            # a hull that meets a forbidden vertex f holds hull(C | {f}) = V
+            h = _hull_mask(iv, c | b, c, forb)
+            if h == full or h & forb:
+                forb |= b
+            elif not (h ^ c) & (b - 1):
+                kids.append((h, b.bit_length() - 1))
+        for h, v in reversed(kids):
+            stack.append((h, v, forb))
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +458,7 @@ def _sweep_chunk(args):
         if ext:
             cs = _record(cs, n - 1, idx)
         elif not (cs is not None and cs[2] >= n - 1 and any(
-                w.bit_count() >= cs[0] and _set_interval(iv, w) == w
+                w.bit_count() >= cs[0] and _is_convex(iv, w)
                 for w in recent_c)):
             w = _convex_witness(n, iv, ext)
             runs[2] += 1

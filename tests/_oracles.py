@@ -3,9 +3,12 @@
 These deliberately avoid the package's bitmask search machinery: distances
 come from Floyd-Warshall over the arc list, and the set searches enumerate
 every subset by size with no pruning, deciding membership through the
-public definitional interval/hull functions.  The orientation-sweep oracle
-is the exception: it runs the per-digraph searches (checked against the
-oracles here) on every orientation, with none of the sweep's pruning.
+public definitional interval/hull functions.  Two oracles are exceptions.
+The orientation-sweep oracle runs the per-digraph searches (checked against
+the oracles here) on every orientation, with none of the sweep's pruning.
+The con scan runs on the bitmask interval matrix (checked against
+`geodesic` in test_invariants), so each walk of the con search can be
+compared with it at sizes the frozenset reference cannot reach.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import random
 
 from oriconvex.graphs import Digraph, Graph, orientation_count, orientation_from_index
 from oriconvex import geodesic
-from oriconvex.invariants import NUMBER_KEYS, digraph_report
+from oriconvex.invariants import NUMBER_KEYS, _set_interval, digraph_report
 
 
 def oracle_distances(d: Digraph):
@@ -76,6 +79,24 @@ def oracle_convexity(d: Digraph):
             if geodesic.is_convex(d, s):
                 return size, s
     raise AssertionError("unreachable for n >= 2")
+
+
+def oracle_convex_scan(n: int, iv, ext: int) -> int:
+    """The con search as a plain bitmask scan: the first subset S, by
+    decreasing size and lexicographically within a size, with I[S] = S.
+
+    Takes the arguments of `invariants._convex_witness` and ignores `ext`:
+    the scan needs no extreme-vertex shortcut.  Every interval of S is
+    taken, with no early exit.
+    """
+    for size in range(n - 1, 0, -1):
+        for combo in itertools.combinations(range(n), size):
+            s = 0
+            for v in combo:
+                s |= 1 << v
+            if _set_interval(iv, s) == s:
+                return s
+    raise AssertionError("unreachable: every singleton is convex")
 
 
 def oracle_hull_by_intersection(d: Digraph, s) -> frozenset:

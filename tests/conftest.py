@@ -1,3 +1,4 @@
+import random
 import sys
 import time
 from pathlib import Path
@@ -27,6 +28,19 @@ def path_graph(n: int) -> Graph:
 
 def complete_bipartite(s: int, t: int) -> Graph:
     return Graph.from_edges(s + t, [(i, s + j) for i in range(s) for j in range(t)])
+
+
+def cycle_plus_chords(rng: random.Random, n: int, m: int) -> Graph:
+    """A Hamiltonian cycle on a random vertex order plus random chords up
+    to m edges: connected, with minimum degree 2, so it has an orientation
+    with no extreme vertex."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges = {tuple(sorted((perm[i - 1], perm[i]))) for i in range(n)}
+    while len(edges) < m:
+        u, v = rng.sample(range(n), 2)
+        edges.add((min(u, v), max(u, v)))
+    return Graph.from_edges(n, sorted(edges))
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,6 @@
 import random
+import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from oriconvex import invariants
 from oriconvex.graphs import (
     Digraph,
     Graph,
+    bits,
     enumerate_orientations,
     mask_of,
     parse_graph6,
@@ -29,11 +32,20 @@ from oriconvex.invariants import (
     hull_number,
     orientable_numbers,
 )
+from oriconvex.orienters import extreme_free_orientation
 from oriconvex.smallgraphs import automorphism_generators, connected_graphs
-from conftest import DATA_DIR, complete_bipartite, complete_graph, cycle_graph, path_graph
+from conftest import (
+    DATA_DIR,
+    complete_bipartite,
+    complete_graph,
+    cycle_graph,
+    cycle_plus_chords,
+    path_graph,
+)
 
 from _oracles import (
     all_digraphs,
+    oracle_convex_scan,
     oracle_convexity,
     oracle_geodetic,
     oracle_hull,
@@ -188,6 +200,132 @@ def test_seeded_search_matches_oracle_on_general_digraphs():
         assert geodetic_number(d) == oracle_geodetic(d)
         assert hull_number(d) == oracle_hull(d)
         assert convexity_number(d) == oracle_convexity(d)
+
+
+# ---------------------------------------------------------------------------
+# the con search: the upward walk alone, and with the shortcut, against the scan
+
+
+def _up_walk_hulls(n, iv):
+    """Run the upward walk; return its answer and each hull it took, as
+    (set, the convex part given, whether the walk took the hull to be V)."""
+    hull = invariants._hull_mask
+    full = (1 << n) - 1
+    calls = []
+
+    def spy(iv, smask, convex=0, stop=0):
+        h = hull(iv, smask, convex, stop)
+        # a hull cut short at a stop vertex must really be V
+        whole = h == full or bool(h & stop)
+        assert whole == (hull(iv, smask) == full)
+        if not whole:
+            assert h == hull(iv, smask)
+        calls.append((smask, convex, whole))
+        return h
+
+    with mock.patch.object(invariants, "_hull_mask", spy):
+        return invariants._convex_up(n, iv), calls
+
+
+def _assert_con_search_matches_the_scan(d):
+    n = d.n
+    full = (1 << n) - 1
+    iv, ext = invariants._kernel(n, d.out_masks)
+    want = oracle_convex_scan(n, iv, ext)
+    # the walk alone also meets digraphs the extreme-vertex shortcut answers
+    got, calls = _up_walk_hulls(n, iv)
+    assert got == want, d.arcs
+    assert invariants._convex_witness(n, iv, ext) == want, d.arcs
+    # each set the walk extends is convex and proper and is extended once,
+    # and a vertex whose hull with a set is V is not tried again with a
+    # superset of that set
+    assert len({(s, c) for s, c, _ in calls}) == len(calls), d.arcs
+    forbidden = []
+    for s, c, whole in calls:
+        v = s & ~c
+        assert c != full and invariants._is_convex(iv, c), d.arcs
+        assert not any(fv == v and not fc & ~c for fc, fv in forbidden), d.arcs
+        if whole:
+            forbidden.append((c, v))
+
+
+def test_con_search_matches_the_scan_on_every_small_digraph():
+    # two-cycles, unreachable pairs and digraphs with or without extreme vertices
+    for n in range(2, 5):
+        for d in all_digraphs(n):
+            _assert_con_search_matches_the_scan(d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 10), st.sampled_from((0.15, 0.3, 0.5, 0.8)),
+       st.randoms(use_true_random=False))
+def test_con_search_matches_the_scan_on_random_digraphs(n, p, rng):
+    _assert_con_search_matches_the_scan(random_digraph(rng, n, p))
+
+
+@pytest.mark.parametrize("n", range(10, 15))
+def test_con_search_matches_the_scan_on_extreme_free_orientations(n):
+    # no extreme vertex, so the shortcut never fires and the walk answers
+    rng = random.Random(8000 + n)
+    for _ in range(2):
+        d = extreme_free_orientation(cycle_plus_chords(rng, n, 3 * n))
+        assert not invariants._kernel(n, d.out_masks)[1]
+        _assert_con_search_matches_the_scan(d)
+
+
+def test_up_walk_cuts_a_subtree_that_can_only_tie(monkeypatch):
+    # with no arc every subset is convex: {0, 1} is found first, so the
+    # subtrees of {0, 2}, {1} and {2} cannot beat it and take no hull
+    hull = invariants._hull_mask
+    calls = []
+
+    def spy(iv, smask, convex=0, stop=0):
+        calls.append((smask, convex))
+        return hull(iv, smask, convex, stop)
+
+    monkeypatch.setattr(invariants, "_hull_mask", spy)
+    iv, _ = invariants._kernel(3, Digraph.from_arcs(3, []).out_masks)
+    assert invariants._convex_up(3, iv) == 0b011
+    assert calls == [(0b001, 0), (0b010, 0), (0b100, 0),
+                     (0b011, 0b001), (0b101, 0b001), (0b111, 0b011)]
+
+
+def test_early_exit_convexity_matches_the_set_interval():
+    rng = random.Random(31)
+    digraphs = [d for n in (1, 2, 3) for d in all_digraphs(n)]
+    digraphs += [random_digraph(rng, rng.randint(4, 8), rng.choice((0.2, 0.5))) for _ in range(60)]
+    for d in digraphs:
+        iv, _ = invariants._kernel(d.n, d.out_masks)
+        for s in range(1 << d.n):
+            assert invariants._is_convex(iv, s) == (invariants._set_interval(iv, s) == s)
+
+
+def test_hull_of_a_convex_set_plus_vertices_matches_the_reference():
+    rng = random.Random(47)
+    for _ in range(40):
+        d = random_digraph(rng, rng.randint(2, 7), rng.choice((0.2, 0.4, 0.7)))
+        iv, _ = invariants._kernel(d.n, d.out_masks)
+        convex = [c for c in range(1 << d.n) if invariants._is_convex(iv, c)]
+        for c in rng.sample(convex, min(6, len(convex))):
+            for extra in rng.sample(range(1, 1 << d.n), min(12, (1 << d.n) - 1)):
+                s = c | extra
+                want = mask_of(convex_hull(d, tuple(bits(s))))
+                assert invariants._hull_mask(iv, s, c) == want == invariants._hull_mask(iv, s)
+
+
+def test_con_of_an_extreme_free_digraph_with_24_vertices_returns_quickly():
+    # the scan would test about 2^24 subsets here
+    g = cycle_plus_chords(random.Random(24), 24, 72)
+    d = extreme_free_orientation(g)
+    t0 = time.perf_counter()
+    con, cw = convexity_number(d)
+    assert time.perf_counter() - t0 < 2
+    assert not extreme_vertices(d)
+    assert 0 < con == len(cw) < 23
+    assert is_convex(d, cw)
+    everything = frozenset(range(24))
+    for v in everything - set(cw):
+        assert convex_hull(d, cw + (v,)) == everything
 
 
 # ---------------------------------------------------------------------------
