@@ -3,13 +3,14 @@
 Two constructions:
 
 * ``extreme_free_orientation`` orients any min-degree-2 graph so that no
-  vertex is extreme: pack edge-disjoint chordless cycles and orient them as
-  directed cycles, then repeatedly orient a shortest path of unoriented
-  vertices between two oriented ones (with a triangle repair when the path
-  has a single interior vertex and its endpoints are adjacent), and finally
-  orient leftovers low -> high.  Once a vertex has an in-arc u -> v and an
-  out-arc v -> w with uw absent or oriented w -> u, no later choice can make
-  it extreme again.
+  vertex is extreme: pack edge-disjoint chordless cycles (greedily, one
+  length at a time over the unused edges, so maximal by construction) and
+  orient them as directed cycles, then repeatedly orient a shortest path of
+  unoriented vertices between two oriented ones (with a triangle repair
+  when the path has a single interior vertex and its endpoints are
+  adjacent), and finally orient leftovers low -> high.  Once a vertex has
+  an in-arc u -> v and an out-arc v -> w with uw absent or oriented w -> u,
+  no later choice can make it extreme again.
 
 * ``d2_construction`` / ``d1_from_d2`` produce, for a connected incomplete
   graph, a pair of orientations with g(D1) < g(D2) and h(D1) < h(D2), from
@@ -39,69 +40,69 @@ class ConstructionError(RuntimeError):
 # chordless cycle packing
 
 
-def induced_cycles(g: Graph) -> list[tuple[int, ...]]:
-    """Every chordless cycle, once each, as (min vertex, smaller neighbour, ...).
+def _chordless_cycles(g: Graph, free: list[int], length: int) -> Iterator[tuple[int, ...]]:
+    """The chordless cycles of g on exactly ``length`` vertices over edges
+    set in the neighbour masks ``free``, in lexicographic order, as (min
+    vertex, smaller neighbour, ...).
 
     DFS over chord-free paths rooted at the cycle's smallest vertex; a path
     may only close back to the root, and emitting only when the second
-    vertex is smaller than the last fixes the traversal direction.
+    vertex is smaller than the last fixes the traversal direction.  Chords
+    are checked in g.  ``free`` is read as the walk goes: a caller may clear
+    edges between cycles, and re-checks a cycle's edges before taking it.
     """
-    out = []
     adj = g.adj
 
-    def extend(path: list[int], pathmask: int) -> None:
+    def extend(path: list[int], pathmask: int) -> Iterator[tuple[int, ...]]:
         a = path[0]
         tail = path[-1]
         mid_mask = pathmask & ~(1 << a) & ~(1 << tail)
         gt_a = ~((1 << (a + 1)) - 1)
-        for w in bits(adj[tail] & gt_a & ~pathmask):
+        closes = len(path) + 1 == length
+        for w in bits(free[tail] & gt_a & ~pathmask):
             wadj = adj[w]
             if wadj & mid_mask:
                 continue  # chord to an interior path vertex
             if wadj >> a & 1:
-                if len(path) >= 2 and path[1] < w:
-                    out.append(tuple(path) + (w,))
+                if closes and free[w] >> a & 1 and path[1] < w:
+                    yield tuple(path) + (w,)
                 # extending past w would leave the chord wa inside the cycle
                 continue
-            path.append(w)
-            extend(path, pathmask | (1 << w))
-            path.pop()
+            if not closes:
+                path.append(w)
+                yield from extend(path, pathmask | (1 << w))
+                path.pop()
 
     for a in range(g.n):
-        for b in bits(g.adj[a] & ~((1 << (a + 1)) - 1)):
-            extend([a, b], (1 << a) | (1 << b))
-    out.sort(key=lambda c: (len(c), c))
-    return out
+        for b in bits(free[a] & ~((1 << (a + 1)) - 1)):
+            yield from extend([a, b], (1 << a) | (1 << b))
 
 
-def _cycle_edges(cycle: tuple[int, ...]) -> list[tuple[int, int]]:
-    es = []
-    for i, u in enumerate(cycle):
-        v = cycle[(i + 1) % len(cycle)]
-        es.append((u, v) if u < v else (v, u))
-    return es
+def induced_cycles(g: Graph) -> list[tuple[int, ...]]:
+    """Every chordless cycle, once each, as (min vertex, smaller neighbour,
+    ...), in (length, tuple) order: one length-ordered search per length."""
+    return [c for k in range(3, g.n + 1) for c in _chordless_cycles(g, g.adj, k)]
 
 
 def find_edge_disjoint_induced_cycles(g: Graph) -> list[tuple[int, ...]]:
     """A maximal set of pairwise edge-disjoint chordless cycles.
 
-    Greedy over the full canonical enumeration, so the result is maximal by
-    construction; a final scan re-checks that anyway.
+    Greedy in (length, tuple) order, searched one length at a time over the
+    edges still free: a cycle whose edges stay free is met and taken, so the
+    packing is maximal by construction.
     """
     if min_degree(g) < 2:
         raise ValueError("cycle packing needs minimum degree 2")
-    cycles = induced_cycles(g)
-    used: set[tuple[int, int]] = set()
+    free = list(g.adj)
     chosen = []
-    for cyc in cycles:
-        es = _cycle_edges(cyc)
-        if any(e in used for e in es):
-            continue
-        chosen.append(cyc)
-        used.update(es)
-    for cyc in cycles:  # maximality scan
-        if all(e not in used for e in _cycle_edges(cyc)):
-            raise ConstructionError(f"cycle packing missed edge-disjoint cycle {cyc}")
+    for k in range(3, g.n + 1):
+        for cyc in _chordless_cycles(g, free, k):
+            edges = list(zip(cyc, cyc[1:] + cyc[:1]))
+            if all(free[u] >> v & 1 for u, v in edges):
+                chosen.append(cyc)
+                for u, v in edges:
+                    free[u] &= ~(1 << v)
+                    free[v] &= ~(1 << u)
     return chosen
 
 
@@ -320,9 +321,6 @@ def d2_construction(g: Graph) -> tuple[Digraph, TripleSelection]:
     d2 = Digraph.from_arcs(g.n, arcs)
     if d2.out_masks[sel.v1] or d2.in_masks[sel.v0] or d2.in_masks[sel.v2]:
         raise ConstructionError("v1 must be a sink and v0, v2 sources in D2")
-    for v in (sel.v0, sel.v1, sel.v2):
-        if not geodesic.is_extreme(d2, v):
-            raise ConstructionError(f"vertex {v} of the triple is not extreme in D2")
     return d2, sel
 
 

@@ -8,7 +8,10 @@ The orientation-sweep oracle runs the per-digraph searches (checked against
 the oracles here) on every orientation, with none of the sweep's pruning.
 The con scan runs on the bitmask interval matrix (checked against
 `geodesic` in test_invariants), so each walk of the con search can be
-compared with it at sizes the frozenset reference cannot reach.
+compared with it at sizes the frozenset reference cannot reach.  The
+chordless-cycle oracles list every cycle in one DFS, sort the list, and
+pack greedily over all of it, where the package searches one length at a
+time over the edges still free.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from oriconvex.graphs import Digraph, Graph, orientation_count, orientation_from_index
+from oriconvex.graphs import Digraph, Graph, bits, orientation_count, orientation_from_index
 from oriconvex import geodesic
 from oriconvex.invariants import NUMBER_KEYS, _set_interval, digraph_report
 
@@ -109,6 +112,61 @@ def oracle_hull_by_intersection(d: Digraph, s) -> frozenset:
             if s <= cand and geodesic.is_convex(d, cand):
                 out &= cand
     return out
+
+
+def oracle_induced_cycles(g: Graph) -> list[tuple[int, ...]]:
+    """Every chordless cycle, once each, as (min vertex, smaller neighbour,
+    ...), in (length, tuple) order: one DFS over every length, then a sort.
+
+    DFS over chord-free paths rooted at the cycle's smallest vertex; a path
+    may only close back to the root, and emitting only when the second
+    vertex is smaller than the last fixes the traversal direction.
+    """
+    out = []
+    adj = g.adj
+
+    def extend(path: list[int], pathmask: int) -> None:
+        a = path[0]
+        tail = path[-1]
+        mid_mask = pathmask & ~(1 << a) & ~(1 << tail)
+        gt_a = ~((1 << (a + 1)) - 1)
+        for w in bits(adj[tail] & gt_a & ~pathmask):
+            wadj = adj[w]
+            if wadj & mid_mask:
+                continue  # chord to an interior path vertex
+            if wadj >> a & 1:
+                if len(path) >= 2 and path[1] < w:
+                    out.append(tuple(path) + (w,))
+                # extending past w would leave the chord wa inside the cycle
+                continue
+            path.append(w)
+            extend(path, pathmask | (1 << w))
+            path.pop()
+
+    for a in range(g.n):
+        for b in bits(g.adj[a] & ~((1 << (a + 1)) - 1)):
+            extend([a, b], (1 << a) | (1 << b))
+    out.sort(key=lambda c: (len(c), c))
+    return out
+
+
+def cycle_edges(cycle: tuple[int, ...]) -> set[tuple[int, int]]:
+    """The edges of a cycle, each as (low, high)."""
+    return {(min(u, v), max(u, v)) for u, v in zip(cycle, cycle[1:] + cycle[:1])}
+
+
+def oracle_cycle_packing(g: Graph) -> list[tuple[int, ...]]:
+    """Greedy edge-disjoint packing over the full sorted cycle list: each
+    cycle, in (length, tuple) order, is taken when no taken cycle shares an
+    edge with it."""
+    used: set[tuple[int, int]] = set()
+    chosen = []
+    for cyc in oracle_induced_cycles(g):
+        es = cycle_edges(cyc)
+        if not es & used:
+            chosen.append(cyc)
+            used |= es
+    return chosen
 
 
 def halved_orientations(g: Graph) -> list[Digraph]:

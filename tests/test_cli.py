@@ -1,15 +1,17 @@
 import hashlib
 import io
 import json
+import random
 import subprocess
 import sys
+import time
 
 import pytest
 
 from oriconvex.cli import main
 from oriconvex.graphs import encode_graph6
 from oriconvex.smallgraphs import connected_graphs
-from conftest import DATA_DIR, complete_graph
+from conftest import DATA_DIR, complete_graph, cycle_plus_chords
 
 C5_EDGES = "5\\n0 1\\n1 2\\n2 3\\n3 4\\n4 0"
 K4_EDGES = "4\\n0 1\\n0 2\\n0 3\\n1 2\\n1 3\\n2 3"
@@ -129,6 +131,17 @@ def test_orient_extreme_free_c4(capsys):
     assert "0 extreme vertices" in out
     arcs = out.splitlines()[0].split(": ")[1].split()
     assert len(arcs) == 4
+
+
+def test_orient_extreme_free_ends_quickly_on_100_vertices(capsys):
+    g = cycle_plus_chords(random.Random(100), 100, 150)
+    edges = "\\n".join([str(g.n)] + [f"{u} {v}" for u, v in g.edges])
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "orient", "extreme-free", "--edges", edges)
+    assert time.perf_counter() - t0 < 5
+    assert code == 0
+    assert "self-check: 0 extreme vertices" in out
+    assert len(out.splitlines()[0].split(": ")[1].split()) == 150
 
 
 def test_orient_extreme_free_refuses_p3(capsys):

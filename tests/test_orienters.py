@@ -1,8 +1,12 @@
 import itertools
+import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oriconvex.graphs import Digraph, Graph, is_complete
+from oriconvex.graphs import Digraph, Graph, graph6_lines, is_complete, parse_graph6
 from oriconvex.geodesic import (
     all_pairs_distances,
     convex_hull,
@@ -25,7 +29,8 @@ from oriconvex.orienters import (
     triple_selection,
 )
 from oriconvex.smallgraphs import connected_graphs, connected_min_degree_2
-from conftest import complete_graph, cycle_graph, path_graph
+from conftest import DATA_DIR, complete_graph, cycle_graph, cycle_plus_chords, path_graph
+from _oracles import cycle_edges, oracle_cycle_packing, oracle_induced_cycles
 
 
 # ---------------------------------------------------------------------------
@@ -75,6 +80,37 @@ def test_packing_is_edge_disjoint_and_chordless():
                 for a, b in itertools.combinations(cyc, 2):
                     consecutive = (min(a, b), max(a, b)) in edges
                     assert g.has_edge(a, b) == consecutive
+
+
+def _assert_packing_matches_the_oracle(g, *, listing=True):
+    cycles = oracle_induced_cycles(g)
+    if listing:
+        assert induced_cycles(g) == cycles, g.edges
+    packing = find_edge_disjoint_induced_cycles(g)
+    assert packing == oracle_cycle_packing(g), g.edges
+    used = set().union(*map(cycle_edges, packing))
+    # maximal: every chordless cycle shares an edge with the packing
+    for cyc in cycles:
+        assert cycle_edges(cyc) & used, (g.edges, cyc)
+
+
+def test_cycles_and_packing_match_the_oracle_on_every_min_degree_2_graph_n_up_to_7():
+    lines = graph6_lines(str(DATA_DIR / "mindeg2_connected_upto_n8.g6"))
+    graphs = [g for g in (parse_graph6(text) for _, text in lines) if g.n <= 7]
+    assert len(graphs) == 1 + 3 + 11 + 61 + 507
+    for g in graphs:
+        _assert_packing_matches_the_oracle(g)
+
+
+@pytest.mark.parametrize(
+    "n, m", ((20, 30), (20, 40), (30, 45), (30, 60), (40, 60), (40, 80), (50, 75))
+)
+def test_cycles_and_packing_match_the_oracle_on_random_graphs(n, m):
+    # listing every cycle one length at a time costs about n times the
+    # oracle's single DFS, so the listing is compared only up to n = 30;
+    # n = 50, m = 2n is left out: the oracle lists some 5 * 10^4 cycles
+    g = cycle_plus_chords(random.Random(n * 1000 + m), n, m)
+    _assert_packing_matches_the_oracle(g, listing=n <= 30)
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +165,28 @@ def test_extreme_free_exhaustive_n_up_to_6():
             assert d.is_orientation_of(g)
             assert extreme_vertices(d) == frozenset()
             assert convexity_number(d)[0] < n - 1
+
+
+def _assert_extreme_free_in_bounded_time(g):
+    t0 = time.perf_counter()
+    d = extreme_free_orientation(g)
+    assert time.perf_counter() - t0 < 5
+    assert d.is_orientation_of(g)
+    assert extreme_vertices(d) == frozenset()
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(3, 200), st.floats(1, 3), st.randoms(use_true_random=False))
+def test_extreme_free_is_fast_on_random_graphs_up_to_200_vertices(n, ratio, rng):
+    m = min(int(ratio * n), n * (n - 1) // 2)
+    _assert_extreme_free_in_bounded_time(cycle_plus_chords(rng, n, m))
+
+
+@pytest.mark.parametrize("n, m", ((100, 150), (200, 600)))
+def test_extreme_free_is_fast_on_seeded_large_graphs(n, m):
+    # n = 100, m = 150 did not finish in 280 s when the packing listed
+    # every chordless cycle first
+    _assert_extreme_free_in_bounded_time(cycle_plus_chords(random.Random(n + m), n, m))
 
 
 def test_disconnected_min_degree_2_components_handled_together():
