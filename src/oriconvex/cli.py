@@ -31,7 +31,6 @@ from .invariants import (
     NUMBER_KEYS,
     digraph_report,
     geodetic_number,
-    hull_number,
     orientable_numbers,
 )
 from .orienters import (
@@ -40,7 +39,7 @@ from .orienters import (
     d2_construction,
     extreme_free_orientation,
 )
-from .verifier import corpus_run
+from .verifier import corpus_run, d1d2_numbers
 
 _SUP = dict(zip(NUMBER_KEYS, ("g⁻", "g⁺", "h⁻", "h⁺", "con⁻", "con⁺")))
 
@@ -197,25 +196,20 @@ def cmd_orient(args) -> int:
     except ValueError as exc:
         return _fail(str(exc), 2)
     d1 = d1_from_d2(d2, sel)
-    g1, _ = geodetic_number(d1)
-    g2, _ = geodetic_number(d2)
-    h1, _ = hull_number(d1)
-    h2, _ = hull_number(d2)
+    nums = d1d2_numbers(d1, d2)
     if args.format == "json":
         json.dump(
             {
                 "selection": sel.to_json_dict(),
                 "d2": [list(a) for a in d2.arcs],
                 "d1": [list(a) for a in d1.arcs],
-                "g_d1": g1,
-                "g_d2": g2,
-                "h_d1": h1,
-                "h_d2": h2,
+                **nums,
             },
             out,
         )
         out.write("\n")
     else:
+        g1, g2, h1, h2 = nums.values()
         out.write(f"induced path: {sel.v0}-{sel.v1}-{sel.v2}\n")
         out.write(f"D2: {_arcs_str(d2)}\n")
         out.write(f"D1: {_arcs_str(d1)}\n")
@@ -289,10 +283,13 @@ def cmd_verify(args) -> int:
 
 
 def _add_input_options(p, with_arcs=False):
-    p.add_argument("--input", help="graph6 file, one graph per line ('-' for stdin)")
-    p.add_argument("--edges", help="inline edge list: 'n' then 'u v' pairs ('-' for stdin)")
+    """The input flags, as a group of which at most one may be given."""
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--input", help="graph6 file, one graph per line ('-' for stdin)")
+    group.add_argument("--edges", help="inline edge list: 'n' then 'u v' pairs ('-' for stdin)")
     if with_arcs:
-        p.add_argument("--arcs", help="inline arc list for a digraph ('-' for stdin)")
+        group.add_argument("--arcs", help="inline arc list for a digraph ('-' for stdin)")
+    return group
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -318,8 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("orient", help="run a constructive orientation")
     p.add_argument("mode", choices=("extreme-free", "d1d2", "complete"))
     p.add_argument("--format", choices=("text", "json"), default="text")
-    _add_input_options(p)
-    p.add_argument("--n", type=int, help="order of the complete graph (mode complete)")
+    inputs = _add_input_options(p)
+    inputs.add_argument("--n", type=int, help="order of the complete graph (mode complete)")
     p.set_defaults(func=cmd_orient)
 
     p = sub.add_parser("verify", parents=[sweep],

@@ -14,10 +14,13 @@ Two constructions:
 
 * ``d2_construction`` / ``d1_from_d2`` produce, for a connected incomplete
   graph, a pair of orientations with g(D1) < g(D2) and h(D1) < h(D2), from
-  an induced two-edge path v0-v1-v2 and a partition of the remaining
-  vertices.  In D2 all edges leave v0 and v2 and all edges enter v1, so all
-  three are extreme; D1 reverses the arcs at v2, putting v1 on a v0-v2
-  geodesic.
+  an induced two-edge path v0-v1-v2 and a partition U1..U5 of the remaining
+  vertices.  D2 is the orientation along the key (class rank, vertex), with
+  the ranks v0 = v2 < U1 < U4 < U2 = U5 < U3 < v1; it is a total order on
+  every edge's endpoints because v0v2 is not an edge and no edge joins U2
+  to U5.  So D2 is acyclic, v0 and v2 are sources and v1 is the sink, and
+  all three are extreme.  D1 is the same order with v2 moved last: it
+  reverses the arcs at v2, putting v1 on a v0-v2 geodesic.
 
 All tie-breaks are canonical (lowest vertex / lowest index) so outputs are
 deterministic.
@@ -270,55 +273,27 @@ def triple_selection(g: Graph) -> TripleSelection:
     return TripleSelection(v0, v1, v2, fs(umask), fs(u1), fs(u2), fs(u3), fs(u4), fs(u5))
 
 
-def _d2_rule_directions(sel: TripleSelection, x: int, y: int) -> set[tuple[int, int]]:
-    """Directions derivable for edge {x, y} from the orientation rules."""
-    dirs = set()
-    u = sel.u
-    for a, b in ((x, y), (y, x)):
-        if a in (sel.v0, sel.v2):
-            dirs.add((a, b))
-        if b == sel.v1:
-            dirs.add((a, b))
-        if a in sel.u1 and b in u and b not in sel.u1:
-            dirs.add((a, b))
-        if a in sel.u4 and b in sel.u2:
-            dirs.add((a, b))
-        if a in u and a not in sel.u3 and b in sel.u3:
-            dirs.add((a, b))
-        # u4 -> u5 edges are not covered by the table above, but u5 must
-        # stay free of dipaths to v1, so they leave u4
-        if a in sel.u4 and b in sel.u5:
-            dirs.add((a, b))
-    return dirs
-
-
 def d2_construction(g: Graph) -> tuple[Digraph, TripleSelection]:
     """The orientation whose geodetic and hull numbers the D1 flip undercuts.
 
-    Every edge leaves v0 and v2 and every edge enters v1 (making all three
-    extreme, with v0 and v2 sources and v1 a sink); within the rest, arcs
-    run u1 -> everything, u4 -> u2, everything -> u3, u4 -> u5, and edges
-    inside one class are oriented low -> high.  The rule set is checked to
-    be conflict-free on every edge while orienting.
+    D2 orients every edge along the key (class rank, vertex), with the ranks
+    v0 = v2 < u1 < u4 < u2 = u5 < u3 < v1: every edge leaves v0 and v2 and
+    enters v1 (so all three are extreme, v0 and v2 sources and v1 the
+    sink), u1 -> everything, u4 -> u2, u4 -> u5, everything -> u3, and edges
+    inside one class run low -> high.  The key is a total order on the
+    edges' endpoints because v0v2 is not an edge and no edge joins u2 to
+    u5 (u4 holds every neighbour of u2 outside u1, u2, u3), so D2 is
+    acyclic.  D1 (``d1_from_d2``) is the same order with v2 moved last.
     """
     sel = triple_selection(g)
-    classes = {}
-    for name, members in (("u1", sel.u1), ("u2", sel.u2), ("u3", sel.u3),
-                          ("u4", sel.u4), ("u5", sel.u5)):
+    rank = [0] * g.n
+    for r, members in ((1, sel.u1), (2, sel.u4), (3, sel.u2), (3, sel.u5), (4, sel.u3)):
         for v in members:
-            classes[v] = name
-    arcs = []
-    for x, y in g.edges:
-        dirs = _d2_rule_directions(sel, x, y)
-        if len(dirs) > 1:
-            raise ConstructionError(f"conflicting orientation rules on edge ({x},{y})")
-        if dirs:
-            arcs.append(dirs.pop())
-            continue
-        if classes.get(x) != classes.get(y) or classes.get(x) is None:
-            raise ConstructionError(f"edge ({x},{y}) not covered by any rule")
-        arcs.append((x, y))
-    d2 = Digraph.from_arcs(g.n, arcs)
+            rank[v] = r
+    rank[sel.v1] = 5
+    d2 = Digraph.from_arcs(
+        g.n, [(u, v) if (rank[u], u) < (rank[v], v) else (v, u) for u, v in g.edges]
+    )
     if d2.out_masks[sel.v1] or d2.in_masks[sel.v0] or d2.in_masks[sel.v2]:
         raise ConstructionError("v1 must be a sink and v0, v2 sources in D2")
     return d2, sel

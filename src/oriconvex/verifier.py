@@ -212,6 +212,16 @@ def _check_claims(d2, sel, d1, minimum_only: bool, failures: list[Failure]) -> i
     return len(hull_sets)
 
 
+def d1d2_numbers(d1: Digraph, d2: Digraph) -> dict[str, int]:
+    """g and h of the D1/D2 pair, keyed g_d1, g_d2, h_d1, h_d2 in that order."""
+    return {
+        "g_d1": geodetic_number(d1)[0],
+        "g_d2": geodetic_number(d2)[0],
+        "h_d1": hull_number(d1)[0],
+        "h_d2": hull_number(d2)[0],
+    }
+
+
 def verify_separation(g: Graph, *, numbers: OrientableNumbers | None = None) -> SeparationReport:
     """Check g- < g+ and h- < h+ by enumeration and by construction."""
     numbers = _suite_numbers(g, numbers)
@@ -241,11 +251,8 @@ def verify_separation(g: Graph, *, numbers: OrientableNumbers | None = None) -> 
         route = "induced-path"
         d2, sel = d2_construction(g)
         d1 = d1_from_d2(d2, sel)
-        g1, _ = geodetic_number(d1)
-        g2, _ = geodetic_number(d2)
-        h1, _ = hull_number(d1)
-        h2, _ = hull_number(d2)
-        constructed = {"g_d1": g1, "g_d2": g2, "h_d1": h1, "h_d2": h2}
+        constructed = d1d2_numbers(d1, d2)
+        g1, g2, h1, h2 = constructed.values()
         if not g1 < g2:
             failures.append(Failure("construct-g", f"g(D1)={g1} !< g(D2)={g2}", d2.arcs))
         if not h1 < h2:

@@ -11,7 +11,8 @@ The con scan runs on the bitmask interval matrix (checked against
 compared with it at sizes the frozenset reference cannot reach.  The
 chordless-cycle oracles list every cycle in one DFS, sort the list, and
 pack greedily over all of it, where the package searches one length at a
-time over the edges still free.
+time over the edges still free.  The D2 oracle orients each edge by the
+paper's rule table, where the package orients along one vertex order.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import random
 from oriconvex.graphs import Digraph, Graph, bits, orientation_count, orientation_from_index
 from oriconvex import geodesic
 from oriconvex.invariants import NUMBER_KEYS, _set_interval, digraph_report
+from oriconvex.orienters import TripleSelection, triple_selection
 
 
 def oracle_distances(d: Digraph):
@@ -167,6 +169,73 @@ def oracle_cycle_packing(g: Graph) -> list[tuple[int, ...]]:
             chosen.append(cyc)
             used |= es
     return chosen
+
+
+def _d2_rule_directions(sel: TripleSelection, x: int, y: int) -> set[tuple[int, int]]:
+    """Directions derivable for edge {x, y} from the orientation rules."""
+    dirs = set()
+    u = sel.u
+    for a, b in ((x, y), (y, x)):
+        if a in (sel.v0, sel.v2):
+            dirs.add((a, b))
+        if b == sel.v1:
+            dirs.add((a, b))
+        if a in sel.u1 and b in u and b not in sel.u1:
+            dirs.add((a, b))
+        if a in sel.u4 and b in sel.u2:
+            dirs.add((a, b))
+        if a in u and a not in sel.u3 and b in sel.u3:
+            dirs.add((a, b))
+        # u4 -> u5 edges are not covered by the table above, but u5 must
+        # stay free of dipaths to v1, so they leave u4
+        if a in sel.u4 and b in sel.u5:
+            dirs.add((a, b))
+    return dirs
+
+
+def oracle_d2_construction(g: Graph) -> tuple[Digraph, TripleSelection]:
+    """D2 by the rule table: every edge leaves v0 and v2 and every edge
+    enters v1; within the rest, arcs run u1 -> everything, u4 -> u2,
+    everything -> u3, u4 -> u5, and edges inside one class are oriented
+    low -> high.  Asserts that no edge gets two directions and that an edge
+    no rule covers lies inside one class."""
+    sel = triple_selection(g)
+    classes = {}
+    for name, members in (("u1", sel.u1), ("u2", sel.u2), ("u3", sel.u3),
+                          ("u4", sel.u4), ("u5", sel.u5)):
+        for v in members:
+            classes[v] = name
+    arcs = []
+    for x, y in g.edges:
+        dirs = _d2_rule_directions(sel, x, y)
+        assert len(dirs) <= 1, f"conflicting orientation rules on edge ({x},{y})"
+        if dirs:
+            arcs.append(dirs.pop())
+            continue
+        assert classes.get(x) == classes.get(y) is not None, (
+            f"edge ({x},{y}) not covered by any rule"
+        )
+        arcs.append((x, y))
+    return Digraph.from_arcs(g.n, arcs), sel
+
+
+def is_acyclic(d: Digraph) -> bool:
+    """Kahn's algorithm over the arc list: every vertex gets removed."""
+    indeg = [0] * d.n
+    succ = [[] for _ in range(d.n)]
+    for u, v in d.arcs:
+        succ[u].append(v)
+        indeg[v] += 1
+    ready = [v for v in range(d.n) if indeg[v] == 0]
+    removed = 0
+    while ready:
+        u = ready.pop()
+        removed += 1
+        for v in succ[u]:
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                ready.append(v)
+    return removed == d.n
 
 
 def halved_orientations(g: Graph) -> list[Digraph]:

@@ -16,6 +16,7 @@ from conftest import DATA_DIR, complete_graph, cycle_plus_chords
 C5_EDGES = "5\\n0 1\\n1 2\\n2 3\\n3 4\\n4 0"
 K4_EDGES = "4\\n0 1\\n0 2\\n0 3\\n1 2\\n1 3\\n2 3"
 P3_EDGES = "3\\n0 1\\n1 2"
+K3_EDGES = "3\\n0 1\\n0 2\\n1 2"
 
 
 def run(capsys, *argv):
@@ -205,6 +206,21 @@ def test_orient_takes_exactly_one_graph(capsys, mode):
     assert code == 2
     assert out == ""
     assert "orient takes one graph, got 21" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["invariants", "--edges", P3_EDGES, "--input", str(DATA_DIR / "connected_n5.g6")],
+    ["invariants", "--arcs", P3_EDGES, "--edges", P3_EDGES],
+    ["orient", "complete", "--n", "4", "--edges", K3_EDGES],
+], ids=["invariants-edges-input", "invariants-arcs-edges", "orient-n-edges"])
+def test_conflicting_input_flags_are_a_usage_error(capsys, argv):
+    # each used to read one input, ignore the other and exit 0
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not allowed with argument" in captured.err
 
 
 def test_orient_d1d2_refuses_complete(capsys):

@@ -30,7 +30,13 @@ from oriconvex.orienters import (
 )
 from oriconvex.smallgraphs import connected_graphs, connected_min_degree_2
 from conftest import DATA_DIR, complete_graph, cycle_graph, cycle_plus_chords, path_graph
-from _oracles import cycle_edges, oracle_cycle_packing, oracle_induced_cycles
+from _oracles import (
+    cycle_edges,
+    is_acyclic,
+    oracle_cycle_packing,
+    oracle_d2_construction,
+    oracle_induced_cycles,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +264,7 @@ def test_d2_structure_holds_everywhere_n_up_to_6():
         for g in connected_graphs(n):
             if is_complete(g):
                 continue
-            d2, sel = d2_construction(g)  # construction re-checks rule conflicts
+            d2, sel = d2_construction(g)
             assert d2.is_orientation_of(g)
             assert sel.v1 in sinks(d2)
             assert {sel.v0, sel.v2} <= sources(d2)
@@ -324,6 +330,33 @@ def test_u4_u5_edges_leave_u4():
     for x in sel.u3 | sel.u5:
         assert dist[x][sel.v1] == float("inf")
     assert _claims_hold(g, d2, sel, d1_from_d2(d2, sel))
+
+
+def _random_connected_graph(rng: random.Random, n: int, p: float) -> Graph:
+    """A random spanning tree plus each other pair with probability p."""
+    edges = {tuple(sorted((v, rng.randrange(v)))) for v in range(1, n)}
+    edges |= {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p}
+    return Graph.from_edges(n, sorted(edges))
+
+
+def test_d2_order_matches_the_rule_table():
+    graphs = [
+        parse_graph6(text)
+        for name in ("connected_n3.g6", "connected_n4.g6", "connected_n5.g6",
+                     "connected_n6.g6", "connected_n7.g6", "mindeg2_connected_upto_n8.g6")
+        for _, text in graph6_lines(str(DATA_DIR / name))
+    ]
+    rng = random.Random(2003)
+    for _ in range(200):
+        n = rng.randint(3, 40)
+        graphs.append(_random_connected_graph(rng, n, rng.choice((0.0, 0.05, 0.15, 0.4))))
+    graphs = [g for g in graphs if not is_complete(g)]
+    assert len(graphs) > 9000
+    for g in graphs:
+        d2, sel = d2_construction(g)
+        expect, expect_sel = oracle_d2_construction(g)
+        assert (d2.arcs, sel) == (expect.arcs, expect_sel), g.edges
+        assert is_acyclic(expect), g.edges
 
 
 # ---------------------------------------------------------------------------
