@@ -139,6 +139,8 @@ def cmd_invariants(args) -> int:
 
 def cmd_orient(args) -> int:
     out = sys.stdout
+    if args.n is not None and args.mode != "complete":
+        return _fail(f"--n is for mode complete only, not {args.mode}", 2)
     if args.mode == "complete":
         if args.n is not None:
             n = args.n

@@ -14,6 +14,8 @@ from typing import Iterable, Iterator
 DEFAULT_EDGE_BUDGET = 20
 
 _G6_MAX_N = 62
+# the largest vertex count an edge or arc list may state
+_LIST_MAX_N = 1000
 _G6_HEADER = ">>graph6<<"
 
 
@@ -278,6 +280,10 @@ def _parse_pairs(text: str, kind: str) -> tuple[int, list[tuple[int, int]]]:
                 ) from None
             if header < 0:
                 raise GraphFormatError(f"line {lineno}: negative vertex count")
+            if header > _LIST_MAX_N:
+                raise GraphFormatError(
+                    f"line {lineno}: vertex count {header} is over the limit of {_LIST_MAX_N}"
+                )
             continue
         parts = stripped.split()
         if len(parts) != 2:

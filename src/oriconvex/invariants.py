@@ -479,15 +479,8 @@ def _record(slot, v: int, idx: int):
 
 
 def _merge(acc, part):
-    """Fold the slots of a later chunk into `acc`; a chunk that held no index
-    has None slots."""
-    for k, other in enumerate(part):
-        slot = acc[k]
-        if other is None:
-            continue
-        if slot is None:
-            acc[k] = other
-            continue
+    """Fold the slots of a later chunk into `acc`."""
+    for slot, other in zip(acc, part):
         # strict comparisons keep the least index per extremum (chunks arrive
         # in ascending index order)
         if other[0] < slot[0]:

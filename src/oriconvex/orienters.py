@@ -4,13 +4,14 @@ Two constructions:
 
 * ``extreme_free_orientation`` orients any min-degree-2 graph so that no
   vertex is extreme: pack edge-disjoint chordless cycles (greedily, one
-  length at a time over the unused edges, so maximal by construction) and
-  orient them as directed cycles, then repeatedly orient a shortest path of
-  unoriented vertices between two oriented ones (with a triangle repair
-  when the path has a single interior vertex and its endpoints are
-  adjacent), and finally orient leftovers low -> high.  Once a vertex has
-  an in-arc u -> v and an out-arc v -> w with uw absent or oriented w -> u,
-  no later choice can make it extreme again.
+  length at a time over the unused edges, so maximal by construction,
+  stopping at the first length k with fewer than k vertices of free
+  degree 2 or more) and orient them as directed cycles, then repeatedly
+  orient a shortest path of unoriented vertices between two oriented ones
+  (with a triangle repair when the path has a single interior vertex and
+  its endpoints are adjacent), and finally orient leftovers low -> high.
+  Once a vertex has an in-arc u -> v and an out-arc v -> w with uw absent
+  or oriented w -> u, no later choice can make it extreme again.
 
 * ``d2_construction`` / ``d1_from_d2`` produce, for a connected incomplete
   graph, a pair of orientations with g(D1) < g(D2) and h(D1) < h(D2), from
@@ -28,6 +29,7 @@ deterministic.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -81,24 +83,24 @@ def _chordless_cycles(g: Graph, free: list[int], length: int) -> Iterator[tuple[
             yield from extend([a, b], (1 << a) | (1 << b))
 
 
-def induced_cycles(g: Graph) -> list[tuple[int, ...]]:
-    """Every chordless cycle, once each, as (min vertex, smaller neighbour,
-    ...), in (length, tuple) order: one length-ordered search per length."""
-    return [c for k in range(3, g.n + 1) for c in _chordless_cycles(g, g.adj, k)]
-
-
 def find_edge_disjoint_induced_cycles(g: Graph) -> list[tuple[int, ...]]:
     """A maximal set of pairwise edge-disjoint chordless cycles.
 
     Greedy in (length, tuple) order, searched one length at a time over the
     edges still free: a cycle whose edges stay free is met and taken, so the
-    packing is maximal by construction.
+    packing is maximal by construction.  The search stops at the first
+    length k with fewer than k vertices of free degree 2 or more: a free
+    k-cycle needs k of them, and their number only falls as edges are taken.
+    The stop leaves the output unchanged and about halves the packing time
+    over data/mindeg2_connected_upto_n8.g6 (timings in the README).
     """
     if min_degree(g) < 2:
         raise ValueError("cycle packing needs minimum degree 2")
     free = list(g.adj)
     chosen = []
     for k in range(3, g.n + 1):
+        if sum(f.bit_count() >= 2 for f in free) < k:
+            break
         for cyc in _chordless_cycles(g, free, k):
             edges = list(zip(cyc, cyc[1:] + cyc[:1]))
             if all(free[u] >> v & 1 for u, v in edges):
@@ -244,21 +246,13 @@ def triple_selection(g: Graph) -> TripleSelection:
             "complete graph has no induced two-edge path; "
             "use complete_graph_orientations"
         )
-    pick = None
-    for v1 in range(g.n):
-        nbrs = g.neighbors(v1)
-        for i, v0 in enumerate(nbrs):
-            for v2 in nbrs[i + 1:]:
-                if not g.has_edge(v0, v2):
-                    pick = (v0, v1, v2)
-                    break
-            if pick:
-                break
-        if pick:
-            break
-    if pick is None:  # unreachable: connected + incomplete forces one
-        raise ConstructionError("no induced two-edge path found")
-    v0, v1, v2 = pick
+    # connected and incomplete, so some vertex has two non-adjacent neighbours
+    v0, v1, v2 = next(
+        (v0, v1, v2)
+        for v1 in range(g.n)
+        for v0, v2 in itertools.combinations(g.neighbors(v1), 2)
+        if not g.has_edge(v0, v2)
+    )
     umask = ((1 << g.n) - 1) & ~mask_of((v0, v1, v2))
     n1, n2 = g.adj[v1], g.adj[v2]
     u1 = umask & n1 & ~n2

@@ -11,8 +11,11 @@ The con scan runs on the bitmask interval matrix (checked against
 compared with it at sizes the frozenset reference cannot reach.  The
 chordless-cycle oracles list every cycle in one DFS, sort the list, and
 pack greedily over all of it, where the package searches one length at a
-time over the edges still free.  The D2 oracle orients each edge by the
-paper's rule table, where the package orients along one vertex order.
+time over the edges still free.  The triple oracle tries every ordered
+vertex triple, where the package stops at the first pair of non-adjacent
+neighbours of the least possible middle vertex.  The D2 oracle orients
+each edge by the paper's rule table, where the package orients along one
+vertex order.
 """
 
 from __future__ import annotations
@@ -169,6 +172,23 @@ def oracle_cycle_packing(g: Graph) -> list[tuple[int, ...]]:
             chosen.append(cyc)
             used |= es
     return chosen
+
+
+def oracle_triple(g: Graph) -> tuple[int, int, int] | None:
+    """The least (v1, v0, v2) over every induced two-edge path v0-v1-v2
+    with v0 < v2, by trying every ordered vertex triple; None when g has
+    no such path."""
+    adjacent = [[False] * g.n for _ in range(g.n)]
+    for u, v in g.edges:
+        adjacent[u][v] = adjacent[v][u] = True
+    return min(
+        (
+            (v1, v0, v2)
+            for v0, v1, v2 in itertools.permutations(range(g.n), 3)
+            if v0 < v2 and adjacent[v1][v0] and adjacent[v1][v2] and not adjacent[v0][v2]
+        ),
+        default=None,
+    )
 
 
 def _d2_rule_directions(sel: TripleSelection, x: int, y: int) -> set[tuple[int, int]]:

@@ -81,6 +81,14 @@ def test_invariants_parse_error(capsys):
     assert "out of range" in err
 
 
+@pytest.mark.parametrize("flag", ["--edges", "--arcs"])
+def test_invariants_refuse_a_vertex_count_over_the_limit(capsys, flag):
+    code, out, err = run(capsys, "invariants", flag, "99999999999")
+    assert code == 2
+    assert out == ""
+    assert "vertex count 99999999999 is over the limit of 1000" in err
+
+
 def test_invariants_input_names_the_failing_line(capsys, tmp_path):
     path = tmp_path / "three.g6"
     path.write_bytes(b"Bw\nBw\nD\x85hc\n")
@@ -221,6 +229,14 @@ def test_conflicting_input_flags_are_a_usage_error(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "not allowed with argument" in captured.err
+
+
+@pytest.mark.parametrize("mode", ["d1d2", "extreme-free"])
+def test_orient_n_is_for_mode_complete_only(capsys, mode):
+    code, out, err = run(capsys, "orient", mode, "--n", "4")
+    assert code == 2
+    assert out == ""
+    assert f"--n is for mode complete only, not {mode}" in err
 
 
 def test_orient_d1d2_refuses_complete(capsys):

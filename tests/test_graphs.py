@@ -116,6 +116,7 @@ def test_edge_list_p3():
         ("x", "expected vertex count"),
         ("3\n0 1 2", "expected 'u v'"),
         ("", "missing vertex count"),
+        ("99999999999", "vertex count 99999999999 is over the limit of 1000"),
     ],
 )
 def test_edge_list_errors(text, fragment):
@@ -139,11 +140,17 @@ def test_edge_list_tolerates_blank_lines():
         ("", "missing vertex count"),
         ("-1", "negative vertex count"),
         ("-1\n0 1", "negative vertex count"),
+        ("1001\n0 1", "vertex count 1001 is over the limit of 1000"),
     ],
 )
 def test_arc_list_errors(text, fragment):
     with pytest.raises(GraphFormatError, match=fragment):
         parse_arc_list(text)
+
+
+def test_lists_take_a_vertex_count_at_the_limit():
+    assert parse_edge_list("1000").n == 1000
+    assert parse_arc_list("1000\n0 999").arcs == ((0, 999),)
 
 
 def test_arc_list_keeps_both_directions():

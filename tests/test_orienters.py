@@ -17,6 +17,7 @@ from oriconvex.geodesic import (
     sources,
 )
 from oriconvex.invariants import convexity_number, geodetic_number, hull_number
+from oriconvex import orienters
 from oriconvex.orienters import (
     ConstructionError,
     complete_graph_orientations,
@@ -25,7 +26,6 @@ from oriconvex.orienters import (
     extreme_free_orientation,
     extreme_free_orientation_steps,
     find_edge_disjoint_induced_cycles,
-    induced_cycles,
     triple_selection,
 )
 from oriconvex.smallgraphs import connected_graphs, connected_min_degree_2
@@ -36,6 +36,7 @@ from _oracles import (
     oracle_cycle_packing,
     oracle_d2_construction,
     oracle_induced_cycles,
+    oracle_triple,
 )
 
 
@@ -57,18 +58,46 @@ def test_bowtie_packs_both_triangles():
     assert find_edge_disjoint_induced_cycles(bowtie) == [(0, 1, 2), (2, 3, 4)]
 
 
+def test_k4_packing_searches_only_length_3(monkeypatch):
+    # after the first triangle only vertex 3 has two free edges, so no free
+    # 4-cycle can remain and the length-4 search is skipped
+    lengths = []
+    search = orienters._chordless_cycles
+
+    def spy(g, free, length):
+        lengths.append(length)
+        return search(g, free, length)
+
+    monkeypatch.setattr(orienters, "_chordless_cycles", spy)
+    assert find_edge_disjoint_induced_cycles(complete_graph(4)) == [(0, 1, 2)]
+    assert lengths == [3]
+    lengths.clear()
+    # after two triangles of K5, four vertices keep two free edges each
+    assert find_edge_disjoint_induced_cycles(complete_graph(5)) == [(0, 1, 2), (0, 3, 4)]
+    assert lengths == [3, 4]
+    lengths.clear()
+    assert find_edge_disjoint_induced_cycles(cycle_graph(5)) == [(0, 1, 2, 3, 4)]
+    assert lengths == [3, 4, 5]
+
+
+def _cycles_of_length(g, length):
+    return list(orienters._chordless_cycles(g, g.adj, length))
+
+
 def test_c4_with_chord_has_no_induced_c4():
     g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
-    cycles = induced_cycles(g)
-    assert (0, 1, 2, 3) not in cycles
-    assert all(len(c) == 3 for c in cycles)
+    assert _cycles_of_length(g, 4) == []
+    assert _cycles_of_length(g, 3) == oracle_induced_cycles(g) == [(0, 1, 2), (0, 2, 3)]
 
 
 def test_enumeration_finds_every_chordless_cycle_once():
-    g = cycle_graph(6)
-    assert induced_cycles(g) == [(0, 1, 2, 3, 4, 5)]
+    c6 = cycle_graph(6)
+    assert [_cycles_of_length(c6, k) for k in (3, 4, 5)] == [[], [], []]
+    assert _cycles_of_length(c6, 6) == oracle_induced_cycles(c6) == [(0, 1, 2, 3, 4, 5)]
     k4 = complete_graph(4)
-    assert induced_cycles(k4) == [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+    triangles = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+    assert _cycles_of_length(k4, 3) == oracle_induced_cycles(k4) == triangles
+    assert _cycles_of_length(k4, 4) == []
 
 
 def test_packing_is_edge_disjoint_and_chordless():
@@ -88,10 +117,14 @@ def test_packing_is_edge_disjoint_and_chordless():
                     assert g.has_edge(a, b) == consecutive
 
 
-def _assert_packing_matches_the_oracle(g, *, listing=True):
+def _assert_listing_matches_the_oracle(g):
     cycles = oracle_induced_cycles(g)
-    if listing:
-        assert induced_cycles(g) == cycles, g.edges
+    for k in range(3, g.n + 1):
+        assert _cycles_of_length(g, k) == [c for c in cycles if len(c) == k], (g.edges, k)
+
+
+def _assert_packing_matches_the_oracle(g):
+    cycles = oracle_induced_cycles(g)
     packing = find_edge_disjoint_induced_cycles(g)
     assert packing == oracle_cycle_packing(g), g.edges
     used = set().union(*map(cycle_edges, packing))
@@ -105,6 +138,7 @@ def test_cycles_and_packing_match_the_oracle_on_every_min_degree_2_graph_n_up_to
     graphs = [g for g in (parse_graph6(text) for _, text in lines) if g.n <= 7]
     assert len(graphs) == 1 + 3 + 11 + 61 + 507
     for g in graphs:
+        _assert_listing_matches_the_oracle(g)
         _assert_packing_matches_the_oracle(g)
 
 
@@ -112,11 +146,13 @@ def test_cycles_and_packing_match_the_oracle_on_every_min_degree_2_graph_n_up_to
     "n, m", ((20, 30), (20, 40), (30, 45), (30, 60), (40, 60), (40, 80), (50, 75))
 )
 def test_cycles_and_packing_match_the_oracle_on_random_graphs(n, m):
-    # listing every cycle one length at a time costs about n times the
-    # oracle's single DFS, so the listing is compared only up to n = 30;
-    # n = 50, m = 2n is left out: the oracle lists some 5 * 10^4 cycles
+    # searching every length costs about n times the oracle's single DFS,
+    # so the listing is compared only up to n = 30; n = 50, m = 2n is left
+    # out: the oracle lists some 5 * 10^4 cycles
     g = cycle_plus_chords(random.Random(n * 1000 + m), n, m)
-    _assert_packing_matches_the_oracle(g, listing=n <= 30)
+    if n <= 30:
+        _assert_listing_matches_the_oracle(g)
+    _assert_packing_matches_the_oracle(g)
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +252,31 @@ def test_selection_is_lexicographically_least():
     g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (2, 3)])
     sel = triple_selection(g)
     assert (sel.v0, sel.v1, sel.v2) == (1, 0, 2)
+
+
+def _corpus_graphs() -> list[Graph]:
+    """Every graph of data/connected_n3..n7.g6 and of the md2 corpus."""
+    return [
+        parse_graph6(text)
+        for name in ("connected_n3.g6", "connected_n4.g6", "connected_n5.g6",
+                     "connected_n6.g6", "connected_n7.g6", "mindeg2_connected_upto_n8.g6")
+        for _, text in graph6_lines(str(DATA_DIR / name))
+    ]
+
+
+def test_selection_is_the_least_induced_two_edge_path():
+    incomplete = 0
+    for g in _corpus_graphs():
+        least = oracle_triple(g)
+        if is_complete(g):
+            assert least is None
+            with pytest.raises(ValueError, match="complete"):
+                triple_selection(g)
+            continue
+        sel = triple_selection(g)
+        assert (sel.v1, sel.v0, sel.v2) == least, g.edges
+        incomplete += 1
+    assert incomplete > 9000
 
 
 def test_partition_is_a_partition():
@@ -340,12 +401,7 @@ def _random_connected_graph(rng: random.Random, n: int, p: float) -> Graph:
 
 
 def test_d2_order_matches_the_rule_table():
-    graphs = [
-        parse_graph6(text)
-        for name in ("connected_n3.g6", "connected_n4.g6", "connected_n5.g6",
-                     "connected_n6.g6", "connected_n7.g6", "mindeg2_connected_upto_n8.g6")
-        for _, text in graph6_lines(str(DATA_DIR / name))
-    ]
+    graphs = _corpus_graphs()
     rng = random.Random(2003)
     for _ in range(200):
         n = rng.randint(3, 40)
