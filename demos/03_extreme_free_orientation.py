@@ -8,6 +8,7 @@ never undone.
 """
 
 from oriconvex import (
+    Digraph,
     Graph,
     extreme_free_orientation_steps,
     extreme_vertices,
@@ -24,14 +25,14 @@ print("packing edge-disjoint chordless cycles first:")
 for cyc in find_edge_disjoint_induced_cycles(petersen):
     print("   cycle", cyc)
 
-last = None
-for step, po in enumerate(extreme_free_orientation_steps(petersen), start=1):
-    oriented = len(po.oriented_arcs())
-    print(f"step {step}: {oriented}/{petersen.m} edges oriented, "
-          f"{len(po.or_vertices())}/{petersen.n} vertices touched")
-    last = po
+# each step is the out-masks so far: bit y of out[x] set means arc x -> y
+for step, out in enumerate(extreme_free_orientation_steps(petersen), start=1):
+    arcs = [(x, y) for x in range(petersen.n) for y in range(petersen.n) if out[x] >> y & 1]
+    touched = {v for arc in arcs for v in arc}
+    print(f"step {step}: {len(arcs)}/{petersen.m} edges oriented, "
+          f"{len(touched)}/{petersen.n} vertices touched")
 
-d = last.to_digraph()
+d = Digraph.from_arcs(petersen.n, arcs)
 print("\nfinal orientation:", d.arcs)
 print("extreme vertices:", sorted(extreme_vertices(d)) or "none")
 print("so con(D) < n - 1 for this orientation, which is exactly what a")

@@ -16,6 +16,7 @@ import sys
 import time
 
 from .graphs import (
+    _LIST_MAX_N,
     DEFAULT_EDGE_BUDGET,
     Graph,
     GraphFormatError,
@@ -143,6 +144,8 @@ def cmd_orient(args) -> int:
         return _fail(f"--n is for mode complete only, not {args.mode}", 2)
     if args.mode == "complete":
         if args.n is not None:
+            if args.n > _LIST_MAX_N:
+                return _fail(f"--n {args.n} is over the limit of {_LIST_MAX_N}", 2)
             n = args.n
         else:
             g = _one_graph(args)

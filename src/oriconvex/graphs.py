@@ -7,6 +7,7 @@ bitmasks so the exhaustive searches elsewhere in the package stay cheap.
 
 from __future__ import annotations
 
+import re
 import string
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
@@ -262,22 +263,32 @@ def encode_graph6(g: Graph) -> str:
 # ---------------------------------------------------------------------------
 # edge-list text format: first line n, then one "u v" pair per line
 
+# a token is ASCII digits with an optional sign; int() alone would also take
+# Unicode digits, '_' and Unicode whitespace around the number
+_INT_TOKEN = re.compile(r"[+-]?[0-9]+")
+_ASCII_SPACE = re.compile(f"[{re.escape(string.whitespace)}]+")
+
+
 def _parse_pairs(text: str, kind: str) -> tuple[int, list[tuple[int, int]]]:
-    """Vertex count and 'u v' pairs; `kind` is "edge" (unordered) or "arc"."""
+    """Vertex count and 'u v' pairs; `kind` is "edge" (unordered) or "arc".
+
+    Lines end at '\n' only and tokens are padded and separated by ASCII
+    whitespace only, so a byte such as 0x85 or 0xA0 fails where it stands
+    instead of splitting a line or a pair.
+    """
     header = None
     pairs: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        stripped = raw.strip(string.whitespace)
         if not stripped:
             continue
         if header is None:
-            try:
-                header = int(stripped)
-            except ValueError:
+            if not _INT_TOKEN.fullmatch(stripped):
                 raise GraphFormatError(
                     f"line {lineno}: expected vertex count, got {stripped!r}"
-                ) from None
+                )
+            header = int(stripped)
             if header < 0:
                 raise GraphFormatError(f"line {lineno}: negative vertex count")
             if header > _LIST_MAX_N:
@@ -285,15 +296,14 @@ def _parse_pairs(text: str, kind: str) -> tuple[int, list[tuple[int, int]]]:
                     f"line {lineno}: vertex count {header} is over the limit of {_LIST_MAX_N}"
                 )
             continue
-        parts = stripped.split()
+        parts = _ASCII_SPACE.split(stripped)
         if len(parts) != 2:
             raise GraphFormatError(f"line {lineno}: expected 'u v', got {stripped!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
+        if not all(_INT_TOKEN.fullmatch(t) for t in parts):
             raise GraphFormatError(
                 f"line {lineno}: non-integer endpoint in {stripped!r}"
-            ) from None
+            )
+        u, v = int(parts[0]), int(parts[1])
         if not (0 <= u < header and 0 <= v < header):
             raise GraphFormatError(
                 f"line {lineno}: endpoint out of range [0,{header}) in ({u},{v})"
@@ -383,47 +393,3 @@ def enumerate_orientations(
         raise EdgeBudgetError(g.m, edge_budget)
     for index in range(orientation_count(g)):
         yield orientation_from_index(g, index)
-
-
-class PartialOrientation:
-    """Mutable assignment of directions to a subset of a graph's edges."""
-
-    def __init__(self, base: Graph):
-        self.base = base
-        self._direction: dict[tuple[int, int], tuple[int, int]] = {}
-        self._or_mask = 0
-
-    def orient(self, x: int, y: int) -> None:
-        """Record direction x -> y for the edge {x, y}."""
-        if not self.base.has_edge(x, y):
-            raise ValueError(f"({x},{y}) is not an edge of the base graph")
-        key = (x, y) if x < y else (y, x)
-        if key in self._direction:
-            raise ValueError(f"edge {key} already oriented")
-        self._direction[key] = (x, y)
-        self._or_mask |= (1 << x) | (1 << y)
-
-    def is_oriented(self, u: int, v: int) -> bool:
-        return ((u, v) if u < v else (v, u)) in self._direction
-
-    def direction(self, u: int, v: int) -> tuple[int, int] | None:
-        return self._direction.get((u, v) if u < v else (v, u))
-
-    def is_or_vertex(self, v: int) -> bool:
-        """True iff v is incident to at least one oriented edge."""
-        return bool(self._or_mask >> v & 1)
-
-    def or_vertices(self) -> frozenset[int]:
-        return frozenset(bits(self._or_mask))
-
-    def oriented_arcs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self._direction.values()))
-
-    def unoriented_edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(e for e in self.base.edges if e not in self._direction)
-
-    def to_digraph(self) -> Digraph:
-        if len(self._direction) != self.base.m:
-            missing = self.base.m - len(self._direction)
-            raise ValueError(f"{missing} edges still unoriented")
-        return Digraph.from_arcs(self.base.n, self._direction.values())

@@ -479,15 +479,10 @@ def _record(slot, v: int, idx: int):
 
 
 def _merge(acc, part):
-    """Fold the slots of a later chunk into `acc`."""
-    for slot, other in zip(acc, part):
-        # strict comparisons keep the least index per extremum (chunks arrive
-        # in ascending index order)
-        if other[0] < slot[0]:
-            slot[0], slot[1] = other[0], other[1]
-        if other[2] > slot[2]:
-            slot[2], slot[3] = other[2], other[3]
-    return acc
+    """Fold the slots of a later chunk into `acc`; chunks arrive in ascending
+    index order, so `_record` keeps the least index per extremum."""
+    return [_record(_record(slot, lo, lo_i), hi, hi_i)
+            for slot, (lo, lo_i, hi, hi_i) in zip(acc, part)]
 
 
 def fan_out(fn, jobs: list, workers: int | None = None) -> list:

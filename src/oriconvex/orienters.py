@@ -11,7 +11,10 @@ Two constructions:
   (with a triangle repair when the path has a single interior vertex and
   its endpoints are adjacent), and finally orient leftovers low -> high.
   Once a vertex has an in-arc u -> v and an out-arc v -> w with uw absent
-  or oriented w -> u, no later choice can make it extreme again.
+  or oriented w -> u, no later choice can make it extreme again.  The
+  state is one out-mask per vertex, as in ``Digraph.out_masks``, plus the
+  mask of vertices touched so far; ``extreme_free_orientation_steps``
+  yields a snapshot of the out-masks after each step.
 
 * ``d2_construction`` / ``d1_from_d2`` produce, for a connected incomplete
   graph, a pair of orientations with g(D1) < g(D2) and h(D1) < h(D2), from
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from . import geodesic
-from .graphs import Digraph, Graph, PartialOrientation, bits, is_complete, is_connected, mask_of, min_degree
+from .graphs import Digraph, Graph, bits, is_complete, is_connected, mask_of, min_degree
 
 
 class ConstructionError(RuntimeError):
@@ -115,12 +118,14 @@ def find_edge_disjoint_induced_cycles(g: Graph) -> list[tuple[int, ...]]:
 # extreme-free orientation (minimum degree 2)
 
 
-def _shortest_or_to_or_path(g: Graph, po: PartialOrientation) -> list[int] | None:
-    """Shortest path joining two distinct or-vertices through unoriented
-    interior vertices, with at least one interior vertex.  Ties break toward
-    the lexicographically least (length, path) candidate."""
+def _shortest_or_to_or_path(g: Graph, touched: int) -> list[int] | None:
+    """Shortest path joining two distinct touched vertices (those in the
+    mask ``touched``) through untouched interior vertices, with at least one
+    interior vertex.  Ties break toward the lexicographically least
+    (length, path) candidate."""
+    adj = g.adj
     best: tuple[int, list[int]] | None = None
-    for start in sorted(bits(po._or_mask)):
+    for start in bits(touched):
         parent = {start: -1}
         layer = [start]
         depth = 0
@@ -128,10 +133,10 @@ def _shortest_or_to_or_path(g: Graph, po: PartialOrientation) -> list[int] | Non
             depth += 1
             nxt = []
             for u in layer:
-                for w in g.neighbors(u):
+                for w in bits(adj[u]):
                     if w in parent:
                         continue
-                    if po.is_or_vertex(w):
+                    if touched >> w & 1:
                         if u == start:
                             continue  # r = 0, no interior vertex to orient
                         path = [w, u]
@@ -150,50 +155,67 @@ def _shortest_or_to_or_path(g: Graph, po: PartialOrientation) -> list[int] | Non
     return best[1] if best else None
 
 
-def extreme_free_orientation_steps(g: Graph) -> Iterator[PartialOrientation]:
-    """The construction one step at a time, for audit; the same object is
-    yielded after each cycle, each path, and the final cleanup."""
+def extreme_free_orientation_steps(g: Graph) -> Iterator[tuple[int, ...]]:
+    """The construction one step at a time, for audit: the out-masks so far
+    (bit y of entry x means x -> y, as in ``Digraph.out_masks``) after each
+    cycle, each path, and the final cleanup."""
     if min_degree(g) < 2:
         raise ValueError(
             "extreme-free orientation needs minimum degree 2: an end-vertex "
             "is a source or a sink in every orientation, hence extreme"
         )
-    po = PartialOrientation(g)
+    adj = g.adj
+    out = [0] * g.n
+    touched = 0
+
+    def orient(x: int, y: int) -> None:
+        nonlocal touched
+        if not adj[x] >> y & 1:
+            raise ConstructionError(f"({x},{y}) is not an edge of the graph")
+        if out[x] >> y & 1 or out[y] >> x & 1:
+            raise ConstructionError(f"edge {{{x},{y}}} already oriented")
+        out[x] |= 1 << y
+        touched |= (1 << x) | (1 << y)
+
     for cyc in find_edge_disjoint_induced_cycles(g):
         for i, u in enumerate(cyc):
-            po.orient(u, cyc[(i + 1) % len(cyc)])
-        yield po
+            orient(u, cyc[(i + 1) % len(cyc)])
+        yield tuple(out)
     full = (1 << g.n) - 1
-    while po._or_mask != full:
-        path = _shortest_or_to_or_path(g, po)
+    while touched != full:
+        path = _shortest_or_to_or_path(g, touched)
         if path is None:
             raise ConstructionError(
                 "no augmenting path found with vertices still unoriented"
             )
-        if len(path) == 3 and g.has_edge(path[0], path[2]):
+        if len(path) == 3 and adj[path[0]] >> path[2] & 1:
             u0, u1, u2 = path
-            if not po.is_oriented(u0, u2):
-                po.orient(min(u0, u2), max(u0, u2))
-            x, y = po.direction(u0, u2)
+            if not (out[u0] >> u2 & 1 or out[u2] >> u0 & 1):
+                orient(min(u0, u2), max(u0, u2))
+            x, y = (u0, u2) if out[u0] >> u2 & 1 else (u2, u0)
             # run the path edges against x -> y so u1 closes a directed triangle
-            po.orient(y, u1)
-            po.orient(u1, x)
+            orient(y, u1)
+            orient(u1, x)
         else:
             for u, w in zip(path, path[1:]):
-                po.orient(u, w)
-        yield po
-    if po.unoriented_edges():
-        for u, v in po.unoriented_edges():
-            po.orient(u, v)
-        yield po
+                orient(u, w)
+        yield tuple(out)
+    left = [(u, v) for u, v in g.edges if not (out[u] >> v & 1 or out[v] >> u & 1)]
+    if left:
+        for u, v in left:
+            orient(u, v)
+        yield tuple(out)
 
 
 def extreme_free_orientation(g: Graph) -> Digraph:
     """An orientation of g with no extreme vertex (so con < n - 1)."""
-    po = None
-    for po in extreme_free_orientation_steps(g):
+    out = ()
+    for out in extreme_free_orientation_steps(g):
         pass
-    d = po.to_digraph()
+    arcs = tuple((x, y) for x, m in enumerate(out) for y in bits(m))
+    if len(arcs) != g.m:
+        raise ConstructionError(f"{g.m - len(arcs)} edges still unoriented")
+    d = Digraph(g.n, arcs)
     for v in range(d.n):
         if geodesic.is_extreme(d, v):
             raise ConstructionError(f"vertex {v} ended up extreme")

@@ -190,6 +190,14 @@ def test_orient_complete_large_n_asks_only_for_g(capsys):
     assert "g(reversed-path)=2, witness {0, 69}" in out
 
 
+def test_orient_complete_bounds_n(capsys):
+    # an unbounded --n built both tournaments' n^2 arcs before any check
+    code, out, err = run(capsys, "orient", "complete", "--n", "1001")
+    assert code == 2
+    assert out == ""
+    assert "--n 1001 is over the limit of 1000" in err
+
+
 def test_orient_takes_no_sweep_settings():
     # orient runs no orientation sweep, so --budget/--workers are usage errors
     with pytest.raises(SystemExit) as exc:

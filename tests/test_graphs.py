@@ -1,5 +1,6 @@
 import itertools
 import random
+import string
 
 import networkx as nx
 import pytest
@@ -12,7 +13,6 @@ from oriconvex.graphs import (
     EdgeBudgetError,
     Graph,
     GraphFormatError,
-    PartialOrientation,
     encode_graph6,
     end_vertices,
     enumerate_orientations,
@@ -106,6 +106,16 @@ def test_edge_list_p3():
     assert parse_edge_list("3\n0 1\n1 2") == path_graph(3)
 
 
+# lines end at '\n' only, and only ASCII whitespace pads or splits tokens
+_ASCII_ONLY_CASES = [
+    ("3\n0 1\x851 2", "line 2: expected 'u v'"),
+    ("3\n0 1\x0b0 5", "line 2: expected 'u v'"),
+    ("3\n0 1\xa0\n1 2", "line 2: non-integer endpoint"),
+    ("3\n0\xa01\n1 2", "line 2: expected 'u v'"),
+    ("3\n0 \u0661\n1 2", "line 2: non-integer endpoint"),
+]
+
+
 @pytest.mark.parametrize(
     "text, fragment",
     [
@@ -117,7 +127,7 @@ def test_edge_list_p3():
         ("3\n0 1 2", "expected 'u v'"),
         ("", "missing vertex count"),
         ("99999999999", "vertex count 99999999999 is over the limit of 1000"),
-    ],
+    ] + _ASCII_ONLY_CASES,
 )
 def test_edge_list_errors(text, fragment):
     with pytest.raises(GraphFormatError, match=fragment):
@@ -141,7 +151,7 @@ def test_edge_list_tolerates_blank_lines():
         ("-1", "negative vertex count"),
         ("-1\n0 1", "negative vertex count"),
         ("1001\n0 1", "vertex count 1001 is over the limit of 1000"),
-    ],
+    ] + _ASCII_ONLY_CASES,
 )
 def test_arc_list_errors(text, fragment):
     with pytest.raises(GraphFormatError, match=fragment):
@@ -155,6 +165,63 @@ def test_lists_take_a_vertex_count_at_the_limit():
 
 def test_arc_list_keeps_both_directions():
     assert parse_arc_list("2\n1 0\n0 1").arcs == ((0, 1), (1, 0))
+
+
+# ---------------------------------------------------------------------------
+# parser fuzzing
+
+_LATIN1 = st.characters(max_codepoint=255)
+_G6_TEXT = st.one_of(
+    st.text(_LATIN1, max_size=20),
+    # a header byte for n <= 10 and a few data bytes: often valid graph6
+    st.builds(
+        lambda pre, n, data, post: pre + chr(63 + n) + data + post,
+        st.sampled_from(["", ">>graph6<<"]),
+        st.integers(0, 10),
+        st.text(st.characters(min_codepoint=63, max_codepoint=126), max_size=8),
+        st.text("\r\n", max_size=3),
+    ),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_G6_TEXT)
+def test_graph6_fuzz_fails_cleanly_or_round_trips(s):
+    try:
+        g = parse_graph6(s)
+    except GraphFormatError:
+        return
+    assert encode_graph6(g) == s.rstrip("\r\n").removeprefix(">>graph6<<")
+
+
+_LIST_SPACE = " \t\r\x0b\x1c\x85\xa0"
+_LIST_TOKEN = st.one_of(st.integers(-1, 6).map(str), st.text("0123456789-x", max_size=3))
+_LIST_LINE = st.builds(
+    lambda a, u, b, v, c: a + u + b + v + c,
+    *(st.text(_LIST_SPACE, max_size=2), _LIST_TOKEN) * 2, st.text(_LIST_SPACE, max_size=2),
+)
+_LIST_TEXT = st.one_of(
+    st.text("0123456789-x\n" + _LIST_SPACE, max_size=30),
+    st.builds(
+        lambda n, lines: "\n".join([str(n)] + lines),
+        st.integers(0, 6),
+        st.lists(st.one_of(_LIST_LINE, st.text(_LIST_SPACE, max_size=2)), max_size=6),
+    ),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_LIST_TEXT, st.sampled_from([parse_edge_list, parse_arc_list]))
+def test_list_fuzz_reads_one_pair_per_line(text, parse):
+    try:
+        parsed = parse(text)
+    except GraphFormatError:
+        return
+    pairs = parsed.edges if isinstance(parsed, Graph) else parsed.arcs
+    nonblank = [line for line in text.split("\n") if line.strip(string.whitespace)]
+    assert len(pairs) == len(nonblank) - 1
+    canonical = f"{parsed.n}\n" + "".join(f"{u} {v}\n" for u, v in pairs)
+    assert parse(canonical) == parsed
 
 
 # ---------------------------------------------------------------------------
@@ -292,26 +359,3 @@ def test_reverse_is_an_involution():
     for _ in range(50):
         d = random_digraph(rng, rng.randint(1, 7))
         assert reverse(reverse(d)) == d
-
-
-# ---------------------------------------------------------------------------
-# partial orientations
-
-
-def test_partial_orientation_tracks_or_vertices():
-    g = cycle_graph(4)
-    po = PartialOrientation(g)
-    assert po.or_vertices() == frozenset()
-    po.orient(1, 0)
-    assert po.is_or_vertex(0) and po.is_or_vertex(1) and not po.is_or_vertex(2)
-    assert po.direction(0, 1) == (1, 0)
-    with pytest.raises(ValueError):
-        po.orient(0, 1)  # already oriented
-    with pytest.raises(ValueError):
-        po.orient(0, 2)  # not an edge
-    with pytest.raises(ValueError):
-        po.to_digraph()  # incomplete
-    po.orient(1, 2)
-    po.orient(2, 3)
-    po.orient(3, 0)
-    assert po.to_digraph().arcs == ((1, 0), (1, 2), (2, 3), (3, 0))

@@ -176,28 +176,37 @@ def test_end_vertex_refusal_mentions_the_obstruction():
         extreme_free_orientation(path_graph(3))
 
 
-def _permanently_non_extreme(po, v):
+def _permanently_non_extreme(g, out, v):
     """Arcs u -> v and v -> w exist with uw absent or already oriented w -> u."""
-    g = po.base
     for u in g.neighbors(v):
-        if po.direction(u, v) != (u, v):
+        if not out[u] >> v & 1:
             continue
         for w in g.neighbors(v):
-            if w == u or po.direction(v, w) != (v, w):
+            if w == u or not out[v] >> w & 1:
                 continue
-            if not g.has_edge(u, w):
-                return True
-            if po.direction(w, u) == (w, u):
+            if not g.has_edge(u, w) or out[w] >> u & 1:
                 return True
     return False
 
 
 def test_every_step_keeps_or_vertices_permanently_non_extreme():
+    # each snapshot of out-masks adds arcs to the one before, every vertex
+    # with an arc stays non-extreme, and the last snapshot orients g
     for n in (3, 4, 5, 6):
         for g in connected_min_degree_2(n):
-            for po in extreme_free_orientation_steps(g):
-                for v in po.or_vertices():
-                    assert _permanently_non_extreme(po, v), (g.edges, v)
+            prev = (0,) * n
+            for out in extreme_free_orientation_steps(g):
+                assert out != prev and all(p & ~o == 0 for p, o in zip(prev, out)), g.edges
+                touched = 0
+                for x, m in enumerate(out):
+                    if m:
+                        touched |= m | 1 << x
+                for v in range(n):
+                    if touched >> v & 1:
+                        assert _permanently_non_extreme(g, out, v), (g.edges, v)
+                prev = out
+            arcs = [(x, y) for x in range(n) for y in range(n) if prev[x] >> y & 1]
+            assert Digraph.from_arcs(n, arcs).is_orientation_of(g), g.edges
 
 
 def test_extreme_free_exhaustive_n_up_to_6():
