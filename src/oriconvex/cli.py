@@ -51,12 +51,13 @@ def _fail(msg: str, code: int) -> int:
 
 
 def _stdin():
-    """stdin read as latin-1, one character per byte: a non-ASCII byte then
-    fails to parse where it stands (one graph6 line) instead of failing the
-    decode of the whole input."""
+    """stdin read as latin-1, one character per byte, with lines ending at
+    '\n' only: a non-ASCII byte or a bare '\r' then fails to parse where it
+    stands (one graph6 line) instead of failing the decode of the whole
+    input or splitting a line."""
     if not hasattr(sys.stdin, "buffer"):  # a text stream put in place of stdin
         return sys.stdin
-    return io.StringIO(sys.stdin.buffer.read().decode("latin-1"), newline=None)
+    return io.StringIO(sys.stdin.buffer.read().decode("latin-1"), newline="\n")
 
 
 def _input_graphs(args) -> list[Graph]:
@@ -237,8 +238,7 @@ def _emit_corpus(report, fmt, out) -> None:
         w = csv.writer(out)
         w.writerow(["line", "graph", "status", "ok", "case", *NUMBER_KEYS])
         for rec in report.records:
-            cls = rec.classification
-            nums = rec.separation.numbers if rec.separation is not None else cls
+            cls, nums = rec.classification, rec.numbers
             row = [rec.line, rec.text, rec.status, rec.ok, cls.case if cls else ""]
             row += [getattr(nums, k) for k in NUMBER_KEYS] if nums is not None else [""] * 6
             w.writerow(row)

@@ -79,17 +79,8 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """Build from unordered pairs in any order; rejects duplicates."""
-        norm = []
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            norm.append((u, v) if u < v else (v, u))
-        norm.sort()
-        for a, b in zip(norm, norm[1:]):
-            if a == b:
-                raise ValueError(f"duplicate edge {a}")
-        return cls(n, tuple(norm))
+        """Build from unordered pairs in any order; rejects loops and duplicates."""
+        return cls(n, tuple(sorted((u, v) if u < v else (v, u) for u, v in edges)))
 
     @property
     def m(self) -> int:
@@ -139,11 +130,8 @@ class Digraph:
 
     @classmethod
     def from_arcs(cls, n: int, arcs: Iterable[tuple[int, int]]) -> "Digraph":
-        norm = sorted(tuple(a) for a in arcs)
-        for a, b in zip(norm, norm[1:]):
-            if a == b:
-                raise ValueError(f"duplicate arc {a}")
-        return cls(n, tuple(norm))
+        """Build from (tail, head) pairs in any order; rejects loops and duplicates."""
+        return cls(n, tuple(sorted(tuple(a) for a in arcs)))
 
     def has_arc(self, u: int, v: int) -> bool:
         return u != v and bool(self.out_masks[u] >> v & 1)
@@ -229,11 +217,13 @@ def graph6_lines(source) -> list[tuple[int, str]]:
     `source` is a file path or an iterable of lines, each str or bytes.  A
     file and bytes are read as latin-1, one character per byte, so a byte
     that is not graph6 (non-ASCII included) fails to parse on its own line.
+    A file's lines end at '\n' only, as in `_parse_pairs`: a bare '\r' stays
+    inside its line and fails it.
     Lines lose ASCII whitespace only, which is never a graph6 byte: a bare
     strip() would also drop 0x85 and 0xA0 and pass the rest of the line.
     """
     if isinstance(source, (str, bytes)):
-        with open(source, "r", encoding="latin-1") as fh:
+        with open(source, "r", encoding="latin-1", newline="\n") as fh:
             return graph6_lines(list(fh))
     out = []
     for lineno, raw in enumerate(source, start=1):

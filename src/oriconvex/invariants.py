@@ -107,23 +107,6 @@ def _set_interval(iv, smask: int) -> int:
     return out
 
 
-def _is_convex(iv, s: int) -> bool:
-    """I[s] == s, stopping at the first pair whose interval leaves s."""
-    out = ~s
-    rest = s
-    while rest:
-        b = rest & -rest
-        rest ^= b
-        row = iv[b.bit_length() - 1]
-        r = rest
-        while r:
-            c = r & -r
-            r ^= c
-            if row[c.bit_length() - 1] & out:
-                return False
-    return True
-
-
 def _hull_mask(iv, smask: int, convex: int = 0, stop: int = 0) -> int:
     """Convex hull of `smask`, given a convex subset `convex` of it.
 
@@ -458,7 +441,7 @@ def _sweep_chunk(args):
         if ext:
             cs = _record(cs, n - 1, idx)
         elif not (cs is not None and cs[2] >= n - 1 and any(
-                w.bit_count() >= cs[0] and _is_convex(iv, w)
+                w.bit_count() >= cs[0] and _set_interval(iv, w) == w
                 for w in recent_c)):
             w = _convex_witness(n, iv, ext)
             runs[2] += 1

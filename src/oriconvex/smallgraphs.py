@@ -14,15 +14,10 @@ from __future__ import annotations
 
 import functools
 from collections import defaultdict
-from typing import Callable
 
-from .graphs import Graph, bits
+from .graphs import Graph, bits, is_connected, min_degree
 
 Adjacency = tuple[int, ...]  # neighbour bitmask per vertex
-
-
-def _edge_count(adj: Adjacency) -> int:
-    return sum(a.bit_count() for a in adj) // 2
 
 
 def _refine_colors(adj: Adjacency, rounds: int = 3):
@@ -36,10 +31,6 @@ def _refine_colors(adj: Adjacency, rounds: int = 3):
             for v in range(n)
         ]
     return colors
-
-
-def _invariant_key(adj: Adjacency):
-    return (len(adj), _edge_count(adj), tuple(sorted(_refine_colors(adj))))
 
 
 def _extend_isomorphism(adj1: Adjacency, adj2: Adjacency, c1, c2, prefix=()):
@@ -97,14 +88,6 @@ def _extend_isomorphism(adj1: Adjacency, adj2: Adjacency, c1, c2, prefix=()):
     return mapping if extend(0, 0) else None
 
 
-def _isomorphic(adj1: Adjacency, adj2: Adjacency) -> bool:
-    if len(adj1) != len(adj2):
-        return False
-    c1 = _refine_colors(adj1)
-    c2 = _refine_colors(adj2)
-    return sorted(c1) == sorted(c2) and _extend_isomorphism(adj1, adj2, c1, c2) is not None
-
-
 def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
     """Generators of Aut(g) as vertex permutations (p[v] is the image of v);
     empty when the group is trivial.
@@ -144,52 +127,6 @@ def _orbit(v: int, perms) -> set[int]:
     return orbit
 
 
-class _Deduper:
-    def __init__(self):
-        self._buckets: dict = {}
-        self.kept: list[Adjacency] = []
-
-    def add(self, adj: Adjacency) -> bool:
-        key = _invariant_key(adj)
-        bucket = self._buckets.setdefault(key, [])
-        for other in bucket:
-            if _isomorphic(adj, other):
-                return False
-        bucket.append(adj)
-        self.kept.append(adj)
-        return True
-
-
-def _components(adj: Adjacency) -> list[int]:
-    n = len(adj)
-    left = (1 << n) - 1
-    comps = []
-    while left:
-        start = left & -left
-        seen = start
-        frontier = start
-        while frontier:
-            nxt = 0
-            for v in bits(frontier):
-                nxt |= adj[v]
-            frontier = nxt & ~seen
-            seen |= frontier
-        comps.append(seen)
-        left &= ~seen
-    return comps
-
-
-def _extensions(base: Adjacency, subset_ok: Callable[[int], bool]):
-    n = len(base) + 1
-    for s in range(1 << (n - 1)):
-        if not subset_ok(s):
-            continue
-        adj = list(base) + [s]
-        for v in bits(s):
-            adj[v] |= 1 << (n - 1)
-        yield tuple(adj)
-
-
 def _to_graph(adj: Adjacency) -> Graph:
     n = len(adj)
     return Graph(
@@ -206,28 +143,22 @@ def _all_adjacencies(n: int) -> tuple[Adjacency, ...]:
         raise ValueError("need n >= 1")
     if n == 1:
         return ((0,),)
-    dedup = _Deduper()
+    kept = []
+    # candidates keyed by their sorted refined colours, which carry the
+    # degrees: an isomorphism can only map a candidate to one with its key
+    buckets = defaultdict(list)
     for base in _all_adjacencies(n - 1):
-        for adj in _extensions(base, lambda s: True):
-            dedup.add(adj)
-    return tuple(dedup.kept)
-
-
-@functools.cache
-def _connected_adjacencies(n: int) -> tuple[Adjacency, ...]:
-    if n == 1:
-        return ((0,),)
-    dedup = _Deduper()
-    for base in _all_adjacencies(n - 1):
-        comps = _components(base)
-        # the new vertex must touch every component of the base graph,
-        # which yields exactly the connected graphs on n vertices
-        def touches_all(s, comps=comps):
-            return all(s & c for c in comps)
-
-        for adj in _extensions(base, touches_all):
-            dedup.add(adj)
-    return tuple(dedup.kept)
+        for s in range(1 << (n - 1)):
+            adj = list(base) + [s]
+            for v in bits(s):
+                adj[v] |= 1 << (n - 1)
+            adj = tuple(adj)
+            colors = _refine_colors(adj)
+            bucket = buckets[tuple(sorted(colors))]
+            if all(_extend_isomorphism(adj, other, colors, c) is None for other, c in bucket):
+                bucket.append((adj, colors))
+                kept.append(adj)
+    return tuple(kept)
 
 
 def all_graphs(n: int) -> tuple[Graph, ...]:
@@ -236,8 +167,8 @@ def all_graphs(n: int) -> tuple[Graph, ...]:
 
 
 def connected_graphs(n: int) -> tuple[Graph, ...]:
-    """One representative per isomorphism class of connected graphs."""
-    return tuple(_to_graph(adj) for adj in _connected_adjacencies(n))
+    """The connected members of `all_graphs(n)`, in its order."""
+    return tuple(g for g in all_graphs(n) if is_connected(g))
 
 
 def trees(n: int) -> tuple[Graph, ...]:
@@ -246,8 +177,4 @@ def trees(n: int) -> tuple[Graph, ...]:
 
 
 def connected_min_degree_2(n: int) -> tuple[Graph, ...]:
-    return tuple(
-        g
-        for g in connected_graphs(n)
-        if g.n > 0 and min(g.degree(v) for v in range(g.n)) >= 2
-    )
+    return tuple(g for g in connected_graphs(n) if min_degree(g) >= 2)

@@ -25,7 +25,6 @@ from .graphs import (
     graph6_lines,
     is_complete,
     is_connected,
-    min_degree,
     parse_graph6,
 )
 from .invariants import (
@@ -302,13 +301,13 @@ def verify_convexity(g: Graph, *, numbers: OrientableNumbers | None = None) -> C
             failures.append(
                 Failure("con-min", f"no end-vertex but con-={numbers.con_min} = n-1")
             )
-        if min_degree(g) >= 2:
-            d = extreme_free_orientation(g)
-            val, wit = convexity_number(d)
-            if val >= n - 1:
-                failures.append(
-                    Failure("extreme-free-con", f"constructed orientation has con={val}", d.arcs, wit)
-                )
+        # connected, n >= 3 and no end-vertex: minimum degree at least 2
+        d = extreme_free_orientation(g)
+        val, wit = convexity_number(d)
+        if val >= n - 1:
+            failures.append(
+                Failure("extreme-free-con", f"constructed orientation has con={val}", d.arcs, wit)
+            )
 
     return ConvexityReport(
         graph_id=encode_graph6(g),
@@ -342,6 +341,7 @@ class LineRecord:
     text: str
     status: str  # "ok", "parse-error", "skipped"
     reason: str = ""
+    numbers: OrientableNumbers | None = None  # the sweep's result, "ok" lines only
     separation: SeparationReport | None = None
     convexity: ConvexityReport | None = None
     classification: HgClassification | None = None
@@ -445,8 +445,8 @@ def _run_line(args) -> LineRecord:
         return LineRecord(
             lineno, text, "skipped", f"{g.m} edges exceeds the budget of {edge_budget}"
         )
-    record = LineRecord(lineno, text, "ok")
     numbers = orientable_numbers(g, edge_budget=edge_budget)
+    record = LineRecord(lineno, text, "ok", numbers=numbers)
     if "separation" in suites:
         record.separation = verify_separation(g, numbers=numbers)
     if "convexity" in suites:

@@ -415,6 +415,50 @@ def test_invariants_input_takes_no_0x85_for_a_blank_line(capsys, tmp_path):
     assert "line 2 (\x85): invalid graph6 header byte 133 at byte 0" in err
 
 
+def _bytes_stdin(monkeypatch, data: bytes):
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+
+
+def test_stdin_edge_list_ends_lines_at_newline_only(capsys, monkeypatch):
+    # a bare '\r' is not a line end, as in parse_edge_list itself
+    _bytes_stdin(monkeypatch, b"3\n0 1\r1 2\n")
+    code, out, err = run(capsys, "invariants", "--edges", "-")
+    assert code == 2 and out == ""
+    assert "line 2: expected 'u v'" in err
+    _bytes_stdin(monkeypatch, b"3\r\n0 1\r\n1 2\r\n")
+    code, out, _ = run(capsys, "invariants", "--edges", "-")
+    assert code == 0 and "g⁻=2" in out
+
+
+@pytest.mark.parametrize("source", ["path", "stdin"])
+def test_verify_ends_lines_at_newline_only(capsys, monkeypatch, tmp_path, source):
+    def verify(data: bytes, *flags):
+        path = tmp_path / "corpus.g6"
+        path.write_bytes(data)
+        _bytes_stdin(monkeypatch, data)
+        return run(capsys, "verify", "-" if source == "stdin" else str(path), *flags)[:2]
+
+    code, out = verify(b"Bw\rBw\n", "--format", "json")
+    assert code == 2
+    records = [json.loads(ln) for ln in out.splitlines()]
+    assert [(r["graph"], r["status"], r["reason"]) for r in records[:-1]] == [
+        ("Bw\rBw", "parse-error", "trailing garbage at byte 2"),
+    ]
+    code, out = verify(b"Bw\r\nBo\r\n", "--suite", "convexity")
+    assert code == 0 and out.count("pass") == 2
+
+
+def test_convexity_csv_prints_the_swept_numbers(capsys):
+    corpus = str(DATA_DIR / "connected_n4.g6")
+    code, out, _ = run(capsys, "verify", "--suite", "convexity", "--format", "csv", corpus)
+    assert code == 0
+    convexity = [row.split(",")[5:] for row in out.splitlines()[1:]]
+    code, out, _ = run(capsys, "classify", "--format", "csv", corpus)
+    assert code == 0
+    assert convexity == [row.split(",")[5:] for row in out.splitlines()[1:]]
+    assert len(convexity) == 6 and all(all(row) for row in convexity)
+
+
 def test_stdin_edge_list(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", __import__("io").StringIO("3\n0 1\n1 2"))
     code, out, _ = run(capsys, "invariants", "--edges", "-")

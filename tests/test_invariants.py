@@ -243,7 +243,7 @@ def _assert_con_search_matches_the_scan(d):
     forbidden = []
     for s, c, whole in calls:
         v = s & ~c
-        assert c != full and invariants._is_convex(iv, c), d.arcs
+        assert c != full and invariants._set_interval(iv, c) == c, d.arcs
         assert not any(fv == v and not fc & ~c for fc, fv in forbidden), d.arcs
         if whole:
             forbidden.append((c, v))
@@ -290,22 +290,12 @@ def test_up_walk_cuts_a_subtree_that_can_only_tie(monkeypatch):
                      (0b011, 0b001), (0b101, 0b001), (0b111, 0b011)]
 
 
-def test_early_exit_convexity_matches_the_set_interval():
-    rng = random.Random(31)
-    digraphs = [d for n in (1, 2, 3) for d in all_digraphs(n)]
-    digraphs += [random_digraph(rng, rng.randint(4, 8), rng.choice((0.2, 0.5))) for _ in range(60)]
-    for d in digraphs:
-        iv, _ = invariants._kernel(d.n, d.out_masks)
-        for s in range(1 << d.n):
-            assert invariants._is_convex(iv, s) == (invariants._set_interval(iv, s) == s)
-
-
 def test_hull_of_a_convex_set_plus_vertices_matches_the_reference():
     rng = random.Random(47)
     for _ in range(40):
         d = random_digraph(rng, rng.randint(2, 7), rng.choice((0.2, 0.4, 0.7)))
         iv, _ = invariants._kernel(d.n, d.out_masks)
-        convex = [c for c in range(1 << d.n) if invariants._is_convex(iv, c)]
+        convex = [c for c in range(1 << d.n) if invariants._set_interval(iv, c) == c]
         for c in rng.sample(convex, min(6, len(convex))):
             for extra in rng.sample(range(1, 1 << d.n), min(12, (1 << d.n) - 1)):
                 s = c | extra

@@ -4,6 +4,7 @@ from networkx.generators.atlas import graph_atlas_g
 
 from oriconvex.graphs import encode_graph6, is_connected, min_degree
 from oriconvex.smallgraphs import all_graphs, connected_graphs, connected_min_degree_2, trees
+from conftest import DATA_DIR
 
 # published counts: all graphs / connected graphs up to isomorphism
 ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
@@ -62,3 +63,20 @@ def test_deterministic_generation_order():
     first = [encode_graph6(g) for g in connected_graphs(5)]
     second = [encode_graph6(g) for g in connected_graphs(5)]
     assert first == second
+
+
+def _g6(graphs):
+    return [encode_graph6(g) for g in graphs]
+
+
+def test_generators_reproduce_the_shipped_corpora():
+    # line for line: the corpora under data/ were written by these generators
+    for n in range(3, 8):
+        want = (DATA_DIR / f"connected_n{n}.g6").read_text().splitlines()
+        assert _g6(connected_graphs(n)) == want
+    want = (DATA_DIR / "trees_upto_n7.g6").read_text().splitlines()
+    assert [s for n in range(3, 8) for s in _g6(trees(n))] == want
+    md2 = [s for n in range(3, 8) for s in _g6(connected_min_degree_2(n))]
+    want = (DATA_DIR / "mindeg2_connected_upto_n8.g6").read_text().splitlines()
+    assert md2 == want[:len(md2)]
+    assert chr(63 + 8) == want[len(md2)][0]  # the n = 8 layer follows

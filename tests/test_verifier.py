@@ -154,6 +154,17 @@ def test_corpus_run_reads_bytes_lines(tmp_path):
     assert [r.line for r in from_file.records] == [1, 3]
 
 
+def test_corpus_run_from_a_binary_handle_ends_lines_at_newline_only(tmp_path):
+    path = tmp_path / "cr.g6"
+    path.write_bytes(b"Bw\rBw\n")
+    with open(path, "rb") as fh:
+        report = corpus_run(fh)
+    assert [(r.text, r.status, r.reason) for r in report.records] == [
+        ("Bw\rBw", "parse-error", "trailing garbage at byte 2"),
+    ]
+    assert report.exit_status() == 2
+
+
 def test_corpus_run_skips_out_of_scope_lines():
     lines = ["@", "A_", encode_graph6(Graph.from_edges(4, [(0, 1), (2, 3)]))]
     report = corpus_run(lines, suite="convexity")

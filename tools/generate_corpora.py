@@ -8,7 +8,7 @@ pinned so a generator regression is caught immediately.
     trees_upto_n7.g6                     all trees on 3..7 vertices
     mindeg2_connected_upto_n8.g6         all connected min-degree-2 graphs on 3..8 vertices
 
-Takes about a minute (n = 7 about 3 s); the n = 8 layer dominates.
+Takes about 40 s; the n = 8 layer dominates.
 """
 
 import sys
