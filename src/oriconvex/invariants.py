@@ -18,30 +18,26 @@ alone: asking for g never pays for the con search.  The public functions
 translate to and from vertex tuples.
 
 I[u,v] joins the u->v and the v->u geodesics, so g, h and con do not change
-when every arc is reversed, nor under an automorphism of G.  The sweep index
-space holds one orientation of each {D, reverse(D)} pair: sweep index idx is
-orientation idx << 1 of `graphs.orientation_from_index`, the 2^(m-1)
-orientations that keep edge 0 low->high.  Of these the sweep visits only the
-least index of each orbit under Aut(G) x {id, full reversal} (McKay's
-canonical representatives, applied to orientations).  Witnesses do not move:
-the least index attaining an extremum shares its value with its whole orbit,
-so nothing in the orbit lies below it, and it is that orbit's least index.
-The sweep builds the kernel once per visited orientation and runs an
-exact search only when cheap bounds cannot place the value inside the
-running [min, max] of its chunk.  The extreme vertices give g >= h >=
-max(#extreme, 2); a recent geodetic (hull) witness joined with them that
-still covers V gives an upper bound, and h <= g; con is n - 1 when some
-vertex is extreme, and otherwise a recent convex witness that is still
-convex bounds it below once the max is n - 1.  A skip needs both
-inequalities, so the strict min/max updates could not have fired: values
-and least-index witnesses are those of searching every orientation.
+when every arc is reversed.  The sweep index space holds one orientation of
+each {D, reverse(D)} pair: sweep index idx is orientation idx << 1 of
+`graphs.orientation_from_index`, the 2^(m-1) orientations that keep edge 0
+low->high.  The sweep steps through them in order and runs an exact search
+only when cheap bounds cannot place the value inside the running [min, max]
+of its chunk.  The extreme vertices give g >= h >= max(#extreme, 2); a
+recent geodetic (hull) witness joined with them that still covers V gives
+an upper bound, and h <= g; con is n - 1 when some vertex is extreme, and
+otherwise a recent convex witness that is still convex bounds it below once
+the max is n - 1.  A skip needs both inequalities, so the strict min/max
+updates could not have fired: values and least-index witnesses are those of
+searching every orientation.  The bounds are decided for 2^12 orientations
+at once, one bit each (`_Batch`), and a scalar kernel is built only where
+they leave a search to run or a new con max to record.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -54,7 +50,6 @@ from .graphs import (
     is_connected,
     orientation_from_index,
 )
-from .smallgraphs import automorphism_generators
 
 # ---------------------------------------------------------------------------
 # bitmask core (shared by the per-digraph API and the orientation sweep)
@@ -348,9 +343,9 @@ class OrientableNumbers:
     # g, h and con searches the sweep ran; the rest were settled by bounds.
     # Depends on the chunking, so it is left out of equality and of the JSON.
     exact_searches: tuple[int, int, int] = field(compare=False)
-    # sweep indices visited: the orbit minima under Aut(G) and full reversal.
-    # A counter, not a result, so it is left out of equality and of the JSON.
-    orbit_representatives: int = field(compare=False)
+    # sweep indices that built a scalar kernel: those where the bit-sliced
+    # bounds could not settle g, h and con.  A counter, like exact_searches.
+    scalar_kernels: int = field(compare=False)
 
     def values(self) -> dict[str, int]:
         return {k: getattr(self, k) for k in NUMBER_KEYS}
@@ -387,23 +382,31 @@ def _remember(recent: list, w: int) -> None:
         del recent[_RECENT:]
 
 
-def _sweep_chunk(args):
-    """Aggregate the ascending sweep indices `indices` (orientations idx << 1);
-    top-level for pickling.
+class _Sweep:
+    """The running state of one chunk: the [min, min index, max, max index]
+    slot and the recent witnesses of g, h and con, with the number of exact
+    g, h and con searches run and of scalar kernels built."""
 
-    Returns the [min, min index, max, max index] slot of g, h and con (None
-    when `indices` is empty), and the number of exact g, h and con searches
-    run.  An exact search runs only when the bounds below cannot place the
-    value inside the running [min, max]; a value placed there moves neither
-    strict update, so the slots are those of searching every index given.
-    """
-    n, edges, indices = args
-    full = (1 << n) - 1
-    gs = hs = cs = None
-    recent_g, recent_h, recent_c = [], [], []
-    runs = [0, 0, 0]
-    for idx in indices:
-        iv, ext = _kernel(n, _build_out_masks(n, edges, idx << 1))
+    def __init__(self, n: int, edges) -> None:
+        self.n, self.edges = n, edges
+        self.slots = [None, None, None]
+        self.recent = ([], [], [])
+        self.runs = [0, 0, 0]
+        self.kernels = 0
+
+    def state(self):
+        return [s and s[:] for s in self.slots], [r[:] for r in self.recent]
+
+    def step(self, idx: int) -> None:
+        """Fold sweep index `idx` into the state; an exact search runs only
+        when the bounds below cannot place the value inside the running
+        [min, max], where it would move neither strict update."""
+        n = self.n
+        full = (1 << n) - 1
+        gs, hs, cs = self.slots
+        recent_g, recent_h, recent_c = self.recent
+        iv, ext = _kernel(n, _build_out_masks(n, self.edges, idx << 1))
+        self.kernels += 1
         # extreme vertices lie in every geodetic set and hull-set, and a
         # single vertex is its own hull: g >= h >= low
         low = max(ext.bit_count(), 2)
@@ -418,7 +421,7 @@ def _sweep_chunk(args):
                     break
         if g_up is None:
             w = _geodetic_witness(n, iv, ext)
-            runs[0] += 1
+            self.runs[0] += 1
             _remember(recent_g, w)
             g_up = w.bit_count()
             gs = _record(gs, g_up, idx)
@@ -431,7 +434,7 @@ def _sweep_chunk(args):
                 for w in recent_h)
         if not inside:
             w = _hull_witness(n, iv, ext)
-            runs[1] += 1
+            self.runs[1] += 1
             _remember(recent_h, w)
             hs = _record(hs, w.bit_count(), idx)
 
@@ -444,10 +447,210 @@ def _sweep_chunk(args):
                 w.bit_count() >= cs[0] and _set_interval(iv, w) == w
                 for w in recent_c)):
             w = _convex_witness(n, iv, ext)
-            runs[2] += 1
+            self.runs[2] += 1
             _remember(recent_c, w)
             cs = _record(cs, w.bit_count(), idx)
-    return [gs, hs, cs], runs
+        self.slots = [gs, hs, cs]
+
+
+# a batch holds 2^k consecutive sweep indices, k = min(_BATCH_BITS, m - 1)
+_BATCH_BITS = 12
+
+
+class _Batch:
+    """The sweep indices base .. base + 2^k - 1 at once, one bit per index:
+    bit i of every mask here stands for sweep index base + i.
+
+    Index idx reverses edge j >= 1 where its bit j - 1 is set, so with base
+    a multiple of 2^k edge j <= k is reversed in a periodic pattern, and a
+    higher edge in all of the batch or in none of it.  One BFS per source
+    runs on every orientation at once (the bit-parallel BFS of Akiba, Iwata
+    and Yoshida, SIGMOD 2013, with a bit per orientation where theirs has
+    one per root) and gives the masks where t is d arcs from s.  Then y is
+    on a u->v geodesic where d(u, y) + d(y, v) = d(u, v).  `rows` holds, for
+    each pair u < v, each y outside {u, v} with the mask where y is in
+    I[u,v]; `ext[x]` masks where x is extreme.  The tests of a witness w
+    below do not depend on the running state, so `events` caches them.
+    """
+
+    def __init__(self, n: int, edges, base: int, k: int) -> None:
+        self.n = n
+        self.all = full = (1 << (1 << k)) - 1
+        into = [[] for _ in range(n)]  # (p, mask where p -> t) per vertex t
+        for j, (u, v) in enumerate(edges):
+            if j == 0:
+                rev = 0
+            elif j <= k:
+                half = 1 << (j - 1)  # index bit j - 1 flips every `half` indices
+                rev = full // ((1 << 2 * half) - 1) * (((1 << half) - 1) << half)
+            else:
+                rev = full if base >> (j - 1) & 1 else 0
+            for p, t, arc in ((u, v, full & ~rev), (v, u, rev)):
+                if arc:
+                    into[t].append((p, arc))
+
+        dist = []  # dist[s][t][d]: where t is d arcs from s
+        for s in range(n):
+            from_s = [[0] * n for _ in range(n)]
+            from_s[s][0] = full
+            seen = [0] * n
+            seen[s] = full
+            front = {s: full}
+            d = 0
+            while front:
+                d += 1
+                nxt = {}
+                for t in range(n):
+                    if seen[t] == full:
+                        continue
+                    reach = 0
+                    for p, arc in into[t]:
+                        if p in front:
+                            reach |= front[p] & arc
+                    reach &= ~seen[t]
+                    if reach:
+                        seen[t] |= reach
+                        nxt[t] = from_s[t][d] = reach
+                front = nxt
+            dist.append(from_s)
+        levels = [[[(d, m) for d, m in enumerate(ds) if m] for ds in from_s] for from_s in dist]
+
+        inner = [0] * n
+        self.rows = []
+        for u, v in itertools.combinations(range(n), 2):
+            row = []
+            for y in range(n):
+                m = 0
+                if y != u and y != v:
+                    for a, b in ((u, v), (v, u)):
+                        dab = dist[a][b]
+                        for da, ay in levels[a][y]:
+                            for db, yb in levels[y][b]:
+                                if da + db < n:
+                                    m |= ay & yb & dab[da + db]
+                if m:
+                    row.append((y, m))
+                    inner[y] |= m
+            self.rows.append((u, v, row))
+        self.ext = [full & ~m for m in inner]
+        self.ext_at_most = self._at_most(self.ext)
+        self._memo = {}
+
+    def _at_most(self, members) -> list[int]:
+        """at[c]: where at most c of the masks `members` are set, by one
+        bit-sliced count per size."""
+        exactly = [self.all] + [0] * self.n
+        for m in members:
+            if m:
+                for c in range(self.n, 0, -1):
+                    exactly[c] = exactly[c] & ~m | exactly[c - 1] & m
+                exactly[0] &= ~m
+        return list(itertools.accumulate(exactly, int.__or__))
+
+    def low_at_least(self, t: int) -> int:
+        """Where max(|ext|, 2) >= t."""
+        return self.all if t <= 2 else self.all & ~self.ext_at_most[t - 1]
+
+    def _members(self, w: int) -> list[int]:
+        """Where each vertex is in w | ext."""
+        return [self.all if w >> x & 1 else e for x, e in enumerate(self.ext)]
+
+    def _interval(self, cur: list[int]) -> list[int]:
+        """Where each vertex is in I[S], with S given by its member masks."""
+        out = cur[:]
+        for u, v, row in self.rows:
+            both = cur[u] & cur[v]
+            if both:
+                for y, m in row:
+                    out[y] |= both & m
+        return out
+
+    def sizes(self, w: int) -> list[int]:
+        """at[c]: where |w | ext| <= c."""
+        return self._at_most(self._members(w))
+
+    def cover(self, w: int) -> int:
+        """Where I[w | ext] = V."""
+        return functools.reduce(int.__and__, self._interval(self._members(w)), self.all)
+
+    def hull(self, w: int) -> int:
+        """Where the hull of w | ext is V."""
+        cur = self._members(w)
+        while (nxt := self._interval(cur)) != cur:
+            cur = nxt
+        return functools.reduce(int.__and__, cur, self.all)
+
+    def convex(self, w: int) -> int:
+        """Where w is convex: no interval of two vertices of w leaves w."""
+        out = 0
+        for u, v, row in self.rows:
+            if w >> u & w >> v & 1:
+                for y, m in row:
+                    if not w >> y & 1:
+                        out |= m
+        return self.all & ~out
+
+    def _cached(self, test, w: int):
+        key = test.__name__, w
+        if key not in self._memo:
+            self._memo[key] = test(w)
+        return self._memo[key]
+
+    def events(self, sweep: _Sweep) -> int:
+        """Where `sweep.step` would run an exact search or record con = n - 1
+        above the running max.  Elsewhere it changes nothing, so those
+        indices need no scalar kernel.
+
+        These are the tests of `_Sweep.step`, on every index at once.  The h
+        test reads the size of the first recent g witness that passes, in
+        the order of the recent list.
+        """
+        gs, hs, cs = sweep.slots
+        if gs is None:
+            return self.all
+        g_ok = h_ok = 0
+        for w in sweep.recent[0]:
+            at = self._cached(self.sizes, w)
+            first = at[gs[2]] & self._cached(self.cover, w) & ~g_ok
+            g_ok |= first
+            h_ok |= first & at[hs[2]]
+        g_ok &= self.low_at_least(gs[0])
+        for w in sweep.recent[1]:
+            h_ok |= self._cached(self.sizes, w)[hs[2]] & self._cached(self.hull, w)
+        h_ok &= self.low_at_least(hs[0])
+        c_ok = 0
+        if cs[2] >= self.n - 1:
+            c_ok = self.all & ~self.ext_at_most[0]
+            for w in sweep.recent[2]:
+                if w.bit_count() >= cs[0]:
+                    c_ok |= self._cached(self.convex, w)
+        return self.all & ~(g_ok & h_ok & c_ok)
+
+
+def _sweep_chunk(args):
+    """Aggregate the sweep indices start .. stop - 1 (orientations idx << 1),
+    2^k at a time (start and stop are multiples of 2^k); top-level for
+    pickling.
+
+    Returns the [min, min index, max, max index] slot of g, h and con, the
+    exact g, h and con searches run and the scalar kernels built.  A batch
+    steps only at its events, recomputed from the state after each step
+    that changed it; the indices between change nothing, so the slots and
+    the searches are those of stepping through every index.
+    """
+    n, edges, k, start, stop = args
+    sweep = _Sweep(n, edges)
+    for base in range(start, stop, 1 << k):
+        batch = _Batch(n, edges, base, k)
+        todo = batch.events(sweep)
+        while todo:
+            bit = todo & -todo
+            before = sweep.state()
+            sweep.step(base + bit.bit_length() - 1)
+            todo ^= bit
+            if sweep.state() != before:
+                todo = batch.events(sweep) & -(bit << 1)  # the indices above this one
+    return sweep.slots, sweep.runs, sweep.kernels
 
 
 def _record(slot, v: int, idx: int):
@@ -479,77 +682,14 @@ def fan_out(fn, jobs: list, workers: int | None = None) -> list:
     return [fn(j) for j in jobs]
 
 
-def _orbit_minima(g: Graph):
-    """The sweep indices least in their orbit under Aut(g) x {id, full
-    reversal}, ascending: a range when Aut(g) is trivial, else an array.
-
-    A generator p of Aut(g) maps edge j to edge e(j) and flips it when p
-    turns it high->low, so orientation index o maps to P(o) ^ flips, with P
-    moving bit j to bit e(j); an image with edge 0 high->low is complemented
-    (full reversal) back into the halved space.  P comes from three lookup
-    tables over slices of the sweep index.  A bytearray marks the indices
-    seen; each orbit is walked once, from its least index.
-    """
-    total = 1 << (g.m - 1)
-    gens = automorphism_generators(g)
-    if not gens:
-        return range(total)
-    full = (1 << g.m) - 1
-    where = {e: j for j, e in enumerate(g.edges)}
-    width = -(-(g.m - 1) // 3)  # sweep index bits per table
-    low = (1 << width) - 1
-    maps = []
-    for p in gens:
-        image, flips = [], 0
-        for u, v in g.edges:
-            a, b = p[u], p[v]
-            j = where[(a, b) if a < b else (b, a)]
-            image.append(1 << j)
-            if a > b:
-                flips |= 1 << j
-        tables = []
-        for t in range(3):
-            # sweep index bit k is edge k + 1 (edge 0 stays low->high)
-            part = image[1 + t * width:1 + (t + 1) * width]
-            table = [0] * (1 << len(part))
-            for x in range(1, len(table)):
-                lsb = x & -x
-                table[x] = table[x ^ lsb] | part[lsb.bit_length() - 1]
-            tables.append(table)
-        tables[0] = [y ^ flips for y in tables[0]]  # the flips ride on one table
-        maps.append(tables)
-
-    seen = bytearray(total)
-    reps = array("q")
-    idx = 0
-    while idx >= 0:
-        reps.append(idx)
-        seen[idx] = 1
-        stack = [idx]
-        while stack:
-            x = stack.pop()
-            a, b, c = x & low, x >> width & low, x >> 2 * width
-            for t0, t1, t2 in maps:
-                y = t0[a] ^ t1[b] ^ t2[c]
-                if y & 1:
-                    y ^= full
-                y >>= 1
-                if not seen[y]:
-                    seen[y] = 1
-                    stack.append(y)
-        idx = seen.find(0, idx + 1)
-    return reps
-
-
 def orientable_numbers(
     g: Graph,
     *,
     edge_budget: int = DEFAULT_EDGE_BUDGET,
     workers: int | None = None,
 ) -> OrientableNumbers:
-    """Sweep one orientation of each orbit of g's orientations under Aut(g)
-    and full reversal, and aggregate the six extremes (neither changes g, h
-    or con)."""
+    """Sweep one orientation of each {D, reverse(D)} pair of g's
+    orientations, and aggregate the six extremes (reversal changes none)."""
     if g.n < 3:
         raise ValueError("orientable numbers need at least three vertices")
     if not is_connected(g):
@@ -557,15 +697,14 @@ def orientable_numbers(
     if g.m > edge_budget:
         raise EdgeBudgetError(g.m, edge_budget)
 
-    reps = _orbit_minima(g)
-    # orbit minima crowd the low indices, so chunks split the minima evenly
-    # rather than the index range
-    parts = workers if workers and workers > 1 and len(reps) >= 4 * workers else 1
-    size = -(-len(reps) // parts)
-    chunks = [(g.n, g.edges, reps[lo:lo + size]) for lo in range(0, len(reps), size)]
+    k = min(_BATCH_BITS, g.m - 1)
+    batches = 1 << (g.m - 1 - k)
+    parts = min(workers or 1, batches)
+    cuts = [(batches * i // parts) << k for i in range(parts + 1)]
+    chunks = [(g.n, g.edges, k, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
     results = fan_out(_sweep_chunk, chunks, workers)
-    acc = functools.reduce(_merge, [slots for slots, _ in results])
-    searches = tuple(sum(col) for col in zip(*[runs for _, runs in results]))
+    acc = functools.reduce(_merge, [slots for slots, _, _ in results])
+    searches = tuple(sum(col) for col in zip(*[runs for _, runs, _ in results]))
 
     (gmin, gmin_i, gmax, gmax_i), (hmin, hmin_i, hmax, hmax_i), (cmin, cmin_i, cmax, cmax_i) = acc
 
@@ -589,5 +728,5 @@ def orientable_numbers(
         con_max_witness=wit(cmax_i),
         orientations=1 << (g.m - 1),
         exact_searches=searches,
-        orbit_representatives=len(reps),
+        scalar_kernels=sum(kernels for _, _, kernels in results),
     )

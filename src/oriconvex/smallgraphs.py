@@ -33,27 +33,24 @@ def _refine_colors(adj: Adjacency, rounds: int = 3):
     return colors
 
 
-def _extend_isomorphism(adj1: Adjacency, adj2: Adjacency, c1, c2, prefix=()):
-    """A colour-preserving isomorphism adj1 -> adj2 that maps v to w for each
-    (v, w) of `prefix`, as a list (mapping[v] is the image of v), or None."""
+def _extend_isomorphism(adj1: Adjacency, adj2: Adjacency, c1, c2):
+    """A colour-preserving isomorphism adj1 -> adj2, as a list (mapping[v] is
+    the image of v), or None."""
     n = len(adj1)
     by_color = defaultdict(list)
     for w in range(n):
         by_color[c2[w]].append(w)
-    # the prescribed vertices first, then always the vertex with the most
-    # placed neighbours (its image must be a neighbour of theirs), rare colour
-    # classes first to cut the branching factor
-    order = [v for v, _ in prefix]
+    # always the vertex with the most placed neighbours next (its image must
+    # be a neighbour of theirs), rare colour classes first to cut the
+    # branching factor
+    order = []
     placed = [0]  # placed[d]: the vertices order[:d]
-    for v in order:
-        placed.append(placed[-1] | 1 << v)
     while len(order) < n:
         done = placed[-1]
         v = min((v for v in range(n) if not done >> v & 1),
                 key=lambda v: (-(adj1[v] & done).bit_count(), len(by_color[c1[v]]), v))
         order.append(v)
         placed.append(done | 1 << v)
-    forced = dict(prefix)
     mapping = [-1] * n
 
     def extend(depth: int, used: int) -> bool:
@@ -64,9 +61,7 @@ def _extend_isomorphism(adj1: Adjacency, adj2: Adjacency, c1, c2, prefix=()):
         want = 0  # the images of v's placed neighbours
         for u in bits(nbrs):
             want |= 1 << mapping[u]
-        if v in forced:
-            cands = (forced[v],)
-        elif nbrs:
+        if nbrs:
             cands = bits(adj2[mapping[(nbrs & -nbrs).bit_length() - 1]])
         else:
             cands = by_color[c1[v]]
@@ -86,45 +81,6 @@ def _extend_isomorphism(adj1: Adjacency, adj2: Adjacency, c1, c2, prefix=()):
         return False
 
     return mapping if extend(0, 0) else None
-
-
-def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
-    """Generators of Aut(g) as vertex permutations (p[v] is the image of v);
-    empty when the group is trivial.
-
-    Walks the pointwise-stabiliser chain of the base 0, 1, ..., n - 1 from the
-    deepest level up.  At level i the generators found so far fix 0..i-1 and
-    generate the stabiliser of 0..i; for each vertex w of i's colour outside
-    their orbit of i, one automorphism fixing 0..i-1 and mapping i to w is
-    searched for and kept.  The orbit of i then equals that of the stabiliser
-    of 0..i-1, so by orbit-stabiliser the generators generate it.  The group
-    itself is never listed (a star K1,k has k! automorphisms).
-    """
-    n, adj = g.n, g.adj
-    colors = _refine_colors(adj)
-    gens: list[tuple[int, ...]] = []
-    for i in range(n - 2, -1, -1):
-        orbit = _orbit(i, gens)
-        for w in range(i + 1, n):
-            if w in orbit or colors[w] != colors[i]:
-                continue
-            prefix = [(v, v) for v in range(i)] + [(i, w)]
-            perm = _extend_isomorphism(adj, adj, colors, colors, prefix)
-            if perm is not None:
-                gens.append(tuple(perm))
-                orbit = _orbit(i, gens)
-    return gens
-
-
-def _orbit(v: int, perms) -> set[int]:
-    orbit, todo = {v}, [v]
-    while todo:
-        x = todo.pop()
-        for p in perms:
-            if p[x] not in orbit:
-                orbit.add(p[x])
-                todo.append(p[x])
-    return orbit
 
 
 def _to_graph(adj: Adjacency) -> Graph:

@@ -264,38 +264,6 @@ def halved_orientations(g: Graph) -> list[Digraph]:
     return [orientation_from_index(g, 2 * i) for i in range(orientation_count(g) // 2)]
 
 
-def oracle_orbit_minima(g: Graph) -> list[int]:
-    """The sweep indices least in their orbit under Aut(g) and full reversal,
-    ascending, by definition: Aut(g) is every vertex permutation of the n!
-    that keeps the edge set, and every image, with and without reversing all
-    arcs, is read back as an orientation index; those with edge 0 low->high
-    (even ones) are sweep indices.  Use only for small n."""
-    edge_set = {frozenset(e) for e in g.edges}
-    autos = [p for p in itertools.permutations(range(g.n))
-             if {frozenset((p[u], p[v])) for u, v in g.edges} == edge_set]
-
-    def index_of(arcs) -> int:
-        return sum(1 << j for j, (u, v) in enumerate(g.edges) if (v, u) in arcs)
-
-    total = orientation_count(g) // 2
-    least = [None] * total
-    for i in range(total):
-        if least[i] is not None:
-            continue
-        arcs = orientation_from_index(g, 2 * i).arcs
-        images = set()
-        for p in autos:
-            image = {(p[u], p[v]) for u, v in arcs}
-            for o in (index_of(image), index_of({(v, u) for u, v in image})):
-                if o % 2 == 0:
-                    images.add(o // 2)
-        # the images of i under the whole group are its orbit
-        lo = min(images)
-        for j in images:
-            least[j] = lo
-    return [i for i in range(total) if least[i] == i]
-
-
 def oracle_sweep(g: Graph, indices=None) -> list[list[int]] | None:
     """The orientation sweep with no pruning over the ascending sweep indices
     `indices` (default: all; index i is orientation 2 * i): g, h and con of

@@ -346,6 +346,7 @@ VERIFY_JSON_SHA256 = {
     "connected_n3": "f4612c903dfd217639a33cd95356b14efc09c2bdc20f6d4c0218c141e549f1a5",
     "connected_n4": "9b27fe84d117abf6f93c4c055c23f5d1fba0092d4f50740e6638365505406c1c",
     "connected_n5": "0d4e4c282f0674df4e667f9949a047b210ddf4200713e0febfa198c8895e4716",
+    "connected_n6": "3044b1bb2965ee3c3277ac921d46523a4b78f73a9eff82113eee163c960981c0",
     "trees_upto_n7": "f81a94a019836b66fc480e0125af5789252289aedd9706477559dd68648b1298",
 }
 

@@ -1,3 +1,4 @@
+import copy
 import random
 import time
 from unittest import mock
@@ -12,6 +13,7 @@ from oriconvex.graphs import (
     Graph,
     bits,
     enumerate_orientations,
+    is_connected,
     mask_of,
     parse_graph6,
     reverse,
@@ -33,7 +35,7 @@ from oriconvex.invariants import (
     orientable_numbers,
 )
 from oriconvex.orienters import extreme_free_orientation
-from oriconvex.smallgraphs import automorphism_generators, connected_graphs
+from oriconvex.smallgraphs import connected_graphs
 from conftest import (
     DATA_DIR,
     complete_bipartite,
@@ -49,10 +51,10 @@ from _oracles import (
     oracle_convexity,
     oracle_geodetic,
     oracle_hull,
-    oracle_orbit_minima,
     oracle_orientable_numbers,
     oracle_sweep,
     random_digraph,
+    random_graph,
 )
 
 
@@ -369,7 +371,7 @@ def test_p3_convexity_extremes_coincide():
 def test_workers_change_nothing():
     for g, workers in (
         (cycle_graph(6), 2),
-        (cycle_graph(6), 3),  # 8 orbit minima, under 4 per worker: one chunk, run inline
+        (cycle_graph(6), 3),  # 32 orientations, one batch: one chunk, run inline
         (path_graph(3), 2),  # 2 orientations: one chunk, run inline
     ):
         serial = orientable_numbers(g)
@@ -405,14 +407,84 @@ def test_pruned_sweep_matches_the_exhaustive_sweep(g):
 @settings(max_examples=40, deadline=None)
 @given(small_connected_graphs(), st.data())
 def test_pruned_chunk_matches_the_exhaustive_chunk(g, data):
-    # a chunk may start anywhere, e.g. at an orientation with no extreme
-    # vertex, and holds the orbit minima in [start, stop)
-    total = 2 ** (g.m - 1)
-    start = data.draw(st.integers(0, total - 1))
-    stop = data.draw(st.integers(start + 1, total))
-    indices = [i for i in oracle_orbit_minima(g) if start <= i < stop]
-    slots, _ = invariants._sweep_chunk((g.n, g.edges, indices))
-    assert slots == (oracle_sweep(g, indices) or [None, None, None])
+    # a chunk is a run of whole batches of 2^k indices and may start at any
+    # batch, e.g. at an orientation with no extreme vertex
+    k = data.draw(st.integers(0, g.m - 1))
+    batches = 2 ** (g.m - 1 - k)
+    start = data.draw(st.integers(0, batches - 1))
+    stop = data.draw(st.integers(start + 1, batches))
+    indices = range(start << k, stop << k)
+    slots, _, _ = invariants._sweep_chunk((g.n, g.edges, k, indices.start, indices.stop))
+    assert slots == oracle_sweep(g, indices)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_batch_masks_match_the_scalar_kernel(seed):
+    # bit i of each batch mask against the scalar kernel and tests of sweep
+    # index base + i; base > 0, so edges above k take their direction from it
+    rng = random.Random(seed)
+    while True:
+        g = random_graph(rng, rng.randint(4, 8))
+        if g.m >= 4 and is_connected(g):
+            break
+    n, full = g.n, (1 << g.n) - 1
+    k = rng.randint(1, min(5, g.m - 2))
+    base = rng.randrange(1, 2 ** (g.m - 1 - k)) << k
+    batch = invariants._Batch(n, g.edges, base, k)
+    witnesses = [rng.getrandbits(n) & full for _ in range(4)] + [0, full ^ 1]
+    rows = {(u, v): dict(row) for u, v, row in batch.rows}
+    for i in range(2 ** k):
+        iv, ext = invariants._kernel(n, invariants._build_out_masks(n, g.edges, (base + i) << 1))
+        assert [batch.ext[x] >> i & 1 for x in range(n)] == [ext >> x & 1 for x in range(n)]
+        for (u, v), row in rows.items():
+            inside = [y for y in range(n) if y not in (u, v) and row.get(y, 0) >> i & 1]
+            assert inside == [y for y in bits(iv[u][v]) if y not in (u, v)], (u, v)
+        low = max(ext.bit_count(), 2)
+        assert [batch.low_at_least(t) >> i & 1 for t in range(n + 1)] == [
+            low >= t for t in range(n + 1)]
+        for w in witnesses:
+            s = w | ext
+            assert [batch.sizes(w)[t] >> i & 1 for t in range(n + 1)] == [
+                s.bit_count() <= t for t in range(n + 1)]
+            assert batch.cover(w) >> i & 1 == (invariants._set_interval(iv, s) == full)
+            assert batch.hull(w) >> i & 1 == (invariants._hull_mask(iv, s) == full)
+            assert batch.convex(w) >> i & 1 == (invariants._set_interval(iv, w) == w)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_batch_events_are_the_steps_that_search_or_record(seed):
+    # in each state along a random walk, an index is an event exactly where
+    # the scalar step runs a search or changes the state; the walk starts
+    # with no extreme vertex when it can, so that the con max starts below n - 1
+    rng = random.Random(seed)
+    while True:
+        g = random_graph(rng, rng.randint(5, 7))
+        if g.m >= 6 and is_connected(g):
+            break
+    k = min(5, g.m - 2)
+    base = rng.randrange(1, 2 ** (g.m - 1 - k)) << k
+    batch = invariants._Batch(g.n, g.edges, base, k)
+    sweep = invariants._Sweep(g.n, g.edges)
+
+    def has_extreme(idx):
+        return invariants._kernel(g.n, invariants._build_out_masks(g.n, g.edges, idx << 1))[1] != 0
+
+    def check():
+        events = batch.events(sweep)
+        for i in range(2 ** k):
+            probe = copy.deepcopy(sweep)
+            probe.step(base + i)
+            moved = probe.runs != sweep.runs or probe.state() != sweep.state()
+            assert events >> i & 1 == moved, (sweep.state(), i)
+
+    for idx in sorted(rng.sample(range(2 ** (g.m - 1)), 8), key=has_extreme):
+        sweep.step(idx)
+        check()
+    # a first recent g witness V passes wherever the g max is n, and then
+    # the h test reads its size, not that of a later witness that passes
+    sweep.slots[0][2] = g.n
+    sweep.recent[0].insert(0, (1 << g.n) - 1)
+    check()
 
 
 def test_exact_searches_counted_on_the_n5_corpus():
@@ -421,57 +493,11 @@ def test_exact_searches_counted_on_the_n5_corpus():
     searched = tuple(sum(col) for col in zip(*(r.exact_searches for r in runs)))
     total = sum(r.orientations for r in runs)
     assert (len(runs), total) == (21, 1544)
-    assert searched == (84, 65, 14)
+    assert searched == (100, 74, 14)
     assert all(count < total for count in searched)
-    assert sum(r.orbit_representatives for r in runs) == 308
+    assert sum(r.scalar_kernels for r in runs) == 109
     assert "exact_searches" not in runs[0].to_json_dict()
-    assert "orbit_representatives" not in runs[0].to_json_dict()
-
-
-# ---------------------------------------------------------------------------
-# orbit reduction: the sweep visits only the orbit minima under Aut(G) x reversal
-
-
-def test_orbit_minima_match_the_oracle():
-    for n in (3, 4, 5, 6):
-        for g in connected_graphs(n):
-            assert list(invariants._orbit_minima(g)) == oracle_orbit_minima(g), g
-
-
-@pytest.mark.parametrize("corpus, minima, total", [
-    ("connected_n5", 308, 1544),
-    ("connected_n6", 10787, 69056),
-])
-def test_orbit_minima_totals_on_the_corpora(corpus, minima, total):
-    graphs = [parse_graph6(ln) for ln in (DATA_DIR / f"{corpus}.g6").read_text().split()]
-    assert sum(len(invariants._orbit_minima(g)) for g in graphs) == minima
-    assert sum(2 ** (g.m - 1) for g in graphs) == total
-
-
-def test_orbit_representatives_counted_over_n5_and_n6(swept_numbers):
-    table, _ = swept_numbers
-    for n, want in ((5, 308), (6, 10787)):
-        got = [nums for (order, _), nums in table.items() if order == n]
-        assert sum(nums.orbit_representatives for nums in got) == want
-        assert all(nums.orientations == 2 ** (nums.m - 1) for nums in got)
-
-
-def test_trivial_automorphism_group_marks_nothing():
-    # the smallest asymmetric tree: legs of lengths 1, 2 and 3 at vertex 2
-    g = Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (2, 6)])
-    assert automorphism_generators(g) == []
-    assert invariants._orbit_minima(g) == range(2 ** (g.m - 1))
-
-
-def test_automorphism_generators_of_a_large_star_stay_few():
-    # Aut(K1,15) is S_15: one generator per level of the stabiliser chain
-    star = Graph.from_edges(16, [(0, i) for i in range(1, 16)])
-    gens = automorphism_generators(star)
-    assert len(gens) == 14
-    assert all(p[0] == 0 and sorted(p) == list(range(16)) for p in gens)
-    # an orientation of a star is settled by how many arcs leave the centre;
-    # reversal pairs k with 15 - k
-    assert len(invariants._orbit_minima(star)) == 8
+    assert "scalar_kernels" not in runs[0].to_json_dict()
 
 
 @pytest.mark.parametrize("g", [
@@ -494,14 +520,17 @@ def test_workers_split_the_orbit_minima_evenly(monkeypatch):
         return fan_out(fn, jobs, workers)
 
     monkeypatch.setattr(invariants, "fan_out", spy)
-    g = complete_bipartite(2, 4)
+    g = complete_graph(6)  # 2^14 sweep indices: four batches of 2^12
     serial = orientable_numbers(g)
     seen.clear()
     fanned = orientable_numbers(g, workers=3)
-    sizes = [len(indices) for _, _, indices in seen]
+    batch = 2 ** invariants._BATCH_BITS
+    cuts = [lo for _, _, _, lo, _ in seen] + [seen[-1][4]]
+    assert [k for _, _, k, _, _ in seen] == [invariants._BATCH_BITS] * 3
+    assert [hi for _, _, _, _, hi in seen] == cuts[1:]  # the chunks tile the range
     # no chunk is empty, so every chunk's slots are set before they are merged
-    assert len(sizes) == 3 and min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
-    assert [i for _, _, indices in seen for i in indices] == list(invariants._orbit_minima(g))
+    assert cuts[0] == 0 and cuts[-1] == 2 ** (g.m - 1)
+    assert all(lo < hi and lo % batch == 0 for lo, hi in zip(cuts, cuts[1:]))
     assert serial == fanned
 
 

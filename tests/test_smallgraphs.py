@@ -2,6 +2,7 @@ import networkx as nx
 import pytest
 from networkx.generators.atlas import graph_atlas_g
 
+from oriconvex import smallgraphs
 from oriconvex.graphs import encode_graph6, is_connected, min_degree
 from oriconvex.smallgraphs import all_graphs, connected_graphs, connected_min_degree_2, trees
 from conftest import DATA_DIR
@@ -61,6 +62,7 @@ def test_min_degree_2_filter():
 
 def test_deterministic_generation_order():
     first = [encode_graph6(g) for g in connected_graphs(5)]
+    smallgraphs._all_adjacencies.cache_clear()  # so the second call generates anew
     second = [encode_graph6(g) for g in connected_graphs(5)]
     assert first == second
 
