@@ -87,12 +87,20 @@ def iterated_interval(d: Digraph, s: Iterable[int], k: int) -> frozenset[int]:
     return cur
 
 
-def convex_hull(d: Digraph, s: Iterable[int]) -> frozenset[int]:
-    """Smallest convex superset: the fixpoint of the interval operator."""
+def convex_hull(
+    d: Digraph, s: Iterable[int], dist: DistanceMatrix | None = None
+) -> frozenset[int]:
+    """Smallest convex superset: the fixpoint of the interval operator.
+
+    `dist` is d's distance matrix; it is computed here when not given.
+    """
     cur = frozenset(s)
     if not cur:
         raise ValueError("hull of the empty set is undefined")
-    dist = all_pairs_distances(d)
+    if dist is None:
+        dist = all_pairs_distances(d)
+    elif len(dist) != d.n:
+        raise ValueError(f"distance matrix has {len(dist)} rows for {d.n} vertices")
     while True:
         nxt = interval_of_set(d, dist, cur)
         if nxt == cur:

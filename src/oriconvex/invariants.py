@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .graphs import (
@@ -677,6 +676,9 @@ def fan_out(fn, jobs: list, workers: int | None = None) -> list:
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     if workers and workers > 1 and len(jobs) > 1:
+        # imported here: multiprocessing costs every serial run its load time
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, jobs))
     return [fn(j) for j in jobs]

@@ -4,9 +4,10 @@ Each suite recomputes its theorem's claim from scratch on one graph:
 ``verify_separation`` checks g- < g+ and h- < h+ both by exhaustive
 orientation enumeration and along the constructive route (tournament pair
 for complete graphs, the D1/D2 pair otherwise, including the two interval
-containment claims for hull-sets of D2), and ``verify_convexity`` checks
-con+ = n-1 and the end-vertex criterion for con- = n-1.  Failures carry the
-offending orientation and vertex set, so they can be replayed.
+containment claims for hull-sets of D2: all of them for n <= 5, beyond that
+the minimum ones, scanned at size h(D2) only), and ``verify_convexity``
+checks con+ = n-1 and the end-vertex criterion for con- = n-1.  Failures
+carry the offending orientation and vertex set, so they can be replayed.
 """
 
 from __future__ import annotations
@@ -168,24 +169,23 @@ def _suite_numbers(g: Graph, numbers) -> OrientableNumbers:
     return numbers if numbers is not None else orientable_numbers(g)
 
 
-def _hull_sets(d2: Digraph, minimum_only: bool):
-    """Hull-sets of d2 to run the claims on: all of them, or the minimum ones."""
-    n = d2.n
-    full = frozenset(range(n))
-    found = []
-    for r in range(1, n + 1):
-        for s in itertools.combinations(range(n), r):
-            if geodesic.convex_hull(d2, s) == full:
-                found.append(s)
-        if minimum_only and found:
-            return found
-    return found
+def _hull_sets(d2: Digraph, dist2, sizes) -> list[tuple[int, ...]]:
+    """Hull-sets of d2 whose size is in `sizes`, by size, then in
+    lexicographic order; `dist2` is d2's distance matrix.  The minimum
+    hull-sets are the scan at size h(D2) alone."""
+    full = frozenset(range(d2.n))
+    return [
+        s
+        for r in sizes
+        for s in itertools.combinations(range(d2.n), r)
+        if geodesic.convex_hull(d2, s, dist2) == full
+    ]
 
 
-def _check_claims(d2, sel, d1, minimum_only: bool, failures: list[Failure]) -> int:
+def _check_claims(d2, sel, d1, sizes, failures: list[Failure]) -> int:
     dist2 = geodesic.all_pairs_distances(d2)
     dist1 = geodesic.all_pairs_distances(d1)
-    hull_sets = _hull_sets(d2, minimum_only)
+    hull_sets = _hull_sets(d2, dist2, sizes)
     for s in hull_sets:
         a: frozenset[int] = frozenset(s)
         b = a - {sel.v1}
@@ -256,7 +256,13 @@ def verify_separation(g: Graph, *, numbers: OrientableNumbers | None = None) -> 
             failures.append(Failure("construct-g", f"g(D1)={g1} !< g(D2)={g2}", d2.arcs))
         if not h1 < h2:
             failures.append(Failure("construct-h", f"h(D1)={h1} !< h(D2)={h2}", d2.arcs))
-        hull_sets_checked = _check_claims(d2, sel, d1, g.n > 5, failures)
+        # every hull-set for n <= 5, the minimum ones (size h(D2)) beyond
+        sizes = range(1, g.n + 1) if g.n <= 5 else range(h2, h2 + 1)
+        hull_sets_checked = _check_claims(d2, sel, d1, sizes, failures)
+        if not hull_sets_checked:
+            failures.append(
+                Failure("claims", f"no hull-set of D2 has size h(D2)={h2}", d2.arcs)
+            )
 
     return SeparationReport(
         graph_id=encode_graph6(g),

@@ -1,13 +1,16 @@
 import hashlib
 import io
 import json
+import os
 import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import oriconvex
 from oriconvex.cli import main
 from oriconvex.graphs import encode_graph6
 from oriconvex.smallgraphs import connected_graphs
@@ -475,6 +478,21 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "g(reversed-path)=2" in proc.stdout
+
+
+def test_importing_the_cli_leaves_multiprocessing_unloaded():
+    src = Path(oriconvex.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, oriconvex.cli; "
+         "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') "
+         "if m in sys.modules))"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_verify_reads_stdin(capsys, monkeypatch):

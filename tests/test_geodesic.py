@@ -17,7 +17,7 @@ from oriconvex.geodesic import (
     sinks,
     sources,
 )
-from oriconvex.smallgraphs import connected_graphs
+from oriconvex.smallgraphs import all_graphs, connected_graphs
 from conftest import cycle_graph
 
 from _oracles import (
@@ -165,6 +165,24 @@ def test_hull_equals_intersection_of_convex_supersets():
         for size in range(1, d.n + 1):
             for s in itertools.combinations(range(d.n), size):
                 assert convex_hull(d, s) == oracle_hull_by_intersection(d, s)
+
+
+def test_hull_with_a_given_distance_matrix_matches_the_hull_without():
+    hulls = 0
+    for n in range(1, 5):
+        for g in all_graphs(n):
+            for d in enumerate_orientations(g):
+                dist = all_pairs_distances(d)
+                for size in range(1, n + 1):
+                    for s in itertools.combinations(range(n), size):
+                        assert convex_hull(d, s, dist) == convex_hull(d, s), (d.arcs, s)
+                        hulls += 1
+    assert hulls == 2560  # (2^n - 1) subsets of each of the orientations
+
+
+def test_hull_rejects_a_distance_matrix_of_another_order():
+    with pytest.raises(ValueError, match="3 rows for 4 vertices"):
+        convex_hull(DIR_C4, {0, 2}, all_pairs_distances(DIR_P3))
 
 
 def test_hull_is_idempotent_and_convex():

@@ -1,17 +1,22 @@
+import itertools
 import json
 
 import pytest
 
-from oriconvex.graphs import Graph, encode_graph6
+from oriconvex import geodesic, verifier
+from oriconvex.graphs import Graph, encode_graph6, graph6_lines, is_complete, parse_graph6
+from oriconvex.invariants import hull_number
+from oriconvex.orienters import d2_construction
 from oriconvex.smallgraphs import connected_graphs, trees
 from oriconvex.verifier import (
+    Failure,
     classify_hg,
     classify_values,
     corpus_run,
     verify_convexity,
     verify_separation,
 )
-from conftest import complete_bipartite, complete_graph, cycle_graph, path_graph
+from conftest import DATA_DIR, complete_bipartite, complete_graph, cycle_graph, path_graph
 
 
 # ---------------------------------------------------------------------------
@@ -201,3 +206,59 @@ def test_record_json_shape():
     assert payload["ok"] is True
     assert payload["separation"]["numbers"]["g_min"] == 2
     assert payload["classification"]["case"] == "HG1"
+
+
+# ---------------------------------------------------------------------------
+# the claims check on hull-sets of D2
+
+
+def _least_hull_layer(d2):
+    """The smallest hull-sets of d2 by the definitional scan: subsets by
+    size, each hull computed from scratch, up to the first size with one."""
+    full = frozenset(range(d2.n))
+    for r in range(1, d2.n + 1):
+        layer = [
+            s
+            for s in itertools.combinations(range(d2.n), r)
+            if geodesic.convex_hull(d2, s) == full
+        ]
+        if layer:
+            return layer
+    raise AssertionError("V itself is a hull-set")
+
+
+def test_hull_sets_at_size_h_d2_are_the_least_layer_of_a_full_scan():
+    graphs = [parse_graph6(t) for _, t in graph6_lines(str(DATA_DIR / "connected_n6.g6"))]
+    graphs += [
+        g
+        for _, t in graph6_lines(str(DATA_DIR / "mindeg2_connected_upto_n8.g6"))
+        if (g := parse_graph6(t)).n <= 7
+    ]
+    checked = 0
+    for g in graphs:
+        if is_complete(g):
+            continue
+        d2, _ = d2_construction(g)
+        h2 = hull_number(d2)[0]
+        dist2 = geodesic.all_pairs_distances(d2)
+        got = verifier._hull_sets(d2, dist2, range(h2, h2 + 1))
+        assert got == _least_hull_layer(d2), encode_graph6(g)
+        checked += 1
+    assert checked == 111 + 578  # K6 and K3..K7 are complete
+
+
+def test_no_hull_set_at_size_h_d2_is_a_failure(monkeypatch):
+    real = verifier.d1d2_numbers
+
+    def one_too_low(d1, d2):
+        nums = real(d1, d2)
+        return {**nums, "h_d2": nums["h_d2"] - 1}
+
+    monkeypatch.setattr(verifier, "d1d2_numbers", one_too_low)
+    g = cycle_graph(6)
+    rep = verify_separation(g)
+    h2 = rep.constructed["h_d2"]
+    d2, _ = d2_construction(g)
+    assert rep.hull_sets_checked == 0
+    assert not rep.ok
+    assert Failure("claims", f"no hull-set of D2 has size h(D2)={h2}", d2.arcs) in rep.failures
