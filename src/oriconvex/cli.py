@@ -65,7 +65,8 @@ def _input_graphs(args) -> list[Graph]:
         text = _stdin().read() if args.edges == "-" else args.edges
         return [parse_edge_list(text.replace("\\n", "\n"))]
     if args.input is None:
-        raise GraphFormatError("no input given: use --input or --edges")
+        flags = "--input, --edges or --arcs" if hasattr(args, "arcs") else "--input or --edges"
+        raise GraphFormatError(f"no input given: use {flags}")
     graphs = []
     for lineno, text in graph6_lines(_stdin() if args.input == "-" else args.input):
         try:
@@ -341,7 +342,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # the sweep settings, checked once for every command that takes them
     budget = getattr(args, "budget", DEFAULT_EDGE_BUDGET)
+    if budget < 0:
+        return _fail(f"edge budget must be at least 0, got {budget}", 2)
+    workers = getattr(args, "workers", None)
+    if workers is not None and workers < 1:
+        return _fail(f"workers must be at least 1, got {workers}", 2)
     if budget > DEFAULT_EDGE_BUDGET:
         print(
             f"warning: edge budget {budget} allows up to 2^{budget} "

@@ -21,17 +21,17 @@ I[u,v] joins the u->v and the v->u geodesics, so g, h and con do not change
 when every arc is reversed.  The sweep index space holds one orientation of
 each {D, reverse(D)} pair: sweep index idx is orientation idx << 1 of
 `graphs.orientation_from_index`, the 2^(m-1) orientations that keep edge 0
-low->high.  The sweep steps through them in order and runs an exact search
-only when cheap bounds cannot place the value inside the running [min, max]
-of its chunk.  The extreme vertices give g >= h >= max(#extreme, 2); a
-recent geodetic (hull) witness joined with them that still covers V gives
-an upper bound, and h <= g; con is n - 1 when some vertex is extreme, and
-otherwise a recent convex witness that is still convex bounds it below once
-the max is n - 1.  A skip needs both inequalities, so the strict min/max
-updates could not have fired: values and least-index witnesses are those of
-searching every orientation.  The bounds are decided for 2^12 orientations
-at once, one bit each (`_Batch`), and a scalar kernel is built only where
-they leave a search to run or a new con max to record.
+low->high.  The sweep takes them 2^12 at a time, one bit per orientation
+(`_Batch`), and the batch decides for each invariant where cheap bounds
+place its value inside the running [min, max] of the chunk.  The extreme
+vertices give g >= h >= max(#extreme, 2); a recent geodetic (hull) witness
+joined with them that still covers V gives an upper bound, and h <= g; con
+is n - 1 when some vertex is extreme, and otherwise a recent convex witness
+that is still convex bounds it below once the max is n - 1.  A skip needs
+both inequalities, so the strict min/max updates could not have fired:
+values and least-index witnesses are those of searching every orientation.
+A scalar kernel is built only where some invariant is left unsettled, and
+the step there only searches, for the invariants left.
 """
 
 from __future__ import annotations
@@ -369,9 +369,8 @@ def _build_out_masks(n, edges, index):
     return outs
 
 
-# recent witnesses per invariant that a chunk tries as bounds; on the n = 6
-# corpus 1, 3 and 6 of them leave 1,611, 1,232 and 1,066 exact g searches at
-# about the same sweep time, since every miss costs a set interval
+# recent witnesses per invariant that a batch tries as bounds; on the n = 6
+# corpus 1, 3 and 6 of them leave 1,611, 1,232 and 1,066 exact g searches
 _RECENT = 3
 
 
@@ -384,7 +383,8 @@ def _remember(recent: list, w: int) -> None:
 class _Sweep:
     """The running state of one chunk: the [min, min index, max, max index]
     slot and the recent witnesses of g, h and con, with the number of exact
-    g, h and con searches run and of scalar kernels built."""
+    g, h and con searches run and of scalar kernels built.  `_Batch.skips`
+    decides where a search is needed; the step only runs it."""
 
     def __init__(self, n: int, edges) -> None:
         self.n, self.edges = n, edges
@@ -396,58 +396,33 @@ class _Sweep:
     def state(self):
         return [s and s[:] for s in self.slots], [r[:] for r in self.recent]
 
-    def step(self, idx: int) -> None:
-        """Fold sweep index `idx` into the state; an exact search runs only
-        when the bounds below cannot place the value inside the running
-        [min, max], where it would move neither strict update."""
+    def step(self, idx: int, g_ok: int, h_ok: int, c_ok: int) -> None:
+        """Fold sweep index `idx` into the state, given its bits of
+        `_Batch.skips`: each exact search runs only where its bit is 0."""
         n = self.n
-        full = (1 << n) - 1
         gs, hs, cs = self.slots
-        recent_g, recent_h, recent_c = self.recent
         iv, ext = _kernel(n, _build_out_masks(n, self.edges, idx << 1))
         self.kernels += 1
-        # extreme vertices lie in every geodetic set and hull-set, and a
-        # single vertex is its own hull: g >= h >= low
-        low = max(ext.bit_count(), 2)
-
-        # g: a recent witness joined with ext that still covers V bounds g above
-        g_up = None
-        if gs is not None and low >= gs[0]:
-            for w in recent_g:
-                s = w | ext
-                if s.bit_count() <= gs[2] and _set_interval(iv, s) == full:
-                    g_up = s.bit_count()
-                    break
-        if g_up is None:
+        if not g_ok:
             w = _geodetic_witness(n, iv, ext)
             self.runs[0] += 1
-            _remember(recent_g, w)
-            g_up = w.bit_count()
-            gs = _record(gs, g_up, idx)
-
-        # h <= g; failing that, a recent hull witness joined with ext
-        inside = False
-        if hs is not None and low >= hs[0]:
-            inside = g_up <= hs[2] or any(
-                (w | ext).bit_count() <= hs[2] and _hull_mask(iv, w | ext) == full
-                for w in recent_h)
-        if not inside:
+            _remember(self.recent[0], w)
+            gs = _record(gs, w.bit_count(), idx)
+            # h <= g, and extreme vertices and a single vertex give h >= low:
+            # the one bound the batch cannot see, since it needs the exact g
+            h_ok = h_ok or (hs is not None and max(ext.bit_count(), 2) >= hs[0]
+                            and w.bit_count() <= hs[2])
+        if not h_ok:
             w = _hull_witness(n, iv, ext)
             self.runs[1] += 1
-            _remember(recent_h, w)
+            _remember(self.recent[1], w)
             hs = _record(hs, w.bit_count(), idx)
-
-        # con: n - 1 with an extreme vertex (no search); without one, con <=
-        # n - 1 <= max once the max is n - 1, and a recent convex witness
-        # (a proper subset) that is convex here bounds con below
         if ext:
             cs = _record(cs, n - 1, idx)
-        elif not (cs is not None and cs[2] >= n - 1 and any(
-                w.bit_count() >= cs[0] and _set_interval(iv, w) == w
-                for w in recent_c)):
+        elif not c_ok:
             w = _convex_witness(n, iv, ext)
             self.runs[2] += 1
-            _remember(recent_c, w)
+            _remember(self.recent[2], w)
             cs = _record(cs, w.bit_count(), idx)
         self.slots = [gs, hs, cs]
 
@@ -469,7 +444,7 @@ class _Batch:
     on a u->v geodesic where d(u, y) + d(y, v) = d(u, v).  `rows` holds, for
     each pair u < v, each y outside {u, v} with the mask where y is in
     I[u,v]; `ext[x]` masks where x is extreme.  The tests of a witness w
-    below do not depend on the running state, so `events` caches them.
+    below do not depend on the running state, so `skips` caches them.
     """
 
     def __init__(self, n: int, edges, base: int, k: int) -> None:
@@ -595,18 +570,21 @@ class _Batch:
             self._memo[key] = test(w)
         return self._memo[key]
 
-    def events(self, sweep: _Sweep) -> int:
-        """Where `sweep.step` would run an exact search or record con = n - 1
-        above the running max.  Elsewhere it changes nothing, so those
-        indices need no scalar kernel.
+    def skips(self, sweep: _Sweep) -> tuple[int, int, int]:
+        """(g_ok, h_ok, c_ok): where g, h and con lie inside the running
+        [min, max] of `sweep`, so that their exact search could move neither
+        strict update; (0, 0, 0) before the first step.
 
-        These are the tests of `_Sweep.step`, on every index at once.  The h
-        test reads the size of the first recent g witness that passes, in
-        the order of the recent list.
+        g: max(|ext|, 2) >= g min, and the first recent g witness w whose
+        w | ext covers V has |w | ext| <= g max.  h: max(|ext|, 2) >= h min,
+        and that first g witness has |w | ext| <= h max (h <= g), or a recent
+        hull witness joined with ext has hull V within the h max.  con: the
+        max is n - 1 (con <= n - 1), and some vertex is extreme (con = n - 1)
+        or a recent convex witness is convex here.
         """
         gs, hs, cs = sweep.slots
         if gs is None:
-            return self.all
+            return 0, 0, 0
         g_ok = h_ok = 0
         for w in sweep.recent[0]:
             at = self._cached(self.sizes, w)
@@ -620,10 +598,11 @@ class _Batch:
         c_ok = 0
         if cs[2] >= self.n - 1:
             c_ok = self.all & ~self.ext_at_most[0]
+            # each recent con witness has at least the min's size: its search
+            # recorded that size, and the min only falls
             for w in sweep.recent[2]:
-                if w.bit_count() >= cs[0]:
-                    c_ok |= self._cached(self.convex, w)
-        return self.all & ~(g_ok & h_ok & c_ok)
+                c_ok |= self._cached(self.convex, w)
+        return g_ok, h_ok, c_ok
 
 
 def _sweep_chunk(args):
@@ -632,23 +611,28 @@ def _sweep_chunk(args):
     pickling.
 
     Returns the [min, min index, max, max index] slot of g, h and con, the
-    exact g, h and con searches run and the scalar kernels built.  A batch
-    steps only at its events, recomputed from the state after each step
-    that changed it; the indices between change nothing, so the slots and
-    the searches are those of stepping through every index.
+    exact g, h and con searches run and the scalar kernels built.  The batch
+    decides the skips of each invariant, and a scalar step runs only at an
+    index where one of them is unsettled, searching only for that one.  The
+    skips are recomputed from the state after each step that changed it;
+    the skipped indices change nothing, so the slots and the searches are
+    those of searching every index.
     """
     n, edges, k, start, stop = args
     sweep = _Sweep(n, edges)
     for base in range(start, stop, 1 << k):
         batch = _Batch(n, edges, base, k)
-        todo = batch.events(sweep)
+        g_ok, h_ok, c_ok = batch.skips(sweep)
+        todo = batch.all & ~(g_ok & h_ok & c_ok)
         while todo:
             bit = todo & -todo
+            i = bit.bit_length() - 1
             before = sweep.state()
-            sweep.step(base + bit.bit_length() - 1)
+            sweep.step(base + i, g_ok >> i & 1, h_ok >> i & 1, c_ok >> i & 1)
             todo ^= bit
             if sweep.state() != before:
-                todo = batch.events(sweep) & -(bit << 1)  # the indices above this one
+                g_ok, h_ok, c_ok = batch.skips(sweep)
+                todo = batch.all & ~(g_ok & h_ok & c_ok) & -(bit << 1)  # the indices above this one
     return sweep.slots, sweep.runs, sweep.kernels
 
 

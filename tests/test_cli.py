@@ -227,6 +227,17 @@ def test_orient_takes_exactly_one_graph(capsys, mode):
     assert "orient takes one graph, got 21" in err
 
 
+@pytest.mark.parametrize("argv, flags", [
+    (["invariants"], "--input, --edges or --arcs"),
+    (["orient", "d1d2"], "--input or --edges"),
+], ids=["invariants", "orient"])
+def test_no_input_names_the_input_flags_of_the_command(capsys, argv, flags):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: no input given: use {flags}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["invariants", "--edges", P3_EDGES, "--input", str(DATA_DIR / "connected_n5.g6")],
     ["invariants", "--arcs", P3_EDGES, "--edges", P3_EDGES],
@@ -324,13 +335,25 @@ def test_classify_is_verify_suite_classify(capsys, fmt):
     assert out == out2
 
 
-@pytest.mark.parametrize("flags, named", [
-    (["--budget", "-1"], "edge budget must be at least 0, got -1"),
-    (["--workers", "0"], "workers must be at least 1, got 0"),
-    (["--workers", "-3"], "workers must be at least 1, got -3"),
-], ids=["budget-1", "workers0", "workers-3"])
-def test_verify_rejects_out_of_range_settings(capsys, corpus5, flags, named):
-    code, out, err = run(capsys, "verify", corpus5, *flags)
+@pytest.mark.parametrize("command, flags, named", [
+    ("verify", ["--budget", "-1"], "edge budget must be at least 0, got -1"),
+    ("verify", ["--workers", "0"], "workers must be at least 1, got 0"),
+    ("verify", ["--workers", "-3"], "workers must be at least 1, got -3"),
+    ("arcs", ["--budget", "-5"], "edge budget must be at least 0, got -5"),
+    ("arcs", ["--workers", "0"], "workers must be at least 1, got 0"),
+    ("edges", ["--budget", "-5"], "edge budget must be at least 0, got -5"),
+    ("edges", ["--workers", "0"], "workers must be at least 1, got 0"),
+], ids=["budget-1", "workers0", "workers-3", "invariants-arcs-budget-5",
+        "invariants-arcs-workers0", "invariants-edges-budget-5", "invariants-edges-workers0"])
+def test_verify_rejects_out_of_range_settings(capsys, corpus5, command, flags, named):
+    # every command that takes the sweep settings refuses them the same way;
+    # invariants --arcs used to ignore them and exit 0
+    source = {
+        "verify": ["verify", corpus5],
+        "arcs": ["invariants", "--arcs", P3_EDGES],
+        "edges": ["invariants", "--edges", P3_EDGES],
+    }[command]
+    code, out, err = run(capsys, *source, *flags)
     assert code == 2
     assert out == ""
     assert named in err

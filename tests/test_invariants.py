@@ -1,4 +1,3 @@
-import copy
 import random
 import time
 from unittest import mock
@@ -15,6 +14,7 @@ from oriconvex.graphs import (
     enumerate_orientations,
     is_connected,
     mask_of,
+    orientation_from_index,
     parse_graph6,
     reverse,
 )
@@ -452,9 +452,9 @@ def test_batch_masks_match_the_scalar_kernel(seed):
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_batch_events_are_the_steps_that_search_or_record(seed):
-    # in each state along a random walk, an index is an event exactly where
-    # the scalar step runs a search or changes the state; the walk starts
+def test_batch_skips_leave_every_value_inside_the_running_range(seed):
+    # in each state along a random walk, wherever a skip bit is set the exact
+    # value of that index lies inside the slot's [min, max]; the walk starts
     # with no extreme vertex when it can, so that the con max starts below n - 1
     rng = random.Random(seed)
     while True:
@@ -465,26 +465,31 @@ def test_batch_events_are_the_steps_that_search_or_record(seed):
     base = rng.randrange(1, 2 ** (g.m - 1 - k)) << k
     batch = invariants._Batch(g.n, g.edges, base, k)
     sweep = invariants._Sweep(g.n, g.edges)
+    numbers = (geodetic_number, hull_number, convexity_number)
+    fired = [False] * 3
 
     def has_extreme(idx):
         return invariants._kernel(g.n, invariants._build_out_masks(g.n, g.edges, idx << 1))[1] != 0
 
     def check():
-        events = batch.events(sweep)
+        skips = batch.skips(sweep)
         for i in range(2 ** k):
-            probe = copy.deepcopy(sweep)
-            probe.step(base + i)
-            moved = probe.runs != sweep.runs or probe.state() != sweep.state()
-            assert events >> i & 1 == moved, (sweep.state(), i)
+            d = orientation_from_index(g, (base + i) << 1)
+            for j, (ok, number, (lo, _, hi, _)) in enumerate(zip(skips, numbers, sweep.slots)):
+                if ok >> i & 1:
+                    fired[j] = True
+                    assert lo <= number(d)[0] <= hi, (sweep.state(), i, number.__name__)
 
+    assert batch.skips(sweep) == (0, 0, 0)
     for idx in sorted(rng.sample(range(2 ** (g.m - 1)), 8), key=has_extreme):
-        sweep.step(idx)
+        sweep.step(idx, 0, 0, 0)
         check()
     # a first recent g witness V passes wherever the g max is n, and then
-    # the h test reads its size, not that of a later witness that passes
+    # the h skip rests on its size, not on that of a later witness
     sweep.slots[0][2] = g.n
     sweep.recent[0].insert(0, (1 << g.n) - 1)
     check()
+    assert fired == [True] * 3
 
 
 def test_exact_searches_counted_on_the_n5_corpus():
@@ -511,7 +516,7 @@ def test_symmetric_inputs_match_the_oracle(g):
         assert (getattr(got, key), getattr(got, key + "_witness")) == want[key], key
 
 
-def test_workers_split_the_orbit_minima_evenly(monkeypatch):
+def test_workers_split_the_index_range_into_whole_batches(monkeypatch):
     seen = []
     fan_out = invariants.fan_out
 
