@@ -65,7 +65,9 @@ def _input_graphs(args) -> list[Graph]:
         text = _stdin().read() if args.edges == "-" else args.edges
         return [parse_edge_list(text.replace("\\n", "\n"))]
     if args.input is None:
-        flags = "--input, --edges or --arcs" if hasattr(args, "arcs") else "--input or --edges"
+        flags = ("--input, --edges or --arcs" if hasattr(args, "arcs")
+                 else "--input, --edges or --n" if getattr(args, "mode", None) == "complete"
+                 else "--input or --edges")
         raise GraphFormatError(f"no input given: use {flags}")
     graphs = []
     for lineno, text in graph6_lines(_stdin() if args.input == "-" else args.input):
@@ -100,8 +102,7 @@ def cmd_invariants(args) -> int:
         d = parse_arc_list(text.replace("\\n", "\n"))
         rep = digraph_report(d)
         if args.format == "json":
-            json.dump(rep.to_json_dict(), out)
-            out.write("\n")
+            out.write(json.dumps(rep.to_json_dict()) + "\n")
         elif args.format == "csv":
             w = csv.writer(out)
             w.writerow(["n", "g", "h", "con"])
@@ -128,8 +129,7 @@ def cmd_invariants(args) -> int:
         if args.format == "json":
             rec = nums.to_json_dict()
             rec["graph"] = gid
-            json.dump(rec, out)
-            out.write("\n")
+            out.write(json.dumps(rec) + "\n")
         elif csv_writer is not None:
             csv_writer.writerow([gid, g.n, g.m] + [getattr(nums, k) for k in NUMBER_KEYS])
         else:
@@ -160,16 +160,12 @@ def cmd_orient(args) -> int:
         g_hi, _ = geodetic_number(d_max)
         g_lo, wit = geodetic_number(d_min)
         if args.format == "json":
-            json.dump(
-                {
-                    "transitive": [list(a) for a in d_max.arcs],
-                    "reversed_path": [list(a) for a in d_min.arcs],
-                    "g_transitive": g_hi,
-                    "g_reversed_path": g_lo,
-                },
-                out,
-            )
-            out.write("\n")
+            out.write(json.dumps({
+                "transitive": [list(a) for a in d_max.arcs],
+                "reversed_path": [list(a) for a in d_min.arcs],
+                "g_transitive": g_hi,
+                "g_reversed_path": g_lo,
+            }) + "\n")
         else:
             out.write(f"transitive tournament: {_arcs_str(d_max)}\n")
             out.write(f"reversed-path tournament: {_arcs_str(d_min)}\n")
@@ -187,17 +183,18 @@ def cmd_orient(args) -> int:
             return _fail(str(exc), 2)
         extremes = geodesic.extreme_vertices(d)
         if args.format == "json":
-            json.dump(
-                {"arcs": [list(a) for a in d.arcs], "extreme_vertices": sorted(extremes)},
-                out,
-            )
-            out.write("\n")
+            out.write(json.dumps(
+                {"arcs": [list(a) for a in d.arcs], "extreme_vertices": sorted(extremes)}
+            ) + "\n")
         else:
             out.write(f"orientation: {_arcs_str(d)}\n")
             out.write(f"self-check: {len(extremes)} extreme vertices\n")
         return 0
 
-    # d1d2
+    # d1d2; below 3 vertices orient complete has nothing to offer either
+    if g.n >= 3 and is_complete(g):
+        return _fail("orient d1d2 needs a graph that is not complete: "
+                     "use orient complete", 2)
     try:
         d2, sel = d2_construction(g)
     except ValueError as exc:
@@ -205,16 +202,12 @@ def cmd_orient(args) -> int:
     d1 = d1_from_d2(d2, sel)
     nums = d1d2_numbers(d1, d2)
     if args.format == "json":
-        json.dump(
-            {
-                "selection": sel.to_json_dict(),
-                "d2": [list(a) for a in d2.arcs],
-                "d1": [list(a) for a in d1.arcs],
-                **nums,
-            },
-            out,
-        )
-        out.write("\n")
+        out.write(json.dumps({
+            "selection": sel.to_json_dict(),
+            "d2": [list(a) for a in d2.arcs],
+            "d1": [list(a) for a in d1.arcs],
+            **nums,
+        }) + "\n")
     else:
         g1, g2, h1, h2 = nums.values()
         out.write(f"induced path: {sel.v0}-{sel.v1}-{sel.v2}\n")
@@ -230,10 +223,8 @@ def cmd_orient(args) -> int:
 def _emit_corpus(report, fmt, out) -> None:
     if fmt == "json":
         for rec in report.records:
-            json.dump(rec.to_json_dict(), out)
-            out.write("\n")
-        json.dump({"summary": report.summary()}, out)
-        out.write("\n")
+            out.write(json.dumps(rec.to_json_dict()) + "\n")
+        out.write(json.dumps({"summary": report.summary()}) + "\n")
         return
     if fmt == "csv":
         w = csv.writer(out)

@@ -13,7 +13,8 @@ Internally everything runs on one bitmask kernel per digraph (the matrix of
 interval masks and the mask of extreme vertices), built once and shared by
 the g, h and con searches.  One BFS per source builds it: each vertex ORs
 in the geodesic masks of its predecessors on the BFS frontier, and the
-extreme vertices are those interior to no geodesic.  Each search runs
+extreme vertices are those interior to no geodesic.  The sweep reads the
+same kernel off the bit-parallel BFS of its batch instead.  Each search runs
 alone: asking for g never pays for the con search.  The public functions
 translate to and from vertex tuples.
 
@@ -30,8 +31,9 @@ is n - 1 when some vertex is extreme, and otherwise a recent convex witness
 that is still convex bounds it below once the max is n - 1.  A skip needs
 both inequalities, so the strict min/max updates could not have fired:
 values and least-index witnesses are those of searching every orientation.
-A scalar kernel is built only where some invariant is left unsettled, and
-the step there only searches, for the invariants left.
+A step runs only where some invariant is left unsettled: it reads that
+orientation's kernel off the batch masks and searches for the invariants
+left.  The skips are recomputed after every step.
 """
 
 from __future__ import annotations
@@ -342,8 +344,9 @@ class OrientableNumbers:
     # g, h and con searches the sweep ran; the rest were settled by bounds.
     # Depends on the chunking, so it is left out of equality and of the JSON.
     exact_searches: tuple[int, int, int] = field(compare=False)
-    # sweep indices that built a scalar kernel: those where the bit-sliced
-    # bounds could not settle g, h and con.  A counter, like exact_searches.
+    # sweep indices that read a kernel off their batch to search: those where
+    # the bit-sliced bounds could not settle g, h and con.  A counter, like
+    # exact_searches.
     scalar_kernels: int = field(compare=False)
 
     def values(self) -> dict[str, int]:
@@ -360,15 +363,6 @@ class OrientableNumbers:
         return out
 
 
-def _build_out_masks(n, edges, index):
-    outs = [0] * n
-    for j, (u, v) in enumerate(edges):
-        if index >> j & 1:
-            u, v = v, u
-        outs[u] |= 1 << v
-    return outs
-
-
 # recent witnesses per invariant that a batch tries as bounds; on the n = 6
 # corpus 1, 3 and 6 of them leave 1,611, 1,232 and 1,066 exact g searches
 _RECENT = 3
@@ -383,25 +377,23 @@ def _remember(recent: list, w: int) -> None:
 class _Sweep:
     """The running state of one chunk: the [min, min index, max, max index]
     slot and the recent witnesses of g, h and con, with the number of exact
-    g, h and con searches run and of scalar kernels built.  `_Batch.skips`
-    decides where a search is needed; the step only runs it."""
+    g, h and con searches run and of kernels read off a batch.
+    `_Batch.skips` decides where a search is needed; the step only runs it,
+    on the kernel that `_Batch.kernel` reads off the batch masks."""
 
-    def __init__(self, n: int, edges) -> None:
-        self.n, self.edges = n, edges
+    def __init__(self, n: int) -> None:
+        self.n = n
         self.slots = [None, None, None]
         self.recent = ([], [], [])
         self.runs = [0, 0, 0]
         self.kernels = 0
 
-    def state(self):
-        return [s and s[:] for s in self.slots], [r[:] for r in self.recent]
-
-    def step(self, idx: int, g_ok: int, h_ok: int, c_ok: int) -> None:
-        """Fold sweep index `idx` into the state, given its bits of
+    def step(self, batch: _Batch, i: int, g_ok: int, h_ok: int, c_ok: int) -> None:
+        """Fold sweep index batch.base + i into the state, given its bits of
         `_Batch.skips`: each exact search runs only where its bit is 0."""
-        n = self.n
+        n, idx = self.n, batch.base + i
         gs, hs, cs = self.slots
-        iv, ext = _kernel(n, _build_out_masks(n, self.edges, idx << 1))
+        iv, ext = batch.kernel(i)
         self.kernels += 1
         if not g_ok:
             w = _geodetic_witness(n, iv, ext)
@@ -448,7 +440,7 @@ class _Batch:
     """
 
     def __init__(self, n: int, edges, base: int, k: int) -> None:
-        self.n = n
+        self.n, self.base = n, base
         self.all = full = (1 << (1 << k)) - 1
         into = [[] for _ in range(n)]  # (p, mask where p -> t) per vertex t
         for j, (u, v) in enumerate(edges):
@@ -509,6 +501,19 @@ class _Batch:
         self.ext = [full & ~m for m in inner]
         self.ext_at_most = self._at_most(self.ext)
         self._memo = {}
+
+    def kernel(self, i: int):
+        """(iv, ext) of sweep index base + i, read off the masks: what
+        `_kernel` builds from that orientation."""
+        n, bit = self.n, 1 << i
+        iv = [[0] * u + [1 << u] + [0] * (n - 1 - u) for u in range(n)]
+        for u, v, row in self.rows:
+            m = (1 << u) | (1 << v)
+            for y, ym in row:
+                if ym & bit:
+                    m |= 1 << y
+            iv[u][v] = iv[v][u] = m
+        return iv, sum(1 << x for x, e in enumerate(self.ext) if e & bit)
 
     def _at_most(self, members) -> list[int]:
         """at[c]: where at most c of the masks `members` are set, by one
@@ -611,28 +616,26 @@ def _sweep_chunk(args):
     pickling.
 
     Returns the [min, min index, max, max index] slot of g, h and con, the
-    exact g, h and con searches run and the scalar kernels built.  The batch
-    decides the skips of each invariant, and a scalar step runs only at an
+    exact g, h and con searches run and the kernels read off a batch.  The
+    batch decides the skips of each invariant, and a step runs only at an
     index where one of them is unsettled, searching only for that one.  The
-    skips are recomputed from the state after each step that changed it;
-    the skipped indices change nothing, so the slots and the searches are
-    those of searching every index.
+    skips are recomputed from the state after every step (the tests behind
+    them are cached per batch); the skipped indices change nothing, so the
+    slots and the searches are those of searching every index.
     """
     n, edges, k, start, stop = args
-    sweep = _Sweep(n, edges)
+    sweep = _Sweep(n)
     for base in range(start, stop, 1 << k):
         batch = _Batch(n, edges, base, k)
-        g_ok, h_ok, c_ok = batch.skips(sweep)
-        todo = batch.all & ~(g_ok & h_ok & c_ok)
-        while todo:
+        above = batch.all
+        while True:
+            g_ok, h_ok, c_ok = batch.skips(sweep)
+            todo = above & ~(g_ok & h_ok & c_ok)
+            if not todo:
+                break
             bit = todo & -todo
-            i = bit.bit_length() - 1
-            before = sweep.state()
-            sweep.step(base + i, g_ok >> i & 1, h_ok >> i & 1, c_ok >> i & 1)
-            todo ^= bit
-            if sweep.state() != before:
-                g_ok, h_ok, c_ok = batch.skips(sweep)
-                todo = batch.all & ~(g_ok & h_ok & c_ok) & -(bit << 1)  # the indices above this one
+            sweep.step(batch, bit.bit_length() - 1, g_ok & bit, h_ok & bit, c_ok & bit)
+            above = batch.all & -(bit << 1)  # the indices above this one
     return sweep.slots, sweep.runs, sweep.kernels
 
 
@@ -692,26 +695,16 @@ def orientable_numbers(
     acc = functools.reduce(_merge, [slots for slots, _, _ in results])
     searches = tuple(sum(col) for col in zip(*[runs for _, runs, _ in results]))
 
-    (gmin, gmin_i, gmax, gmax_i), (hmin, hmin_i, hmax, hmax_i), (cmin, cmin_i, cmax, cmax_i) = acc
-
-    def wit(idx):
-        return orientation_from_index(g, idx << 1)
-
+    fields = {}
+    # each slot is [min, min index, max, max index]; NUMBER_KEYS runs min, max per slot
+    ends = (end for slot in acc for end in (slot[:2], slot[2:]))
+    for key, (value, idx) in zip(NUMBER_KEYS, ends):
+        fields[key] = value
+        fields[key + "_witness"] = orientation_from_index(g, idx << 1)
     return OrientableNumbers(
         n=g.n,
         m=g.m,
-        g_min=gmin,
-        g_max=gmax,
-        h_min=hmin,
-        h_max=hmax,
-        con_min=cmin,
-        con_max=cmax,
-        g_min_witness=wit(gmin_i),
-        g_max_witness=wit(gmax_i),
-        h_min_witness=wit(hmin_i),
-        h_max_witness=wit(hmax_i),
-        con_min_witness=wit(cmin_i),
-        con_max_witness=wit(cmax_i),
+        **fields,
         orientations=1 << (g.m - 1),
         exact_searches=searches,
         scalar_kernels=sum(kernels for _, _, kernels in results),

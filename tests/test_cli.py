@@ -230,7 +230,8 @@ def test_orient_takes_exactly_one_graph(capsys, mode):
 @pytest.mark.parametrize("argv, flags", [
     (["invariants"], "--input, --edges or --arcs"),
     (["orient", "d1d2"], "--input or --edges"),
-], ids=["invariants", "orient"])
+    (["orient", "complete"], "--input, --edges or --n"),
+], ids=["invariants", "orient", "orient-complete"])
 def test_no_input_names_the_input_flags_of_the_command(capsys, argv, flags):
     code, out, err = run(capsys, *argv)
     assert code == 2
@@ -265,6 +266,18 @@ def test_orient_d1d2_refuses_complete(capsys):
     code, _, err = run(capsys, "orient", "d1d2", "--edges", K4_EDGES)
     assert code == 2
     assert "complete" in err
+
+
+def test_orient_d1d2_on_a_complete_graph_names_orient_complete(capsys):
+    # it used to name a library function that the command line cannot run
+    code, out, err = run(capsys, "orient", "d1d2", "--edges", K3_EDGES)
+    assert code == 2
+    assert out == ""
+    assert "orient complete" in err
+    # K2 is complete too, but orient complete needs n >= 3
+    code, out, err = run(capsys, "orient", "d1d2", "--edges", "2\\n0 1")
+    assert (code, out) == (2, "")
+    assert "at least 3 vertices" in err
 
 
 # ---------------------------------------------------------------------------

@@ -434,7 +434,9 @@ def test_batch_masks_match_the_scalar_kernel(seed):
     witnesses = [rng.getrandbits(n) & full for _ in range(4)] + [0, full ^ 1]
     rows = {(u, v): dict(row) for u, v, row in batch.rows}
     for i in range(2 ** k):
-        iv, ext = invariants._kernel(n, invariants._build_out_masks(n, g.edges, (base + i) << 1))
+        iv, ext = invariants._kernel(n, orientation_from_index(g, (base + i) << 1).out_masks)
+        # the kernel a step reads off the batch: the whole matrix and ext
+        assert batch.kernel(i) == (iv, ext)
         assert [batch.ext[x] >> i & 1 for x in range(n)] == [ext >> x & 1 for x in range(n)]
         for (u, v), row in rows.items():
             inside = [y for y in range(n) if y not in (u, v) and row.get(y, 0) >> i & 1]
@@ -464,12 +466,12 @@ def test_batch_skips_leave_every_value_inside_the_running_range(seed):
     k = min(5, g.m - 2)
     base = rng.randrange(1, 2 ** (g.m - 1 - k)) << k
     batch = invariants._Batch(g.n, g.edges, base, k)
-    sweep = invariants._Sweep(g.n, g.edges)
+    sweep = invariants._Sweep(g.n)
     numbers = (geodetic_number, hull_number, convexity_number)
     fired = [False] * 3
 
     def has_extreme(idx):
-        return invariants._kernel(g.n, invariants._build_out_masks(g.n, g.edges, idx << 1))[1] != 0
+        return invariants._kernel(g.n, orientation_from_index(g, idx << 1).out_masks)[1] != 0
 
     def check():
         skips = batch.skips(sweep)
@@ -478,11 +480,14 @@ def test_batch_skips_leave_every_value_inside_the_running_range(seed):
             for j, (ok, number, (lo, _, hi, _)) in enumerate(zip(skips, numbers, sweep.slots)):
                 if ok >> i & 1:
                     fired[j] = True
-                    assert lo <= number(d)[0] <= hi, (sweep.state(), i, number.__name__)
+                    assert lo <= number(d)[0] <= hi, (sweep.slots, sweep.recent, i,
+                                                      number.__name__)
 
     assert batch.skips(sweep) == (0, 0, 0)
     for idx in sorted(rng.sample(range(2 ** (g.m - 1)), 8), key=has_extreme):
-        sweep.step(idx, 0, 0, 0)
+        # each sampled index is stepped through the batch that holds it
+        at = idx >> k << k
+        sweep.step(invariants._Batch(g.n, g.edges, at, k), idx - at, 0, 0, 0)
         check()
     # a first recent g witness V passes wherever the g max is n, and then
     # the h skip rests on its size, not on that of a later witness
