@@ -60,10 +60,14 @@ def _stdin():
     return io.StringIO(sys.stdin.buffer.read().decode("latin-1"), newline="\n")
 
 
+def _inline_list(value: str) -> str:
+    """An --edges or --arcs value as text: stdin for '-', '\\n' a newline."""
+    return (_stdin().read() if value == "-" else value).replace("\\n", "\n")
+
+
 def _input_graphs(args) -> list[Graph]:
     if args.edges is not None:
-        text = _stdin().read() if args.edges == "-" else args.edges
-        return [parse_edge_list(text.replace("\\n", "\n"))]
+        return [parse_edge_list(_inline_list(args.edges))]
     if args.input is None:
         flags = ("--input, --edges or --arcs" if hasattr(args, "arcs")
                  else "--input, --edges or --n" if getattr(args, "mode", None) == "complete"
@@ -98,8 +102,7 @@ def _numbers_line(values: dict[str, int]) -> str:
 def cmd_invariants(args) -> int:
     out = sys.stdout
     if args.arcs is not None:
-        text = _stdin().read() if args.arcs == "-" else args.arcs
-        d = parse_arc_list(text.replace("\\n", "\n"))
+        d = parse_arc_list(_inline_list(args.arcs))
         rep = digraph_report(d)
         if args.format == "json":
             out.write(json.dumps(rep.to_json_dict()) + "\n")

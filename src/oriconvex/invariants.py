@@ -14,7 +14,8 @@ interval masks and the mask of extreme vertices), built once and shared by
 the g, h and con searches.  One BFS per source builds it: each vertex ORs
 in the geodesic masks of its predecessors on the BFS frontier, and the
 extreme vertices are those interior to no geodesic.  The sweep reads the
-same kernel off the bit-parallel BFS of its batch instead.  Each search runs
+same kernel off the bit-parallel BFS of its batch instead, which runs the
+same rule on one bit per orientation.  Each search runs
 alone: asking for g never pays for the con search.  The public functions
 translate to and from vertex tuples.
 
@@ -432,11 +433,13 @@ class _Batch:
     higher edge in all of the batch or in none of it.  One BFS per source
     runs on every orientation at once (the bit-parallel BFS of Akiba, Iwata
     and Yoshida, SIGMOD 2013, with a bit per orientation where theirs has
-    one per root) and gives the masks where t is d arcs from s.  Then y is
-    on a u->v geodesic where d(u, y) + d(y, v) = d(u, v).  `rows` holds, for
-    each pair u < v, each y outside {u, v} with the mask where y is in
-    I[u,v]; `ext[x]` masks where x is extreme.  The tests of a witness w
-    below do not depend on the running state, so `skips` caches them.
+    one per root) by the rule of `_interval_masks`: where t is first
+    reached from a frontier vertex p, it ORs in p and each y on an s->p
+    geodesic, so no distances are kept.  `rows` holds, for each pair
+    u < v, each y outside {u, v} with the mask where y is in I[u,v] (on a
+    u->v or a v->u geodesic); `ext[x]` masks where x is extreme.  The tests
+    of a witness w below do not depend on the running state, so `skips`
+    caches them.
     """
 
     def __init__(self, n: int, edges, base: int, k: int) -> None:
@@ -455,45 +458,42 @@ class _Batch:
                 if arc:
                     into[t].append((p, arc))
 
-        dist = []  # dist[s][t][d]: where t is d arcs from s
+        on = []  # on[s][t][y]: where y is on an s->t geodesic, s and t left out
         for s in range(n):
-            from_s = [[0] * n for _ in range(n)]
-            from_s[s][0] = full
+            to = [[0] * n for _ in range(n)]
             seen = [0] * n
             seen[s] = full
-            front = {s: full}
-            d = 0
+            front = {s: full}  # where each vertex was first reached one level up
             while front:
-                d += 1
                 nxt = {}
                 for t in range(n):
                     if seen[t] == full:
                         continue
+                    row = to[t]
                     reach = 0
                     for p, arc in into[t]:
                         if p in front:
-                            reach |= front[p] & arc
-                    reach &= ~seen[t]
+                            e = front[p] & arc & ~seen[t]  # where p -> t is a first step
+                            if e:
+                                reach |= e
+                                if p != s:
+                                    row[p] |= e
+                                    for y, m in enumerate(to[p]):
+                                        if m:
+                                            row[y] |= m & e
                     if reach:
                         seen[t] |= reach
-                        nxt[t] = from_s[t][d] = reach
+                        nxt[t] = reach
                 front = nxt
-            dist.append(from_s)
-        levels = [[[(d, m) for d, m in enumerate(ds) if m] for ds in from_s] for from_s in dist]
+            on.append(to)
 
         inner = [0] * n
         self.rows = []
         for u, v in itertools.combinations(range(n), 2):
+            uv, vu = on[u][v], on[v][u]
             row = []
             for y in range(n):
-                m = 0
-                if y != u and y != v:
-                    for a, b in ((u, v), (v, u)):
-                        dab = dist[a][b]
-                        for da, ay in levels[a][y]:
-                            for db, yb in levels[y][b]:
-                                if da + db < n:
-                                    m |= ay & yb & dab[da + db]
+                m = uv[y] | vu[y]
                 if m:
                     row.append((y, m))
                     inner[y] |= m

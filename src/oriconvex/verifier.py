@@ -425,16 +425,12 @@ class CorpusReport:
         return 0
 
 
-def _normalize_suites(suite) -> tuple[str, ...]:
-    if suite in (None, "all"):
+def _normalize_suites(suite: str) -> tuple[str, ...]:
+    if suite == "all":
         return SUITES
-    if isinstance(suite, str):
-        suite = (suite,)
-    chosen = tuple(suite)
-    for s in chosen:
-        if s not in SUITES:
-            raise ValueError(f"unknown suite {s!r}; pick from {SUITES + ('all',)}")
-    return chosen
+    if suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}; pick from {SUITES + ('all',)}")
+    return (suite,)
 
 
 def _run_line(args) -> LineRecord:

@@ -379,23 +379,29 @@ def test_verify_with_no_graph_checked_fails(capsys):
     assert "no graph was checked" in err
 
 
-# sha256 of `verify --suite all --format json` stdout, pinned so that a
+# sha256 of `verify --suite all --format <fmt>` stdout, pinned so that a
 # faster sweep cannot change a byte of the output unnoticed
-VERIFY_JSON_SHA256 = {
-    "connected_n3": "f4612c903dfd217639a33cd95356b14efc09c2bdc20f6d4c0218c141e549f1a5",
-    "connected_n4": "9b27fe84d117abf6f93c4c055c23f5d1fba0092d4f50740e6638365505406c1c",
-    "connected_n5": "0d4e4c282f0674df4e667f9949a047b210ddf4200713e0febfa198c8895e4716",
-    "connected_n6": "3044b1bb2965ee3c3277ac921d46523a4b78f73a9eff82113eee163c960981c0",
-    "trees_upto_n7": "f81a94a019836b66fc480e0125af5789252289aedd9706477559dd68648b1298",
+VERIFY_STDOUT_SHA256 = {
+    ("connected_n3", "json"): "f4612c903dfd217639a33cd95356b14efc09c2bdc20f6d4c0218c141e549f1a5",
+    ("connected_n4", "json"): "9b27fe84d117abf6f93c4c055c23f5d1fba0092d4f50740e6638365505406c1c",
+    ("connected_n5", "json"): "0d4e4c282f0674df4e667f9949a047b210ddf4200713e0febfa198c8895e4716",
+    ("connected_n5", "text"): "ee14968ff34380401a8f3d258a9790077203f1d5fd02b24e22bb3b5cd7ea0b24",
+    ("connected_n5", "csv"): "a36b88cc47a5c82730feb81e79114986719c93430c449c8b4e608d670da8a4aa",
+    ("connected_n6", "json"): "3044b1bb2965ee3c3277ac921d46523a4b78f73a9eff82113eee163c960981c0",
+    ("connected_n6", "text"): "dccffec930fc984ecb3261fd8963d4f180d14df298677614c03e4533aaf6d9f3",
+    ("connected_n6", "csv"): "81b677fd2085adaa6b926bd420dd7b106cf0ef5cc38f97526dcce24b708dc90a",
+    ("trees_upto_n7", "json"): "f81a94a019836b66fc480e0125af5789252289aedd9706477559dd68648b1298",
 }
 
 
-@pytest.mark.parametrize("corpus", sorted(VERIFY_JSON_SHA256))
-def test_verify_json_stdout_is_pinned(capsys, corpus):
-    code, out, _ = run(capsys, "verify", "--suite", "all", "--format", "json",
+@pytest.mark.parametrize("corpus, fmt", [
+    pytest.param(corpus, fmt, id=corpus if fmt == "json" else f"{corpus}-{fmt}")
+    for corpus, fmt in sorted(VERIFY_STDOUT_SHA256)])
+def test_verify_json_stdout_is_pinned(capsys, corpus, fmt):
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--format", fmt,
                        str(DATA_DIR / f"{corpus}.g6"))
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_JSON_SHA256[corpus]
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_STDOUT_SHA256[corpus, fmt]
 
 
 NON_ASCII_CORPUS = b"Bw\nD\xc3hc\nDhc\n"  # line 2 holds one byte outside ASCII
@@ -504,6 +510,16 @@ def test_stdin_edge_list(capsys, monkeypatch):
     code, out, _ = run(capsys, "invariants", "--edges", "-")
     assert code == 0
     assert "g⁻=2" in out
+
+
+@pytest.mark.parametrize("flag", ["--edges", "--arcs"])
+def test_inline_list_reads_alike_from_the_argument_and_stdin(capsys, monkeypatch, flag):
+    # '-' reads stdin; a literal backslash-n is a newline in both sources
+    want = run(capsys, "invariants", flag, P3_EDGES)
+    assert want[0] == 0 and want[1]
+    for data in (b"3\n0 1\n1 2", P3_EDGES.encode()):
+        _bytes_stdin(monkeypatch, data)
+        assert run(capsys, "invariants", flag, "-") == want, data
 
 
 def test_console_entry_point_runs():

@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 from unittest import mock
@@ -418,29 +419,37 @@ def test_pruned_chunk_matches_the_exhaustive_chunk(g, data):
     assert slots == oracle_sweep(g, indices)
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_batch_masks_match_the_scalar_kernel(seed):
-    # bit i of each batch mask against the scalar kernel and tests of sweep
-    # index base + i; base > 0, so edges above k take their direction from it
+@pytest.mark.parametrize("seed, case", [pytest.param(s, "random", id=str(s)) for s in range(8)]
+                         + [pytest.param(s, case, id=f"{case}-{s}")
+                            for case in ("k0", "base0") for s in range(4)])
+def test_batch_masks_match_the_scalar_kernel(seed, case):
+    # bit i of each batch mask against the frozenset reference (which tests
+    # d(u, y) + d(y, v) = d(u, v), a rule neither kernel uses), the scalar
+    # kernel and the tests of sweep index base + i.  With base > 0 edges
+    # above k take their direction from it; k0 is a batch of one index, and
+    # base0 holds index 0, every edge low->high
     rng = random.Random(seed)
     while True:
         g = random_graph(rng, rng.randint(4, 8))
         if g.m >= 4 and is_connected(g):
             break
     n, full = g.n, (1 << g.n) - 1
-    k = rng.randint(1, min(5, g.m - 2))
-    base = rng.randrange(1, 2 ** (g.m - 1 - k)) << k
+    k = 0 if case == "k0" else rng.randint(1, min(5, g.m - 2))
+    base = 0 if case == "base0" else rng.randrange(1, 2 ** (g.m - 1 - k)) << k
     batch = invariants._Batch(n, g.edges, base, k)
     witnesses = [rng.getrandbits(n) & full for _ in range(4)] + [0, full ^ 1]
     rows = {(u, v): dict(row) for u, v, row in batch.rows}
+    assert sorted(rows) == list(itertools.combinations(range(n), 2))
     for i in range(2 ** k):
-        iv, ext = invariants._kernel(n, orientation_from_index(g, (base + i) << 1).out_masks)
+        d = orientation_from_index(g, (base + i) << 1)
+        dist = all_pairs_distances(d)
+        for (u, v), row in rows.items():
+            inside = [y for y in range(n) if row.get(y, 0) >> i & 1]
+            assert inside == sorted(interval(d, dist, u, v) - {u, v}), (u, v)
+        assert [x for x in range(n) if batch.ext[x] >> i & 1] == sorted(extreme_vertices(d))
+        iv, ext = invariants._kernel(n, d.out_masks)
         # the kernel a step reads off the batch: the whole matrix and ext
         assert batch.kernel(i) == (iv, ext)
-        assert [batch.ext[x] >> i & 1 for x in range(n)] == [ext >> x & 1 for x in range(n)]
-        for (u, v), row in rows.items():
-            inside = [y for y in range(n) if y not in (u, v) and row.get(y, 0) >> i & 1]
-            assert inside == [y for y in bits(iv[u][v]) if y not in (u, v)], (u, v)
         low = max(ext.bit_count(), 2)
         assert [batch.low_at_least(t) >> i & 1 for t in range(n + 1)] == [
             low >= t for t in range(n + 1)]

@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 
 import pytest
 
@@ -195,8 +196,10 @@ def test_corpus_run_rejects_out_of_range_settings():
 
 
 def test_corpus_run_rejects_unknown_suite():
-    with pytest.raises(ValueError):
-        corpus_run(["Bw"], suite="nonsense")
+    # one name from SUITES or "all"; no None default, no iterable of names
+    for suite in ("nonsense", None, ("separation",), ["all"]):
+        with pytest.raises(ValueError, match=f"unknown suite {re.escape(repr(suite))}; pick"):
+            corpus_run(["Bw"], suite=suite)
 
 
 def test_record_json_shape():
