@@ -14,16 +14,15 @@ from pathlib import Path
 from oriconvex import corpus_run
 
 corpus = Path(__file__).resolve().parent.parent / "data" / "connected_n5.g6"
-report = corpus_run(str(corpus), suite="all")
+report = corpus_run(corpus, suite="all")
 
 for rec in report.records:
-    sep = rec.separation
-    cls = rec.classification
-    print(f"{rec.text:>6}  n={sep.n} m={sep.m:>2}  "
-          f"g-:{sep.numbers.g_min} g+:{sep.numbers.g_max} "
-          f"h-:{sep.numbers.h_min} h+:{sep.numbers.h_max} "
-          f"con-:{rec.convexity.con_min} con+:{rec.convexity.con_max}  "
-          f"{cls.case}  {'ok' if rec.ok else 'VIOLATION'}")
+    nums = rec.numbers
+    print(f"{rec.text:>6}  n={nums.n} m={nums.m:>2}  "
+          f"g-:{nums.g_min} g+:{nums.g_max} "
+          f"h-:{nums.h_min} h+:{nums.h_max} "
+          f"con-:{nums.con_min} con+:{nums.con_max}  "
+          f"{rec.classification.case}  {'ok' if rec.ok else 'VIOLATION'}")
 
 print("\nsummary:", report.summary())
 print("exit status a CLI run would report:", report.exit_status())

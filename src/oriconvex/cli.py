@@ -40,7 +40,7 @@ from .orienters import (
     d2_construction,
     extreme_free_orientation,
 )
-from .verifier import corpus_run, d1d2_numbers
+from .verifier import SUITES, corpus_run, d1d2_numbers
 
 _SUP = dict(zip(NUMBER_KEYS, ("g⁻", "g⁺", "h⁻", "h⁺", "con⁻", "con⁺")))
 
@@ -180,10 +180,7 @@ def cmd_orient(args) -> int:
 
     g = _one_graph(args)
     if args.mode == "extreme-free":
-        try:
-            d = extreme_free_orientation(g)
-        except ValueError as exc:
-            return _fail(str(exc), 2)
+        d = extreme_free_orientation(g)
         extremes = geodesic.extreme_vertices(d)
         if args.format == "json":
             out.write(json.dumps(
@@ -198,10 +195,7 @@ def cmd_orient(args) -> int:
     if g.n >= 3 and is_complete(g):
         return _fail("orient d1d2 needs a graph that is not complete: "
                      "use orient complete", 2)
-    try:
-        d2, sel = d2_construction(g)
-    except ValueError as exc:
-        return _fail(str(exc), 2)
+    d2, sel = d2_construction(g)
     d1 = d1_from_d2(d2, sel)
     nums = d1d2_numbers(d1, d2)
     if args.format == "json":
@@ -243,14 +237,14 @@ def _emit_corpus(report, fmt, out) -> None:
             out.write(f"line {rec.line} ({rec.text}): {rec.status}: {rec.reason}\n")
             continue
         bits = []
+        nums = rec.numbers
         if rec.separation is not None:
-            n = rec.separation.numbers
             bits.append(
-                f"g⁻={n.g_min}<g⁺={n.g_max} h⁻={n.h_min}<h⁺={n.h_max} "
+                f"g⁻={nums.g_min}<g⁺={nums.g_max} h⁻={nums.h_min}<h⁺={nums.h_max} "
                 f"route={rec.separation.route}"
             )
         if rec.convexity is not None:
-            bits.append(f"con⁻={rec.convexity.con_min} con⁺={rec.convexity.con_max}")
+            bits.append(f"con⁻={nums.con_min} con⁺={nums.con_max}")
         if rec.classification is not None:
             bits.append(f"case={rec.classification.case}")
         status = "pass" if rec.ok else "FAIL"
@@ -264,16 +258,9 @@ def _emit_corpus(report, fmt, out) -> None:
 
 
 def cmd_verify(args) -> int:
-    try:
-        t0 = time.perf_counter()
-        report = corpus_run(
-            args.corpus,
-            suite=args.suite,
-            edge_budget=args.budget,
-            workers=args.workers,
-        )
-    except OSError as exc:
-        return _fail(str(exc), 2)
+    t0 = time.perf_counter()
+    report = corpus_run(args.corpus, suite=args.suite,
+                        edge_budget=args.budget, workers=args.workers)
     print(f"{len(report.records)} lines in {time.perf_counter() - t0:.2f}s",
           file=sys.stderr)
     _emit_corpus(report, args.format, sys.stdout)
@@ -322,8 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[sweep],
                        help="run theorem suites over a graph6 corpus")
     p.add_argument("corpus", help="graph6 file ('-' reads stdin)")
-    p.add_argument("--suite", choices=("separation", "convexity", "classify", "all"),
-                   default="all")
+    p.add_argument("--suite", choices=SUITES + ("all",), default="all")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("classify", parents=[sweep],
@@ -351,13 +337,16 @@ def main(argv=None) -> int:
         )
     if args.command in ("verify", "classify") and args.corpus == "-":
         args.corpus = _stdin()
+    # the one place an exception becomes exit 2: bad input raises ValueError
+    # (GraphFormatError and EdgeBudgetError among them), an unreadable file
+    # OSError; a closed stdout pipe, itself an OSError, is caught first as
+    # no error
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
-        # GraphFormatError and EdgeBudgetError are ValueErrors
-        return _fail(str(exc), 2)
     except BrokenPipeError:
         return 0
+    except (ValueError, OSError) as exc:
+        return _fail(str(exc), 2)
 
 
 if __name__ == "__main__":

@@ -7,6 +7,7 @@ bitmasks so the exhaustive searches elsewhere in the package stay cheap.
 
 from __future__ import annotations
 
+import os
 import re
 import string
 from dataclasses import dataclass, field
@@ -214,15 +215,16 @@ def parse_graph6(text: str) -> Graph:
 def graph6_lines(source) -> list[tuple[int, str]]:
     """(line number, text) of each nonblank line of a graph6 source.
 
-    `source` is a file path or an iterable of lines, each str or bytes.  A
-    file and bytes are read as latin-1, one character per byte, so a byte
-    that is not graph6 (non-ASCII included) fails to parse on its own line.
+    `source` is a file path (str, bytes or os.PathLike) or an iterable of
+    lines, each str or bytes.  A file and bytes are read as latin-1, one
+    character per byte, so a byte that is not graph6 (non-ASCII included)
+    fails to parse on its own line.
     A file's lines end at '\n' only, as in `_parse_pairs`: a bare '\r' stays
     inside its line and fails it.
     Lines lose ASCII whitespace only, which is never a graph6 byte: a bare
     strip() would also drop 0x85 and 0xA0 and pass the rest of the line.
     """
-    if isinstance(source, (str, bytes)):
+    if isinstance(source, (str, bytes, os.PathLike)):
         with open(source, "r", encoding="latin-1", newline="\n") as fh:
             return graph6_lines(list(fh))
     out = []

@@ -74,8 +74,6 @@ class Failure:
 @dataclass
 class SeparationReport:
     graph_id: str
-    n: int
-    m: int
     numbers: OrientableNumbers
     route: str  # "complete" or "induced-path"
     constructed: dict[str, int]
@@ -101,8 +99,6 @@ class SeparationReport:
 @dataclass
 class ConvexityReport:
     graph_id: str
-    n: int
-    m: int
     con_min: int
     con_max: int
     has_end_vertex: bool
@@ -133,8 +129,6 @@ class HgClassification:
     """
 
     graph_id: str
-    n: int
-    m: int
     g_min: int
     g_max: int
     h_min: int
@@ -266,8 +260,6 @@ def verify_separation(g: Graph, *, numbers: OrientableNumbers | None = None) -> 
 
     return SeparationReport(
         graph_id=encode_graph6(g),
-        n=g.n,
-        m=g.m,
         numbers=numbers,
         route=route,
         constructed=constructed,
@@ -284,9 +276,9 @@ def verify_convexity(g: Graph, *, numbers: OrientableNumbers | None = None) -> C
     if numbers.con_max != n - 1:
         failures.append(Failure("con-max", f"con+={numbers.con_max}, expected {n - 1}"))
 
-    # constructive con+ witness: all edges at vertex 0 point away from it
-    arcs = [(0, v) if u == 0 else (u, v) for u, v in g.edges]
-    d_out = Digraph.from_arcs(n, arcs)
+    # constructive con+ witness: every edge runs low -> high, so vertex 0,
+    # the lowest, is a source
+    d_out = Digraph(n, g.edges)
     val, _ = convexity_number(d_out)
     if val != n - 1:
         failures.append(
@@ -317,8 +309,6 @@ def verify_convexity(g: Graph, *, numbers: OrientableNumbers | None = None) -> C
 
     return ConvexityReport(
         graph_id=encode_graph6(g),
-        n=g.n,
-        m=g.m,
         con_min=numbers.con_min,
         con_max=numbers.con_max,
         has_end_vertex=has_end,
@@ -330,8 +320,6 @@ def classify_hg(g: Graph, *, numbers: OrientableNumbers | None = None) -> HgClas
     numbers = _suite_numbers(g, numbers)
     return HgClassification(
         graph_id=encode_graph6(g),
-        n=g.n,
-        m=g.m,
         case=classify_values(numbers.g_min, numbers.g_max, numbers.h_min, numbers.h_max),
         **numbers.values(),
     )
@@ -356,21 +344,16 @@ class LineRecord:
     def ok(self) -> bool:
         if self.status != "ok":
             return self.status == "skipped"
-        for rep in (self.separation, self.convexity):
-            if rep is not None and not rep.ok:
-                return False
-        return True
+        return all(rep is None or rep.ok for rep in (self.separation, self.convexity))
 
     def to_json_dict(self) -> dict:
         out: dict = {"line": self.line, "graph": self.text, "status": self.status}
         if self.reason:
             out["reason"] = self.reason
-        if self.separation is not None:
-            out["separation"] = self.separation.to_json_dict()
-        if self.convexity is not None:
-            out["convexity"] = self.convexity.to_json_dict()
-        if self.classification is not None:
-            out["classification"] = self.classification.to_json_dict()
+        for key in ("separation", "convexity", "classification"):
+            rep = getattr(self, key)
+            if rep is not None:
+                out[key] = rep.to_json_dict()
         out["ok"] = self.ok
         return out
 

@@ -317,6 +317,18 @@ def test_verify_missing_file(capsys):
     assert "No such file" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["invariants", "--input"], ["orient", "extreme-free", "--input"],
+    ["orient", "d1d2", "--input"], ["verify"], ["classify"],
+], ids=["invariants", "orient-extreme-free", "orient-d1d2", "verify", "classify"])
+def test_a_directory_input_exits_2_naming_it(capsys, tmp_path, argv):
+    # main's one handler turns an OSError from any command into exit 2
+    code, out, err = run(capsys, *argv, str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+
 def test_verify_propagates_parse_errors(capsys, tmp_path):
     path = tmp_path / "bad.g6"
     path.write_text("Bw\nzz@@@\n")

@@ -129,6 +129,15 @@ def test_corpus_run_n5_all_suites(tmp_path):
     assert [r.line for r in report.records] == list(range(1, 22))
 
 
+def test_corpus_run_takes_a_pathlib_path(tmp_path):
+    # a Path is a file path, not an iterable of lines
+    path = tmp_path / "mixed.g6"
+    path.write_text("Bw\n~~bad\nDhc\n")
+    report = corpus_run(path)
+    assert [r.status for r in report.records] == ["ok", "parse-error", "ok"]
+    assert report.records == corpus_run(str(path)).records
+
+
 def test_corpus_run_empty_file(tmp_path):
     path = tmp_path / "empty.g6"
     path.write_text("")
