@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -40,7 +41,7 @@ from .orienters import (
     d2_construction,
     extreme_free_orientation,
 )
-from .verifier import SUITES, corpus_run, d1d2_numbers
+from .verifier import SUITES, corpus_run, d1d2_numbers, fan_out
 
 _SUP = dict(zip(NUMBER_KEYS, ("g⁻", "g⁺", "h⁻", "h⁺", "con⁻", "con⁺")))
 
@@ -122,13 +123,14 @@ def cmd_invariants(args) -> int:
     if args.format == "csv":
         csv_writer = csv.writer(out)
         csv_writer.writerow(["graph", "n", "m", *NUMBER_KEYS])
-    for g in graphs:
-        t0 = time.perf_counter()
-        # the sweep validates g first, so a bad graph is reported as what it
-        # is, not as a graph6 encoding limit
-        nums = orientable_numbers(g, edge_budget=args.budget, workers=args.workers)
+    # results arrive in input order, each graph validated by its sweep: a bad
+    # graph fails as what it is (not a graph6 encoding limit), after the ones before it
+    sweep = functools.partial(orientable_numbers, edge_budget=args.budget)
+    t0 = time.perf_counter()
+    for g, nums in zip(graphs, fan_out(sweep, graphs, args.workers)):
         gid = encode_graph6(g)
         print(f"{gid}: {time.perf_counter() - t0:.2f}s", file=sys.stderr)
+        t0 = time.perf_counter()
         if args.format == "json":
             rec = nums.to_json_dict()
             rec["graph"] = gid
@@ -291,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--budget", type=int, default=DEFAULT_EDGE_BUDGET,
                        help="edge budget guarding the 2^m enumeration (default %(default)s)")
     sweep.add_argument("--workers", type=int, default=None,
-                       help="worker processes (>= 1) for orientation/corpus fan-out")
+                       help="worker processes (>= 1) across the input graphs or corpus lines")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("invariants", parents=[sweep], help="six orientable numbers "

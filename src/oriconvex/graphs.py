@@ -34,6 +34,12 @@ class EdgeBudgetError(ValueError):
             f"(2^{m} orientations); rerun with an edge budget of at least {m}"
         )
         self.required_budget = m
+        self.budget = budget
+
+    def __reduce__(self):
+        # rebuilt from (m, budget): the default passes the message alone to
+        # __init__, so the error would not survive a worker process's pickle
+        return type(self), (self.required_budget, self.budget)
 
 
 def bits(mask: int) -> Iterator[int]:

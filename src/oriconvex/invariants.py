@@ -25,7 +25,7 @@ each {D, reverse(D)} pair: sweep index idx is orientation idx << 1 of
 `graphs.orientation_from_index`, the 2^(m-1) orientations that keep edge 0
 low->high.  The sweep takes them 2^12 at a time, one bit per orientation
 (`_Batch`), and the batch decides for each invariant where cheap bounds
-place its value inside the running [min, max] of the chunk.  The extreme
+place its value inside the running [min, max] of the sweep.  The extreme
 vertices give g >= h >= max(#extreme, 2); a recent geodetic (hull) witness
 joined with them that still covers V gives an upper bound, and h <= g; con
 is n - 1 when some vertex is extreme, and otherwise a recent convex witness
@@ -322,9 +322,8 @@ class OrientableNumbers:
     """Exact min/max of g, h, con over all orientations, with witnesses.
 
     Each witness is the orientation of least sweep index attaining the
-    extremum, so results are independent of chunking and worker count.
-    `orientations` is the size of the sweep index space, 2^(m-1): one per
-    {D, reverse(D)} pair.
+    extremum.  `orientations` is the size of the sweep index space,
+    2^(m-1): one per {D, reverse(D)} pair.
     """
 
     n: int
@@ -343,7 +342,8 @@ class OrientableNumbers:
     con_max_witness: Digraph
     orientations: int
     # g, h and con searches the sweep ran; the rest were settled by bounds.
-    # Depends on the chunking, so it is left out of equality and of the JSON.
+    # They measure the pruning, not the graph, so they are left out of
+    # equality and of the JSON.
     exact_searches: tuple[int, int, int] = field(compare=False)
     # sweep indices that read a kernel off their batch to search: those where
     # the bit-sliced bounds could not settle g, h and con.  A counter, like
@@ -376,7 +376,7 @@ def _remember(recent: list, w: int) -> None:
 
 
 class _Sweep:
-    """The running state of one chunk: the [min, min index, max, max index]
+    """The running state of the sweep: the [min, min index, max, max index]
     slot and the recent witnesses of g, h and con, with the number of exact
     g, h and con searches run and of kernels read off a batch.
     `_Batch.skips` decides where a search is needed; the step only runs it,
@@ -610,10 +610,9 @@ class _Batch:
         return g_ok, h_ok, c_ok
 
 
-def _sweep_chunk(args):
-    """Aggregate the sweep indices start .. stop - 1 (orientations idx << 1),
-    2^k at a time (start and stop are multiples of 2^k); top-level for
-    pickling.
+def _sweep(n: int, edges, k: int):
+    """Aggregate every sweep index 0 .. 2^(m-1) - 1 (orientations idx << 1),
+    2^k at a time.
 
     Returns the [min, min index, max, max index] slot of g, h and con, the
     exact g, h and con searches run and the kernels read off a batch.  The
@@ -623,9 +622,8 @@ def _sweep_chunk(args):
     them are cached per batch); the skipped indices change nothing, so the
     slots and the searches are those of searching every index.
     """
-    n, edges, k, start, stop = args
     sweep = _Sweep(n)
-    for base in range(start, stop, 1 << k):
+    for base in range(0, 1 << (len(edges) - 1), 1 << k):
         batch = _Batch(n, edges, base, k)
         above = batch.all
         while True:
@@ -650,32 +648,10 @@ def _record(slot, v: int, idx: int):
     return slot
 
 
-def _merge(acc, part):
-    """Fold the slots of a later chunk into `acc`; chunks arrive in ascending
-    index order, so `_record` keeps the least index per extremum."""
-    return [_record(_record(slot, lo, lo_i), hi, hi_i)
-            for slot, (lo, lo_i, hi, hi_i) in zip(acc, part)]
-
-
-def fan_out(fn, jobs: list, workers: int | None = None) -> list:
-    """``[fn(j) for j in jobs]``, across `workers` processes when there are
-    two or more of each; `fn` must be top-level so it pickles."""
-    if workers is not None and workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
-    if workers and workers > 1 and len(jobs) > 1:
-        # imported here: multiprocessing costs every serial run its load time
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, jobs))
-    return [fn(j) for j in jobs]
-
-
 def orientable_numbers(
     g: Graph,
     *,
     edge_budget: int = DEFAULT_EDGE_BUDGET,
-    workers: int | None = None,
 ) -> OrientableNumbers:
     """Sweep one orientation of each {D, reverse(D)} pair of g's
     orientations, and aggregate the six extremes (reversal changes none)."""
@@ -686,18 +662,10 @@ def orientable_numbers(
     if g.m > edge_budget:
         raise EdgeBudgetError(g.m, edge_budget)
 
-    k = min(_BATCH_BITS, g.m - 1)
-    batches = 1 << (g.m - 1 - k)
-    parts = min(workers or 1, batches)
-    cuts = [(batches * i // parts) << k for i in range(parts + 1)]
-    chunks = [(g.n, g.edges, k, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
-    results = fan_out(_sweep_chunk, chunks, workers)
-    acc = functools.reduce(_merge, [slots for slots, _, _ in results])
-    searches = tuple(sum(col) for col in zip(*[runs for _, runs, _ in results]))
-
+    slots, searches, kernels = _sweep(g.n, g.edges, min(_BATCH_BITS, g.m - 1))
     fields = {}
     # each slot is [min, min index, max, max index]; NUMBER_KEYS runs min, max per slot
-    ends = (end for slot in acc for end in (slot[:2], slot[2:]))
+    ends = (end for slot in slots for end in (slot[:2], slot[2:]))
     for key, (value, idx) in zip(NUMBER_KEYS, ends):
         fields[key] = value
         fields[key + "_witness"] = orientation_from_index(g, idx << 1)
@@ -706,6 +674,6 @@ def orientable_numbers(
         m=g.m,
         **fields,
         orientations=1 << (g.m - 1),
-        exact_searches=searches,
-        scalar_kernels=sum(kernels for _, _, kernels in results),
+        exact_searches=tuple(searches),
+        scalar_kernels=kernels,
     )

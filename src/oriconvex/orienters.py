@@ -60,30 +60,32 @@ def _chordless_cycles(g: Graph, free: list[int], length: int) -> Iterator[tuple[
     edges between cycles, and re-checks a cycle's edges before taking it.
     """
     adj = g.adj
-
-    def extend(path: list[int], pathmask: int) -> Iterator[tuple[int, ...]]:
-        a = path[0]
-        tail = path[-1]
-        mid_mask = pathmask & ~(1 << a) & ~(1 << tail)
-        gt_a = ~((1 << (a + 1)) - 1)
-        closes = len(path) + 1 == length
-        for w in bits(free[tail] & gt_a & ~pathmask):
-            wadj = adj[w]
-            if wadj & mid_mask:
-                continue  # chord to an interior path vertex
-            if wadj >> a & 1:
-                if closes and free[w] >> a & 1 and path[1] < w:
-                    yield tuple(path) + (w,)
-                # extending past w would leave the chord wa inside the cycle
-                continue
-            if not closes:
-                path.append(w)
-                yield from extend(path, pathmask | (1 << w))
-                path.pop()
-
     for a in range(g.n):
-        for b in bits(free[a] & ~((1 << (a + 1)) - 1)):
-            yield from extend([a, b], (1 << a) | (1 << b))
+        gt_a = ~((1 << (a + 1)) - 1)
+        for b in bits(free[a] & gt_a):
+            path, pathmask = [a, b], (1 << a) | (1 << b)
+            # todo[i]: the extensions of path[: i + 2] left to try, one entry
+            # per path vertex, so a long cycle needs no deep recursion
+            todo = [free[b] & gt_a & ~pathmask]
+            while todo:
+                if not todo[-1]:
+                    todo.pop()
+                    pathmask ^= 1 << path.pop()
+                    continue
+                wbit = todo[-1] & -todo[-1]
+                todo[-1] ^= wbit
+                w = wbit.bit_length() - 1
+                if adj[w] & pathmask & ~(1 << a) & ~(1 << path[-1]):
+                    continue  # chord to an interior path vertex
+                closes = len(path) + 1 == length
+                if adj[w] >> a & 1:
+                    if closes and free[w] >> a & 1 and path[1] < w:
+                        yield tuple(path) + (w,)
+                    # extending past w would leave the chord wa inside the cycle
+                elif not closes:
+                    path.append(w)
+                    pathmask |= wbit
+                    todo.append(free[w] & gt_a & ~pathmask)
 
 
 def find_edge_disjoint_induced_cycles(g: Graph) -> list[tuple[int, ...]]:

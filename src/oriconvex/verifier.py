@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from . import geodesic
 from .graphs import (
@@ -32,7 +33,6 @@ from .invariants import (
     NUMBER_KEYS,
     OrientableNumbers,
     convexity_number,
-    fan_out,
     geodetic_number,
     hull_number,
     orientable_numbers,
@@ -441,6 +441,23 @@ def _run_line(args) -> LineRecord:
     return record
 
 
+def fan_out(fn, jobs: list, workers: int | None = None) -> Iterator:
+    """``fn(j)`` for each of `jobs`, yielded in input order as they finish,
+    across `workers` processes when there are two or more of each; `fn` must
+    pickle (a top-level function, or a partial of one)."""
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    if workers and workers > 1 and len(jobs) > 1:
+        # imported here: multiprocessing costs every serial run its load time
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            yield from pool.map(fn, jobs)
+    else:
+        for j in jobs:
+            yield fn(j)
+
+
 def corpus_run(
     lines,
     suite="all",
@@ -458,4 +475,4 @@ def corpus_run(
     if edge_budget < 0:
         raise ValueError(f"edge budget must be at least 0, got {edge_budget}")
     jobs = [(i, text, suites, edge_budget) for i, text in graph6_lines(lines)]
-    return CorpusReport(records=fan_out(_run_line, jobs, workers), suites=suites)
+    return CorpusReport(records=list(fan_out(_run_line, jobs, workers)), suites=suites)

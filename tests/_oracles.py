@@ -264,20 +264,16 @@ def halved_orientations(g: Graph) -> list[Digraph]:
     return [orientation_from_index(g, 2 * i) for i in range(orientation_count(g) // 2)]
 
 
-def oracle_sweep(g: Graph, indices=None) -> list[list[int]] | None:
-    """The orientation sweep with no pruning over the ascending sweep indices
-    `indices` (default: all; index i is orientation 2 * i): g, h and con of
-    every orientation, by the per-digraph searches (which the oracles above
-    check).
+def oracle_sweep(g: Graph) -> list[list[int]]:
+    """The orientation sweep with no pruning over every sweep index (index i
+    is orientation 2 * i): g, h and con of every orientation, by the
+    per-digraph searches (which the oracles above check).
 
     Returns one [min, min index, max, max index] slot each for g, h and con;
-    an index is the least one attaining its extremum.  None when `indices`
-    is empty.
+    an index is the least one attaining its extremum.
     """
-    if indices is None:
-        indices = range(orientation_count(g) // 2)
     best = None
-    for idx in indices:
+    for idx in range(orientation_count(g) // 2):
         rep = digraph_report(orientation_from_index(g, 2 * idx))
         vals = (rep.g, rep.h, rep.con)
         if best is None:

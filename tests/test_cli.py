@@ -106,11 +106,29 @@ def test_invariants_input_names_the_failing_line(capsys, tmp_path):
 INVARIANTS_JSON_SHA256 = "d23a067a0ccd7f561801b5c9e12c0614840f9579fd046544147855228cd1ee67"
 
 
-def test_invariants_json_witnesses_are_pinned(capsys):
+@pytest.mark.parametrize("workers", [[], ["--workers", "1"], ["--workers", "2"],
+                                     ["--workers", "3"]], ids=["serial", "1", "2", "3"])
+def test_invariants_json_witnesses_are_pinned(capsys, workers):
     code, out, _ = run(capsys, "invariants", "--input", str(DATA_DIR / "connected_n5.g6"),
-                       "--format", "json")
+                       "--format", "json", *workers)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == INVARIANTS_JSON_SHA256
+
+
+def test_invariants_print_the_graphs_before_one_over_the_budget(capsys, tmp_path):
+    # K7 (21 edges) is refused after the triangle and the path before it are
+    # printed, in input order; in a worker the refusal comes back pickled
+    path = tmp_path / "three.g6"
+    path.write_text("Bw\nBg\nF~~~w\n")
+    outs = []
+    for workers in ([], ["--workers", "2"]):
+        code, out, err = run(capsys, "invariants", "--input", str(path), "--format", "json",
+                             *workers)
+        assert code == 2
+        assert [json.loads(line)["graph"] for line in out.splitlines()] == ["Bw", "Bg"]
+        assert "graph has 21 edges, over the enumeration budget of 20" in err
+        outs.append(out)
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("flag", ["--symmetry", "--no-symmetry"])

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 import string
 
@@ -330,6 +331,15 @@ def test_edge_budget_refusal_names_requirement():
     assert exc.value.required_budget == 21
     overridden = enumerate_orientations(g, edge_budget=21)
     assert len(list(itertools.islice(overridden, 3))) == 3
+
+
+def test_edge_budget_error_survives_a_pickle():
+    # a worker process hands its errors back pickled
+    err = EdgeBudgetError(21, 20)
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is EdgeBudgetError
+    assert str(back) == str(err)
+    assert back.required_budget == 21
 
 
 def test_orientation_index_bounds():

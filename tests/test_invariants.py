@@ -369,19 +369,6 @@ def test_p3_convexity_extremes_coincide():
     assert nums.con_min == nums.con_max == 2
 
 
-def test_workers_change_nothing():
-    for g, workers in (
-        (cycle_graph(6), 2),
-        (cycle_graph(6), 3),  # 32 orientations, one batch: one chunk, run inline
-        (path_graph(3), 2),  # 2 orientations: one chunk, run inline
-    ):
-        serial = orientable_numbers(g)
-        fanned = orientable_numbers(g, workers=workers)
-        assert serial.values() == fanned.values()
-        for key in ("g_min", "g_max", "h_min", "h_max", "con_min", "con_max"):
-            assert getattr(serial, key + "_witness") == getattr(fanned, key + "_witness")
-
-
 @st.composite
 def small_connected_graphs(draw):
     """A random spanning tree on 3..6 vertices plus up to four more edges
@@ -397,26 +384,21 @@ def small_connected_graphs(draw):
 @given(small_connected_graphs())
 def test_pruned_sweep_matches_the_exhaustive_sweep(g):
     want = oracle_orientable_numbers(g)
-    for workers in (None, 2):
-        got = orientable_numbers(g, workers=workers)
-        assert got.orientations == 2 ** (g.m - 1)
-        for key in invariants.NUMBER_KEYS:
-            assert (getattr(got, key), getattr(got, key + "_witness")) == want[key], (
-                key, workers)
+    got = orientable_numbers(g)
+    assert got.orientations == 2 ** (g.m - 1)
+    for key in invariants.NUMBER_KEYS:
+        assert (getattr(got, key), getattr(got, key + "_witness")) == want[key], key
 
 
 @settings(max_examples=40, deadline=None)
 @given(small_connected_graphs(), st.data())
 def test_pruned_chunk_matches_the_exhaustive_chunk(g, data):
-    # a chunk is a run of whole batches of 2^k indices and may start at any
-    # batch, e.g. at an orientation with no extreme vertex
+    # the whole sweep at any batch size 2^k: the running state crosses every
+    # batch boundary, and a batch may start at an orientation with no
+    # extreme vertex
     k = data.draw(st.integers(0, g.m - 1))
-    batches = 2 ** (g.m - 1 - k)
-    start = data.draw(st.integers(0, batches - 1))
-    stop = data.draw(st.integers(start + 1, batches))
-    indices = range(start << k, stop << k)
-    slots, _, _ = invariants._sweep_chunk((g.n, g.edges, k, indices.start, indices.stop))
-    assert slots == oracle_sweep(g, indices)
+    slots, _, _ = invariants._sweep(g.n, g.edges, k)
+    assert slots == oracle_sweep(g)
 
 
 @pytest.mark.parametrize("seed, case", [pytest.param(s, "random", id=str(s)) for s in range(8)]
@@ -528,34 +510,6 @@ def test_symmetric_inputs_match_the_oracle(g):
     got = orientable_numbers(g)
     for key in invariants.NUMBER_KEYS:
         assert (getattr(got, key), getattr(got, key + "_witness")) == want[key], key
-
-
-def test_workers_split_the_index_range_into_whole_batches(monkeypatch):
-    seen = []
-    fan_out = invariants.fan_out
-
-    def spy(fn, jobs, workers=None):
-        seen.extend(jobs)
-        return fan_out(fn, jobs, workers)
-
-    monkeypatch.setattr(invariants, "fan_out", spy)
-    g = complete_graph(6)  # 2^14 sweep indices: four batches of 2^12
-    serial = orientable_numbers(g)
-    seen.clear()
-    fanned = orientable_numbers(g, workers=3)
-    batch = 2 ** invariants._BATCH_BITS
-    cuts = [lo for _, _, _, lo, _ in seen] + [seen[-1][4]]
-    assert [k for _, _, k, _, _ in seen] == [invariants._BATCH_BITS] * 3
-    assert [hi for _, _, _, _, hi in seen] == cuts[1:]  # the chunks tile the range
-    # no chunk is empty, so every chunk's slots are set before they are merged
-    assert cuts[0] == 0 and cuts[-1] == 2 ** (g.m - 1)
-    assert all(lo < hi and lo % batch == 0 for lo, hi in zip(cuts, cuts[1:]))
-    assert serial == fanned
-
-
-def test_workers_below_one_rejected():
-    with pytest.raises(ValueError, match="workers must be at least 1, got 0"):
-        orientable_numbers(cycle_graph(4), workers=0)
 
 
 def test_preconditions():

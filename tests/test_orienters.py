@@ -84,6 +84,12 @@ def _cycles_of_length(g, length):
     return list(orienters._chordless_cycles(g, g.adj, length))
 
 
+def test_a_1000_cycle_is_found_without_deep_recursion():
+    n = 1000
+    g = Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    assert _cycles_of_length(g, n) == [tuple(range(n))]
+
+
 def test_c4_with_chord_has_no_induced_c4():
     g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
     assert _cycles_of_length(g, 4) == []
