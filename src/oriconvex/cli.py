@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
 import json
 import sys
 import time
@@ -46,36 +45,30 @@ from .verifier import SUITES, corpus_run, d1d2_numbers, fan_out
 _SUP = dict(zip(NUMBER_KEYS, ("g⁻", "g⁺", "h⁻", "h⁺", "con⁻", "con⁺")))
 
 
-def _fail(msg: str, code: int) -> int:
-    print(f"error: {msg}", file=sys.stderr)
-    return code
-
-
-def _stdin():
-    """stdin read as latin-1, one character per byte, with lines ending at
-    '\n' only: a non-ASCII byte or a bare '\r' then fails to parse where it
-    stands (one graph6 line) instead of failing the decode of the whole
-    input or splitting a line."""
-    if not hasattr(sys.stdin, "buffer"):  # a text stream put in place of stdin
-        return sys.stdin
-    return io.StringIO(sys.stdin.buffer.read().decode("latin-1"), newline="\n")
+def _source(value: str):
+    """A graph6 source: stdin's bytes for '-', else the path.  `graph6_lines`
+    reads either as latin-1 with lines ending at '\n' only, so a non-ASCII
+    byte or a bare '\r' fails the one line where it stands."""
+    return sys.stdin.buffer if value == "-" else value
 
 
 def _inline_list(value: str) -> str:
-    """An --edges or --arcs value as text: stdin for '-', '\\n' a newline."""
-    return (_stdin().read() if value == "-" else value).replace("\\n", "\n")
+    """An --edges or --arcs value as text: stdin's bytes as latin-1 for '-',
+    '\\n' a newline."""
+    if value == "-":
+        value = sys.stdin.buffer.read().decode("latin-1")
+    return value.replace("\\n", "\n")
 
 
-def _input_graphs(args) -> list[Graph]:
+def _input_graphs(args, flags: str) -> list[Graph]:
+    """The graphs of --edges or --input; `flags` names the caller's input
+    flags when neither is given."""
     if args.edges is not None:
         return [parse_edge_list(_inline_list(args.edges))]
     if args.input is None:
-        flags = ("--input, --edges or --arcs" if hasattr(args, "arcs")
-                 else "--input, --edges or --n" if getattr(args, "mode", None) == "complete"
-                 else "--input or --edges")
         raise GraphFormatError(f"no input given: use {flags}")
     graphs = []
-    for lineno, text in graph6_lines(_stdin() if args.input == "-" else args.input):
+    for lineno, text in graph6_lines(_source(args.input)):
         try:
             graphs.append(parse_graph6(text))
         except GraphFormatError as exc:
@@ -85,8 +78,8 @@ def _input_graphs(args) -> list[Graph]:
     return graphs
 
 
-def _one_graph(args) -> Graph:
-    graphs = _input_graphs(args)
+def _one_graph(args, flags: str) -> Graph:
+    graphs = _input_graphs(args, flags)
     if len(graphs) != 1:
         raise GraphFormatError(f"orient takes one graph, got {len(graphs)}")
     return graphs[0]
@@ -118,7 +111,7 @@ def cmd_invariants(args) -> int:
             out.write(f"  convexity witness: {set(rep.convexity_witness)}\n")
         return 0
 
-    graphs = _input_graphs(args)
+    graphs = _input_graphs(args, "--input, --edges or --arcs")
     csv_writer = None
     if args.format == "csv":
         csv_writer = csv.writer(out)
@@ -148,19 +141,19 @@ def cmd_invariants(args) -> int:
 def cmd_orient(args) -> int:
     out = sys.stdout
     if args.n is not None and args.mode != "complete":
-        return _fail(f"--n is for mode complete only, not {args.mode}", 2)
+        raise ValueError(f"--n is for mode complete only, not {args.mode}")
     if args.mode == "complete":
         if args.n is not None:
             if args.n > _LIST_MAX_N:
-                return _fail(f"--n {args.n} is over the limit of {_LIST_MAX_N}", 2)
+                raise ValueError(f"--n {args.n} is over the limit of {_LIST_MAX_N}")
             n = args.n
         else:
-            g = _one_graph(args)
+            g = _one_graph(args, "--input, --edges or --n")
             if not is_complete(g):
-                return _fail("orient complete needs a complete graph (or --n)", 2)
+                raise ValueError("orient complete needs a complete graph (or --n)")
             n = g.n
         if n < 3:
-            return _fail("orient complete needs n >= 3", 2)
+            raise ValueError("orient complete needs n >= 3")
         d_max, d_min = complete_graph_orientations(n)
         g_hi, _ = geodetic_number(d_max)
         g_lo, wit = geodetic_number(d_min)
@@ -180,7 +173,7 @@ def cmd_orient(args) -> int:
             )
         return 0
 
-    g = _one_graph(args)
+    g = _one_graph(args, "--input or --edges")
     if args.mode == "extreme-free":
         d = extreme_free_orientation(g)
         extremes = geodesic.extreme_vertices(d)
@@ -195,8 +188,8 @@ def cmd_orient(args) -> int:
 
     # d1d2; below 3 vertices orient complete has nothing to offer either
     if g.n >= 3 and is_complete(g):
-        return _fail("orient d1d2 needs a graph that is not complete: "
-                     "use orient complete", 2)
+        raise ValueError("orient d1d2 needs a graph that is not complete: "
+                         "use orient complete")
     d2, sel = d2_construction(g)
     d1 = d1_from_d2(d2, sel)
     nums = d1d2_numbers(d1, d2)
@@ -261,13 +254,13 @@ def _emit_corpus(report, fmt, out) -> None:
 
 def cmd_verify(args) -> int:
     t0 = time.perf_counter()
-    report = corpus_run(args.corpus, suite=args.suite,
+    report = corpus_run(_source(args.corpus), suite=args.suite,
                         edge_budget=args.budget, workers=args.workers)
     print(f"{len(report.records)} lines in {time.perf_counter() - t0:.2f}s",
           file=sys.stderr)
     _emit_corpus(report, args.format, sys.stdout)
     if not report.graphs:
-        return _fail("no graph was checked", 2)
+        raise ValueError("no graph was checked")
     return report.exit_status()
 
 
@@ -324,31 +317,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # the sweep settings, checked once for every command that takes them
-    budget = getattr(args, "budget", DEFAULT_EDGE_BUDGET)
-    if budget < 0:
-        return _fail(f"edge budget must be at least 0, got {budget}", 2)
-    workers = getattr(args, "workers", None)
-    if workers is not None and workers < 1:
-        return _fail(f"workers must be at least 1, got {workers}", 2)
-    if budget > DEFAULT_EDGE_BUDGET:
-        print(
-            f"warning: edge budget {budget} allows up to 2^{budget} "
-            f"orientations per graph; expect long sweeps",
-            file=sys.stderr,
-        )
-    if args.command in ("verify", "classify") and args.corpus == "-":
-        args.corpus = _stdin()
-    # the one place an exception becomes exit 2: bad input raises ValueError
-    # (GraphFormatError and EdgeBudgetError among them), an unreadable file
-    # OSError; a closed stdout pipe, itself an OSError, is caught first as
-    # no error
+    # the one place an exception becomes exit 2: every problem the CLI
+    # finds, and bad input, raises ValueError (GraphFormatError and
+    # EdgeBudgetError among them), an unreadable file OSError; a closed
+    # stdout pipe, itself an OSError, is caught first as no error
     try:
+        # the sweep settings, checked once for every command that takes them
+        budget = getattr(args, "budget", DEFAULT_EDGE_BUDGET)
+        if budget < 0:
+            raise ValueError(f"edge budget must be at least 0, got {budget}")
+        workers = getattr(args, "workers", None)
+        if workers is not None and workers < 1:
+            raise ValueError(f"workers must be at least 1, got {workers}")
+        if budget > DEFAULT_EDGE_BUDGET:
+            print(
+                f"warning: edge budget {budget} allows up to 2^{budget} "
+                f"orientations per graph; expect long sweeps",
+                file=sys.stderr,
+            )
         return args.func(args)
     except BrokenPipeError:
         return 0
     except (ValueError, OSError) as exc:
-        return _fail(str(exc), 2)
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -88,6 +88,34 @@ def _chordless_cycles(g: Graph, free: list[int], length: int) -> Iterator[tuple[
                     todo.append(free[w] & gt_a & ~pathmask)
 
 
+def _girth(adj: list[int]) -> int:
+    """The length of a shortest cycle of the graph with neighbour masks
+    ``adj``, or 0 if it has none.
+
+    A BFS from every vertex of degree 2 or more: an edge outside the BFS
+    tree closes a walk of length d(u) + d(w) + 1 that holds a cycle, and
+    from a vertex on a shortest cycle one such walk is that cycle.  A BFS
+    stops at the depth where no shorter walk can close.
+    """
+    best = 0
+    for r in range(len(adj)):
+        if adj[r].bit_count() < 2:
+            continue
+        dist, parent = {r: 0}, {r: -1}
+        layer, d = [r], 0
+        while layer and (not best or 2 * d + 1 < best):
+            nxt = []
+            for u in layer:
+                for w in bits(adj[u]):
+                    if w not in dist:
+                        dist[w], parent[w] = d + 1, u
+                        nxt.append(w)
+                    elif w != parent[u] and (not best or dist[w] + d + 1 < best):
+                        best = dist[w] + d + 1
+            layer, d = nxt, d + 1
+    return best
+
+
 def find_edge_disjoint_induced_cycles(g: Graph) -> list[tuple[int, ...]]:
     """A maximal set of pairwise edge-disjoint chordless cycles.
 
@@ -98,14 +126,23 @@ def find_edge_disjoint_induced_cycles(g: Graph) -> list[tuple[int, ...]]:
     k-cycle needs k of them, and their number only falls as edges are taken.
     The stop leaves the output unchanged and about halves the packing time
     over data/mindeg2_connected_upto_n8.g6 (timings in the README).
+
+    Past length 8, a pass that takes no cycle moves k on to the girth of
+    the free edges, and the search stops when they hold no cycle: a free
+    chordless cycle is a cycle of the free edges, and their girth only
+    grows as edges are taken.  This skips the empty passes that made a long
+    cycle cost cubic time, and leaves the output unchanged too.  Graphs on
+    8 vertices or fewer never pay for the girth BFS.
     """
     if min_degree(g) < 2:
         raise ValueError("cycle packing needs minimum degree 2")
     free = list(g.adj)
     chosen = []
-    for k in range(3, g.n + 1):
+    k = 3
+    while k <= g.n:
         if sum(f.bit_count() >= 2 for f in free) < k:
             break
+        taken = len(chosen)
         for cyc in _chordless_cycles(g, free, k):
             edges = list(zip(cyc, cyc[1:] + cyc[:1]))
             if all(free[u] >> v & 1 for u, v in edges):
@@ -113,6 +150,13 @@ def find_edge_disjoint_induced_cycles(g: Graph) -> list[tuple[int, ...]]:
                 for u, v in edges:
                     free[u] &= ~(1 << v)
                     free[v] &= ~(1 << u)
+        if k > 8 and len(chosen) == taken:
+            girth = _girth(free)
+            if not girth:
+                break
+            k = max(k + 1, girth)
+        else:
+            k += 1
     return chosen
 
 
@@ -192,8 +236,8 @@ def extreme_free_orientation_steps(g: Graph) -> Iterator[tuple[int, ...]]:
             )
         if len(path) == 3 and adj[path[0]] >> path[2] & 1:
             u0, u1, u2 = path
-            if not (out[u0] >> u2 & 1 or out[u2] >> u0 & 1):
-                orient(min(u0, u2), max(u0, u2))
+            # u0u2 is oriented: were it free with u1 untouched, all three
+            # edges would have stayed free and the packing taken the triangle
             x, y = (u0, u2) if out[u0] >> u2 & 1 else (u2, u0)
             # run the path edges against x -> y so u1 closes a directed triangle
             orient(y, u1)

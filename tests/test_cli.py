@@ -11,8 +11,9 @@ from pathlib import Path
 import pytest
 
 import oriconvex
+from oriconvex import verifier
 from oriconvex.cli import main
-from oriconvex.graphs import encode_graph6
+from oriconvex.graphs import Digraph, encode_graph6
 from oriconvex.smallgraphs import connected_graphs
 from conftest import DATA_DIR, complete_graph, cycle_plus_chords
 
@@ -62,6 +63,13 @@ def test_invariants_digraph_input(capsys):
     code, out, _ = run(capsys, "invariants", "--arcs", "3\\n0 1\\n1 2")
     assert code == 0
     assert "g=2 h=2 con=2" in out
+    code, out, _ = run(capsys, "invariants", "--arcs", "3\\n0 1\\n1 2", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"n": 3, "g": 2, "h": 2, "con": 2, "geodetic_witness": [0, 2],
+                               "hull_witness": [0, 2], "convexity_witness": [0, 1]}
+    code, out, _ = run(capsys, "invariants", "--arcs", "3\\n0 1\\n1 2", "--format", "csv")
+    assert code == 0
+    assert out == "n,g,h,con\r\n3,2,2,2\r\n"
 
 
 def test_invariants_csv(capsys):
@@ -104,15 +112,53 @@ def test_invariants_input_names_the_failing_line(capsys, tmp_path):
 # sha256 of `invariants --input data/connected_n5.g6 --format json` stdout,
 # which carries the six witness orientations of every graph, byte for byte
 INVARIANTS_JSON_SHA256 = "d23a067a0ccd7f561801b5c9e12c0614840f9579fd046544147855228cd1ee67"
+# the same for data/connected_n6.g6
+INVARIANTS_N6_JSON_SHA256 = "8d13ac78c503248befa0885e2b807f7ad7cdbc1aac82bba51ec8abfe6d850995"
 
 
-@pytest.mark.parametrize("workers", [[], ["--workers", "1"], ["--workers", "2"],
-                                     ["--workers", "3"]], ids=["serial", "1", "2", "3"])
-def test_invariants_json_witnesses_are_pinned(capsys, workers):
-    code, out, _ = run(capsys, "invariants", "--input", str(DATA_DIR / "connected_n5.g6"),
+@pytest.mark.parametrize("corpus, sha, workers", [
+    ("connected_n5", INVARIANTS_JSON_SHA256, []),
+    ("connected_n5", INVARIANTS_JSON_SHA256, ["--workers", "1"]),
+    ("connected_n5", INVARIANTS_JSON_SHA256, ["--workers", "2"]),
+    ("connected_n5", INVARIANTS_JSON_SHA256, ["--workers", "3"]),
+    ("connected_n6", INVARIANTS_N6_JSON_SHA256, []),
+    ("connected_n6", INVARIANTS_N6_JSON_SHA256, ["--workers", "2"]),
+], ids=["serial", "1", "2", "3", "n6-serial", "n6-2"])
+def test_invariants_json_witnesses_are_pinned(capsys, corpus, sha, workers):
+    code, out, _ = run(capsys, "invariants", "--input", str(DATA_DIR / f"{corpus}.g6"),
                        "--format", "json", *workers)
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == INVARIANTS_JSON_SHA256
+    assert hashlib.sha256(out.encode()).hexdigest() == sha
+
+
+def test_invariants_empty_input_file_exits_2(capsys, tmp_path):
+    path = tmp_path / "empty.g6"
+    path.write_text("")
+    code, out, err = run(capsys, "invariants", "--input", str(path))
+    assert (code, out, err) == (2, "", "error: no graphs in input\n")
+
+
+def test_a_budget_over_the_default_warns_and_runs(capsys):
+    code, out, err = run(capsys, "invariants", "--edges", P3_EDGES, "--budget", "21")
+    assert code == 0
+    assert "g⁻=2" in out
+    assert err.startswith("warning: edge budget 21 allows up to 2^21 orientations per graph; "
+                          "expect long sweeps\n")
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError
+
+
+@pytest.mark.parametrize("argv", [
+    ["invariants", "--edges", P3_EDGES],
+    ["verify", str(DATA_DIR / "connected_n3.g6")],
+], ids=["invariants", "verify"])
+def test_a_closed_stdout_pipe_is_no_error(capsys, monkeypatch, argv):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(argv) == 0
+    assert "error" not in capsys.readouterr().err
 
 
 def test_invariants_print_the_graphs_before_one_over_the_budget(capsys, tmp_path):
@@ -217,6 +263,30 @@ def test_orient_complete_bounds_n(capsys):
     assert code == 2
     assert out == ""
     assert "--n 1001 is over the limit of 1000" in err
+
+
+def test_orient_complete_from_an_input_graph(capsys):
+    assert run(capsys, "orient", "complete", "--edges", K3_EDGES) == \
+        run(capsys, "orient", "complete", "--n", "3")
+    code, out, err = run(capsys, "orient", "complete", "--edges", P3_EDGES)
+    assert (code, out, err) == (2, "", "error: orient complete needs a complete graph (or --n)\n")
+
+
+def test_orient_complete_needs_three_vertices(capsys):
+    code, out, err = run(capsys, "orient", "complete", "--n", "2")
+    assert (code, out, err) == (2, "", "error: orient complete needs n >= 3\n")
+
+
+def test_orient_json_reports(capsys):
+    code, out, _ = run(capsys, "orient", "complete", "--n", "3", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"transitive": [[0, 1], [0, 2], [1, 2]],
+                               "reversed_path": [[0, 2], [1, 0], [2, 1]],
+                               "g_transitive": 3, "g_reversed_path": 2}
+    code, out, _ = run(capsys, "orient", "extreme-free", "--edges", "4\\n0 1\\n1 2\\n2 3\\n0 3",
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"arcs": [[0, 1], [1, 2], [2, 3], [3, 0]], "extreme_vertices": []}
 
 
 def test_orient_takes_no_sweep_settings():
@@ -409,6 +479,26 @@ def test_verify_with_no_graph_checked_fails(capsys):
     assert "no graph was checked" in err
 
 
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_a_failing_record_exits_1(capsys, monkeypatch, tmp_path, fmt):
+    # an orientation that keeps extreme vertices fails the convexity claim on C4
+    monkeypatch.setattr(verifier, "extreme_free_orientation", lambda g: Digraph(g.n, g.edges))
+    path = tmp_path / "c4.g6"
+    path.write_text("Cl\n")
+    code, out, _ = run(capsys, "verify", "--suite", "convexity", "--format", fmt, str(path))
+    assert code == 1
+    lines = out.splitlines()
+    if fmt == "text":
+        assert lines[:2] == ["Cl: FAIL con⁻=1 con⁺=3",
+                             "  FAIL extreme-free-con: constructed orientation has con=3"]
+    elif fmt == "json":
+        assert json.loads(lines[0])["convexity"]["failures"] == [{
+            "check": "extreme-free-con", "message": "constructed orientation has con=3",
+            "orientation": [[0, 1], [0, 3], [1, 2], [2, 3]], "vertex_set": [0, 1, 2]}]
+    else:
+        assert lines[1] == "1,Cl,ok,False,,2,4,2,4,1,3"
+
+
 # sha256 of `verify --suite all --format <fmt>` stdout, pinned so that a
 # faster sweep cannot change a byte of the output unnoticed
 VERIFY_STDOUT_SHA256 = {
@@ -536,7 +626,7 @@ def test_convexity_csv_prints_the_swept_numbers(capsys):
 
 
 def test_stdin_edge_list(capsys, monkeypatch):
-    monkeypatch.setattr(sys, "stdin", __import__("io").StringIO("3\n0 1\n1 2"))
+    _bytes_stdin(monkeypatch, b"3\n0 1\n1 2")
     code, out, _ = run(capsys, "invariants", "--edges", "-")
     assert code == 0
     assert "g⁻=2" in out
@@ -578,7 +668,7 @@ def test_importing_the_cli_leaves_multiprocessing_unloaded():
 
 
 def test_verify_reads_stdin(capsys, monkeypatch):
-    monkeypatch.setattr(sys, "stdin", __import__("io").StringIO("Bw\nBo\n"))
+    _bytes_stdin(monkeypatch, b"Bw\nBo\n")
     code, out, _ = run(capsys, "verify", "-", "--suite", "convexity")
     assert code == 0
     assert out.count("pass") == 2

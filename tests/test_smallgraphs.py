@@ -3,7 +3,7 @@ import pytest
 from networkx.generators.atlas import graph_atlas_g
 
 from oriconvex import smallgraphs
-from oriconvex.graphs import encode_graph6, is_connected, min_degree
+from oriconvex.graphs import encode_graph6, is_connected, min_degree, parse_graph6
 from oriconvex.smallgraphs import all_graphs, connected_graphs, connected_min_degree_2, trees
 from conftest import DATA_DIR
 
@@ -82,3 +82,16 @@ def test_generators_reproduce_the_shipped_corpora():
     want = (DATA_DIR / "mindeg2_connected_upto_n8.g6").read_text().splitlines()
     assert md2 == want[:len(md2)]
     assert chr(63 + 8) == want[len(md2)][0]  # the n = 8 layer follows
+
+
+def test_the_shipped_n8_corpus_is_consistent_with_the_min_degree_2_corpus():
+    # generating n = 8 takes half a minute, so tier-1 checks the file by its
+    # count and against the min-degree-2 layer, which the same generator wrote
+    # in the same order; CI regenerates it byte for byte
+    lines = (DATA_DIR / "connected_n8.g6").read_text().splitlines()
+    assert len(lines) == len(set(lines)) == 11117
+    graphs = [parse_graph6(s) for s in lines]
+    assert all(g.n == 8 and is_connected(g) for g in graphs)
+    md2 = (DATA_DIR / "mindeg2_connected_upto_n8.g6").read_text().splitlines()
+    assert [s for s, g in zip(lines, graphs) if min_degree(g) >= 2] == \
+        [s for s in md2 if s[0] == chr(63 + 8)]
