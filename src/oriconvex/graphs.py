@@ -57,6 +57,29 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
+def _pair_masks(n: int, pairs, kind: str) -> tuple[list[int], list[int]]:
+    """Out-masks and in-masks of the sorted `pairs` on vertices 0..n-1;
+    `kind` is "edge" (each pair u < v) or "arc"."""
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
+    outs = [0] * n
+    ins = [0] * n
+    prev = None
+    for u, v in pairs:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"{kind} ({u},{v}) out of range for n={n}")
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        if kind == "edge" and u > v:
+            raise ValueError(f"edge ({u},{v}) not normalized (need u < v)")
+        if prev is not None and (u, v) <= prev:
+            raise ValueError(f"{kind}s not sorted or duplicated at ({u},{v})")
+        prev = (u, v)
+        outs[u] |= 1 << v
+        ins[v] |= 1 << u
+    return outs, ins
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph; edges are (u, v) pairs with u < v, sorted."""
@@ -66,23 +89,10 @@ class Graph:
     adj: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("vertex count must be nonnegative")
-        masks = [0] * self.n
-        prev = None
-        for u, v in self.edges:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={self.n}")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if u > v:
-                raise ValueError(f"edge ({u},{v}) not normalized (need u < v)")
-            if prev is not None and (u, v) <= prev:
-                raise ValueError(f"edges not sorted or duplicated at ({u},{v})")
-            prev = (u, v)
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        object.__setattr__(self, "adj", tuple(masks))
+        adj, ins = _pair_masks(self.n, self.edges, "edge")
+        for v, m in enumerate(ins):
+            adj[v] |= m
+        object.__setattr__(self, "adj", tuple(adj))
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -117,21 +127,7 @@ class Digraph:
     in_masks: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("vertex count must be nonnegative")
-        outs = [0] * self.n
-        ins = [0] * self.n
-        prev = None
-        for u, v in self.arcs:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"arc ({u},{v}) out of range for n={self.n}")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if prev is not None and (u, v) <= prev:
-                raise ValueError(f"arcs not sorted or duplicated at ({u},{v})")
-            prev = (u, v)
-            outs[u] |= 1 << v
-            ins[v] |= 1 << u
+        outs, ins = _pair_masks(self.n, self.arcs, "arc")
         object.__setattr__(self, "out_masks", tuple(outs))
         object.__setattr__(self, "in_masks", tuple(ins))
 
@@ -155,9 +151,7 @@ class Digraph:
         )
 
     def is_orientation_of(self, g: Graph) -> bool:
-        if self.n != g.n or len(self.arcs) != g.m:
-            return False
-        return {(u, v) if u < v else (v, u) for u, v in self.arcs} == set(g.edges)
+        return len(self.arcs) == g.m and self.underlying_graph() == g
 
 
 def reverse(d: Digraph) -> Digraph:

@@ -57,43 +57,6 @@ from .graphs import (
 # bitmask core (shared by the per-digraph API and the orientation sweep)
 
 
-def _interval_masks(n: int, out_masks) -> list[list[int]]:
-    """iv[u][v] = I[u,v] as a bitmask, from one BFS per source.
-
-    The BFS from u gives row[w], the vertices on some u->w geodesic: every
-    vertex first reached at depth k + 1 ORs in the row of each of its
-    in-neighbours at depth k.  A vertex u cannot reach keeps row 0, so no
-    distance matrix and no unreachable sentinel are needed.
-    """
-    rows = []
-    for u in range(n):
-        row = [0] * n
-        row[u] = seen = frontier = 1 << u
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                b = f & -f
-                f ^= b
-                p = b.bit_length() - 1
-                new = out_masks[p] & ~seen
-                nxt |= new
-                rp = row[p]
-                while new:
-                    c = new & -new
-                    new ^= c
-                    row[c.bit_length() - 1] |= rp | c
-            seen |= nxt
-            frontier = nxt
-        rows.append(row)
-    # in place: each pair reads rows[u][v] and rows[v][u] once, before writing both
-    for u in range(n):
-        ru = rows[u]
-        for v in range(u + 1, n):
-            ru[v] = rows[v][u] = ru[v] | rows[v][u] | (1 << u) | (1 << v)
-    return rows
-
-
 def _set_interval(iv, smask: int) -> int:
     verts = list(bits(smask))
     out = smask
@@ -152,17 +115,45 @@ def _min_superset(n: int, seed: int, test) -> int:
 def _kernel(n: int, out_masks):
     """(interval-mask matrix, extreme-vertex mask): the input of every search.
 
-    The matrix comes from one BFS per source (`_interval_masks`).  A vertex
-    is extreme iff it is interior to no geodesic (see `geodesic.is_extreme`),
-    so the extreme vertices are those in no interval I[u,v] less its ends.
+    iv[u][v] = I[u,v] as a bitmask, from one BFS per source.  The BFS from
+    u gives row[w], the vertices on some u->w geodesic: every vertex first
+    reached at depth k + 1 ORs in the row of each of its in-neighbours at
+    depth k.  A vertex u cannot reach keeps row 0, so no distance matrix
+    and no unreachable sentinel are needed.  A vertex is extreme iff it is
+    interior to no geodesic (see `geodesic.is_extreme`), so the extreme
+    vertices are those in no interval I[u,v] less its ends.
     """
-    iv = _interval_masks(n, out_masks)
+    rows = []
+    for u in range(n):
+        row = [0] * n
+        row[u] = seen = frontier = 1 << u
+        while frontier:
+            nxt = 0
+            f = frontier
+            while f:
+                b = f & -f
+                f ^= b
+                p = b.bit_length() - 1
+                new = out_masks[p] & ~seen
+                nxt |= new
+                rp = row[p]
+                while new:
+                    c = new & -new
+                    new ^= c
+                    row[c.bit_length() - 1] |= rp | c
+            seen |= nxt
+            frontier = nxt
+        rows.append(row)
+    # in place: each pair reads rows[u][v] and rows[v][u] once, before writing both
     inner = 0
     for u in range(n):
-        row = iv[u]
+        ru = rows[u]
         for v in range(u + 1, n):
-            inner |= row[v] & ~((1 << u) | (1 << v))
-    return iv, ((1 << n) - 1) & ~inner
+            ends = (1 << u) | (1 << v)
+            m = ru[v] | rows[v][u]
+            ru[v] = rows[v][u] = m | ends
+            inner |= m & ~ends
+    return rows, ((1 << n) - 1) & ~inner
 
 
 def _geodetic_witness(n: int, iv, ext: int) -> int:
@@ -433,7 +424,7 @@ class _Batch:
     higher edge in all of the batch or in none of it.  One BFS per source
     runs on every orientation at once (the bit-parallel BFS of Akiba, Iwata
     and Yoshida, SIGMOD 2013, with a bit per orientation where theirs has
-    one per root) by the rule of `_interval_masks`: where t is first
+    one per root) by the rule of `_kernel`: where t is first
     reached from a frontier vertex p, it ORs in p and each y on an s->p
     geodesic, so no distances are kept.  `rows` holds, for each pair
     u < v, each y outside {u, v} with the mask where y is in I[u,v] (on a

@@ -5,11 +5,12 @@ Two constructions:
 * ``extreme_free_orientation`` orients any min-degree-2 graph so that no
   vertex is extreme: pack edge-disjoint chordless cycles (greedily, one
   length at a time over the unused edges, so maximal by construction,
-  stopping at the first length k with fewer than k vertices of free
-  degree 2 or more) and orient them as directed cycles, then repeatedly
+  stopping at the first length k whose free edges have a 2-core of fewer
+  than k vertices) and orient them as directed cycles, then repeatedly
   orient a shortest path of unoriented vertices between two oriented ones
-  (with a triangle repair when the path has a single interior vertex and
-  its endpoints are adjacent), and finally orient leftovers low -> high.
+  (run against the arc joining its ends when the path has a single
+  interior vertex and its ends are adjacent, so that it closes a directed
+  triangle), and finally orient leftovers low -> high.
   Once a vertex has an in-arc u -> v and an out-arc v -> w with uw absent
   or oriented w -> u, no later choice can make it extreme again.  The
   state is one out-mask per vertex, as in ``Digraph.out_masks``, plus the
@@ -88,31 +89,49 @@ def _chordless_cycles(g: Graph, free: list[int], length: int) -> Iterator[tuple[
                     todo.append(free[w] & gt_a & ~pathmask)
 
 
+def _core(adj: list[int], live: int, todo: int) -> int:
+    """The 2-core of the graph with neighbour masks ``adj`` on the vertices
+    ``live``, peeling those with fewer than 2 neighbours left, starting
+    from ``todo`` (the only ones that may have too few)."""
+    todo &= live
+    while todo:
+        b = todo & -todo
+        todo ^= b
+        v = b.bit_length() - 1
+        if (adj[v] & live).bit_count() < 2:
+            live ^= b
+            todo |= adj[v] & live
+    return live
+
+
 def _girth(adj: list[int]) -> int:
     """The length of a shortest cycle of the graph with neighbour masks
     ``adj``, or 0 if it has none.
 
-    A BFS from every vertex of degree 2 or more: an edge outside the BFS
-    tree closes a walk of length d(u) + d(w) + 1 that holds a cycle, and
-    from a vertex on a shortest cycle one such walk is that cycle.  A BFS
-    stops at the depth where no shorter walk can close.
+    Every cycle lies in the 2-core.  A BFS from its least vertex r finds
+    the shortest cycle through r (an edge outside the BFS tree closes a
+    walk of length d(u) + d(w) + 1 that holds a cycle; the BFS stops where
+    no shorter walk can close), then r is deleted and the core peeled
+    again: girth(G) = min(shortest cycle through r, girth(G - r)).
     """
+    everyone = (1 << len(adj)) - 1
+    live = _core(adj, everyone, everyone)
     best = 0
-    for r in range(len(adj)):
-        if adj[r].bit_count() < 2:
-            continue
+    while live:
+        r = (live & -live).bit_length() - 1
         dist, parent = {r: 0}, {r: -1}
         layer, d = [r], 0
         while layer and (not best or 2 * d + 1 < best):
             nxt = []
             for u in layer:
-                for w in bits(adj[u]):
+                for w in bits(adj[u] & live):
                     if w not in dist:
                         dist[w], parent[w] = d + 1, u
                         nxt.append(w)
                     elif w != parent[u] and (not best or dist[w] + d + 1 < best):
                         best = dist[w] + d + 1
             layer, d = nxt, d + 1
+        live = _core(adj, live & ~(1 << r), adj[r])
     return best
 
 
@@ -122,27 +141,25 @@ def find_edge_disjoint_induced_cycles(g: Graph) -> list[tuple[int, ...]]:
     Greedy in (length, tuple) order, searched one length at a time over the
     edges still free: a cycle whose edges stay free is met and taken, so the
     packing is maximal by construction.  The search stops at the first
-    length k with fewer than k vertices of free degree 2 or more: a free
-    k-cycle needs k of them, and their number only falls as edges are taken.
-    The stop leaves the output unchanged and about halves the packing time
-    over data/mindeg2_connected_upto_n8.g6 (timings in the README).
+    length k whose free edges have a 2-core of fewer than k vertices: a
+    free k-cycle lies in that core, which starts as V (minimum degree 2)
+    and is peeled again from the vertices of each pass's cycles.
 
     Past length 8, a pass that takes no cycle moves k on to the girth of
-    the free edges, and the search stops when they hold no cycle: a free
-    chordless cycle is a cycle of the free edges, and their girth only
-    grows as edges are taken.  This skips the empty passes that made a long
-    cycle cost cubic time, and leaves the output unchanged too.  Graphs on
-    8 vertices or fewer never pay for the girth BFS.
+    the free edges: a free chordless cycle is a cycle of the free edges,
+    and their girth only grows as edges are taken.  This skips the empty
+    passes that made a long cycle cost cubic time, and leaves the output
+    unchanged too.  Graphs on 8 vertices or fewer never pay for the girth.
     """
     if min_degree(g) < 2:
         raise ValueError("cycle packing needs minimum degree 2")
     free = list(g.adj)
     chosen = []
+    core = (1 << g.n) - 1
     k = 3
-    while k <= g.n:
-        if sum(f.bit_count() >= 2 for f in free) < k:
-            break
+    while core.bit_count() >= k:
         taken = len(chosen)
+        hit = 0
         for cyc in _chordless_cycles(g, free, k):
             edges = list(zip(cyc, cyc[1:] + cyc[:1]))
             if all(free[u] >> v & 1 for u, v in edges):
@@ -150,11 +167,10 @@ def find_edge_disjoint_induced_cycles(g: Graph) -> list[tuple[int, ...]]:
                 for u, v in edges:
                     free[u] &= ~(1 << v)
                     free[v] &= ~(1 << u)
+                hit |= mask_of(cyc)
+        core = _core(free, core, hit)
         if k > 8 and len(chosen) == taken:
-            girth = _girth(free)
-            if not girth:
-                break
-            k = max(k + 1, girth)
+            k = max(k + 1, _girth(free))
         else:
             k += 1
     return chosen
@@ -167,15 +183,17 @@ def find_edge_disjoint_induced_cycles(g: Graph) -> list[tuple[int, ...]]:
 def _shortest_or_to_or_path(g: Graph, touched: int) -> list[int] | None:
     """Shortest path joining two distinct touched vertices (those in the
     mask ``touched``) through untouched interior vertices, with at least one
-    interior vertex.  Ties break toward the lexicographically least
-    (length, path) candidate."""
+    interior vertex.  Ties break toward the lexicographically least path:
+    a BFS layer lists the paths to it in lexicographic order, so a start's
+    first hit is its least shortest path, and the paths from a later start
+    begin with a larger vertex, so only a strictly shorter one replaces it."""
     adj = g.adj
-    best: tuple[int, list[int]] | None = None
+    best: list[int] | None = None
     for start in bits(touched):
         parent = {start: -1}
         layer = [start]
         depth = 0
-        while layer and (best is None or depth + 1 < best[0]):
+        while layer and (best is None or depth + 2 < len(best)):
             depth += 1
             nxt = []
             for u in layer:
@@ -191,14 +209,13 @@ def _shortest_or_to_or_path(g: Graph, touched: int) -> list[int] | None:
                             path.append(p)
                             p = parent[p]
                         path.reverse()
-                        cand = (len(path) - 1, path)
-                        if best is None or cand < best:
-                            best = cand
+                        if best is None or len(path) < len(best):
+                            best = path
                     else:
                         parent[w] = u
                         nxt.append(w)
             layer = nxt
-    return best[1] if best else None
+    return best
 
 
 def extreme_free_orientation_steps(g: Graph) -> Iterator[tuple[int, ...]]:
@@ -234,17 +251,11 @@ def extreme_free_orientation_steps(g: Graph) -> Iterator[tuple[int, ...]]:
             raise ConstructionError(
                 "no augmenting path found with vertices still unoriented"
             )
-        if len(path) == 3 and adj[path[0]] >> path[2] & 1:
-            u0, u1, u2 = path
-            # u0u2 is oriented: were it free with u1 untouched, all three
-            # edges would have stayed free and the packing taken the triangle
-            x, y = (u0, u2) if out[u0] >> u2 & 1 else (u2, u0)
-            # run the path edges against x -> y so u1 closes a directed triangle
-            orient(y, u1)
-            orient(u1, x)
-        else:
-            for u, w in zip(path, path[1:]):
-                orient(u, w)
+        # an edge u0u2 is oriented, or the packing would have taken u0u1u2: run against it
+        if len(path) == 3 and out[path[0]] >> path[2] & 1:
+            path.reverse()
+        for u, w in zip(path, path[1:]):
+            orient(u, w)
         yield tuple(out)
     left = [(u, v) for u, v in g.edges if not (out[u] >> v & 1 or out[v] >> u & 1)]
     if left:

@@ -11,7 +11,9 @@ The con scan runs on the bitmask interval matrix (checked against
 compared with it at sizes the frozenset reference cannot reach.  The
 chordless-cycle oracles list every cycle in one DFS, sort the list, and
 pack greedily over all of it, where the package searches one length at a
-time over the edges still free.  The triple oracle tries every ordered
+time over the edges still free.  The augmenting-path oracle lists every
+path between touched vertices and takes the least, where the package
+runs one BFS per start and stops at the first hit.  The triple oracle tries every ordered
 vertex triple, where the package stops at the first pair of non-adjacent
 neighbours of the least possible middle vertex.  The D2 oracle orients
 each edge by the paper's rule table, where the package orients along one
@@ -172,6 +174,28 @@ def oracle_cycle_packing(g: Graph) -> list[tuple[int, ...]]:
             chosen.append(cyc)
             used |= es
     return chosen
+
+
+def oracle_augmenting_path(g: Graph, touched: int) -> list[int] | None:
+    """The least (length, path) over every simple path that runs from a
+    touched vertex (in the mask `touched`) through one or more untouched
+    vertices to another touched one, listed by a DFS; None when there is
+    no such path."""
+    paths = []
+
+    def extend(path):
+        for w in g.neighbors(path[-1]):
+            if w in path:
+                continue
+            if touched >> w & 1:
+                if len(path) > 1:
+                    paths.append(path + [w])
+            else:
+                extend(path + [w])
+
+    for start in bits(touched):
+        extend([start])
+    return min(paths, key=lambda p: (len(p), p), default=None)
 
 
 def oracle_triple(g: Graph) -> tuple[int, int, int] | None:

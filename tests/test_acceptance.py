@@ -24,7 +24,7 @@ from oriconvex.graphs import (
 from oriconvex import geodesic
 from oriconvex.invariants import (
     _hull_mask,
-    _interval_masks,
+    _kernel,
     convexity_number,
     geodetic_number,
     hull_number,
@@ -235,7 +235,7 @@ def test_criterion_10_property_suites():
                 assert geodetic_number(d)[0] == geodetic_number(r)[0]
                 assert hull_number(d)[0] == hull_number(r)[0]
                 assert convexity_number(d)[0] == convexity_number(r)[0]
-                iv = _interval_masks(n, d.out_masks)
+                iv, _ = _kernel(n, d.out_masks)
                 for smask in range(1, 1 << n):
                     h = _hull_mask(iv, smask)
                     assert _hull_mask(iv, h) == h

@@ -275,6 +275,41 @@ def test_digraph_allows_two_cycles_but_not_loops():
         Digraph.from_arcs(2, [(0, 1), (0, 1)])
 
 
+@pytest.mark.parametrize(
+    "cls, n, pairs, message",
+    [
+        (Graph, -1, (), "vertex count must be nonnegative"),
+        (Digraph, -1, (), "vertex count must be nonnegative"),
+        (Graph, 3, ((0, 3),), "edge (0,3) out of range for n=3"),
+        (Graph, 3, ((-1, 2),), "edge (-1,2) out of range for n=3"),
+        (Digraph, 3, ((3, 0),), "arc (3,0) out of range for n=3"),
+        (Digraph, 3, ((0, -1),), "arc (0,-1) out of range for n=3"),
+        (Graph, 3, ((0, 1), (2, 2)), "self-loop at vertex 2"),
+        (Digraph, 3, ((1, 1),), "self-loop at vertex 1"),
+        (Graph, 3, ((0, 1), (2, 1)), "edge (2,1) not normalized (need u < v)"),
+        (Graph, 3, ((0, 2), (0, 1)), "edges not sorted or duplicated at (0,1)"),
+        (Graph, 3, ((0, 1), (0, 1)), "edges not sorted or duplicated at (0,1)"),
+        (Digraph, 3, ((1, 0), (0, 1)), "arcs not sorted or duplicated at (0,1)"),
+        (Digraph, 3, ((2, 0), (2, 0)), "arcs not sorted or duplicated at (2,0)"),
+    ],
+)
+def test_graph_and_digraph_name_the_bad_pair(cls, n, pairs, message):
+    with pytest.raises(ValueError) as err:
+        cls(n, pairs)
+    assert str(err.value) == message
+
+
+def test_is_orientation_of_needs_one_arc_per_edge_on_the_same_vertices():
+    g = path_graph(3)
+    assert Digraph.from_arcs(3, [(1, 0), (1, 2)]).is_orientation_of(g)
+    assert not Digraph.from_arcs(4, [(1, 0), (1, 2)]).is_orientation_of(g)
+    assert not Digraph.from_arcs(3, [(1, 0)]).is_orientation_of(g)
+    assert not Digraph.from_arcs(3, [(0, 1), (1, 0), (1, 2)]).is_orientation_of(g)
+    # as many arcs as g has edges, but a 2-cycle on one of them
+    assert not Digraph.from_arcs(3, [(0, 1), (1, 0)]).is_orientation_of(g)
+    assert not Digraph.from_arcs(3, [(0, 2), (1, 2)]).is_orientation_of(g)
+
+
 # ---------------------------------------------------------------------------
 # orientations
 

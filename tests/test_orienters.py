@@ -34,6 +34,7 @@ from conftest import DATA_DIR, complete_graph, cycle_graph, cycle_plus_chords, p
 from _oracles import (
     cycle_edges,
     is_acyclic,
+    oracle_augmenting_path,
     oracle_cycle_packing,
     oracle_d2_construction,
     oracle_induced_cycles,
@@ -225,6 +226,33 @@ def test_a_1000_vertex_graph_with_100_chords_orients_quickly_and_unchanged():
     assert hashlib.sha256(repr(d.arcs).encode()).hexdigest() == N1000_M1100_ARCS_SHA256
 
 
+# the same digest for the n = 1000, m = 3000 graph below, taken while the
+# packing still stopped on the free degrees and ran a girth BFS from every
+# vertex: its free edges kept a 44-cycle with chords in g, so the search
+# went on through some 380 empty lengths and took 29-34 s
+N1000_M3000_ARCS_SHA256 = "1a855c9886402639eec96b8a6e3bab3e1dc6872d20979f3d3fed9472e0935926"
+
+
+def test_a_1000_vertex_graph_with_2000_chords_orients_quickly_and_unchanged():
+    g = cycle_plus_chords(random.Random(3000), 1000, 3000)
+    t0 = time.perf_counter()
+    d = extreme_free_orientation(g)
+    assert time.perf_counter() - t0 < 10
+    assert hashlib.sha256(repr(d.arcs).encode()).hexdigest() == N1000_M3000_ARCS_SHA256
+
+
+def test_core_peels_to_the_vertices_of_degree_two_or_more():
+    # a triangle 0-1-2 with a tail 2-3-4 and a pendant 5 on 1
+    g = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (1, 5)])
+    everyone = (1 << 6) - 1
+    assert orienters._core(list(g.adj), everyone, everyone) == 0b000111
+    # only the vertices in todo start the peel
+    assert orienters._core(list(g.adj), everyone, 1 << 0) == everyone
+    # deleting 1 and peeling from its neighbours leaves no cycle
+    assert orienters._core(list(g.adj), everyone & ~(1 << 1), g.adj[1]) == 0
+    assert orienters._core(list(path_graph(4).adj), 0b1111, 0b1111) == 0
+
+
 # ---------------------------------------------------------------------------
 # extreme-free orientation
 
@@ -239,6 +267,30 @@ def test_k4_repair_produces_no_extremes():
     d = extreme_free_orientation(complete_graph(4))
     assert d.is_orientation_of(complete_graph(4))
     assert extreme_vertices(d) == frozenset()
+
+
+def test_a_path_over_an_oriented_edge_runs_against_it():
+    # the diamond's two triangles share the edge 12: the packing takes
+    # 0 -> 1 -> 2 -> 0, and the path 1-3-2 runs against 1 -> 2, closing a
+    # directed triangle through 3; along the path 3 would be extreme
+    g = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
+    assert find_edge_disjoint_induced_cycles(g) == [(0, 1, 2)]
+    assert orienters._shortest_or_to_or_path(g, 0b0111) == [1, 3, 2]
+    d = extreme_free_orientation(g)
+    assert d.arcs == ((0, 1), (1, 2), (2, 0), (2, 3), (3, 1))
+    assert extreme_vertices(d) == frozenset()
+    along = Digraph.from_arcs(4, [(0, 1), (1, 2), (2, 0), (1, 3), (3, 2)])
+    assert extreme_vertices(along) == {3}
+
+
+def test_augmenting_path_is_the_least_of_every_path():
+    rng = random.Random(22)
+    for _ in range(400):
+        n = rng.randint(2, 9)
+        g = _random_graph(rng, n, rng.randint(0, n * (n - 1) // 2))
+        touched = rng.randrange(1 << n)
+        want = oracle_augmenting_path(g, touched)
+        assert orienters._shortest_or_to_or_path(g, touched) == want, (g.edges, touched)
 
 
 def test_end_vertex_refusal_mentions_the_obstruction():

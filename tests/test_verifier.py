@@ -1,12 +1,14 @@
+import dataclasses
 import itertools
 import json
 import re
+from types import SimpleNamespace
 
 import pytest
 
-from oriconvex import geodesic, verifier
-from oriconvex.graphs import Graph, encode_graph6, graph6_lines, is_complete, parse_graph6
-from oriconvex.invariants import hull_number
+from oriconvex import geodesic, orienters, verifier
+from oriconvex.graphs import Digraph, Graph, encode_graph6, graph6_lines, is_complete, parse_graph6
+from oriconvex.invariants import hull_number, orientable_numbers
 from oriconvex.orienters import d2_construction
 from oriconvex.smallgraphs import connected_graphs, trees
 from oriconvex.verifier import (
@@ -274,3 +276,82 @@ def test_no_hull_set_at_size_h_d2_is_a_failure(monkeypatch):
     assert rep.hull_sets_checked == 0
     assert not rep.ok
     assert Failure("claims", f"no hull-set of D2 has size h(D2)={h2}", d2.arcs) in rep.failures
+
+
+# ---------------------------------------------------------------------------
+# every theorem-check failure a suite can emit
+
+
+def test_separation_failures_name_the_numbers():
+    g = cycle_graph(5)
+    nums = orientable_numbers(g)
+    bad = dataclasses.replace(nums, g_min=nums.g_max, h_min=nums.h_max + 1)
+    rep = verify_separation(g, numbers=bad)
+    assert rep.failures == [
+        Failure("g-separation", f"g-={nums.g_max} !< g+={nums.g_max}"),
+        Failure("h-separation", f"h-={nums.h_max + 1} !< h+={nums.h_max}"),
+    ]
+
+
+def test_complete_route_failures_name_the_orientation(monkeypatch):
+    transitive, reversed_path = orienters.complete_graph_orientations(4)
+    monkeypatch.setattr(verifier, "complete_graph_orientations",
+                        lambda n: (reversed_path, transitive))
+    rep = verify_separation(complete_graph(4))
+    assert rep.route == "complete"
+    assert rep.failures == [
+        Failure("complete-route", "g_of_transitive=2, expected 4", reversed_path.arcs),
+        Failure("complete-route", "g_of_reversed_path=4, expected 2", transitive.arcs),
+        Failure("complete-route", "h_of_transitive=2, expected 4", reversed_path.arcs),
+        Failure("complete-route", "h_of_reversed_path=4, expected 2", transitive.arcs),
+    ]
+
+
+def test_d1_equal_to_d2_fails_the_construction_and_claim1(monkeypatch):
+    # P3's D2 is 0 -> 1 <- 2, so its one hull-set is V, and without the
+    # flip the sink v1 = 1 is in I_D2(V) but not in I_D2({0, 2})
+    monkeypatch.setattr(verifier, "d1_from_d2", lambda d2, sel: d2)
+    rep = verify_separation(path_graph(3))
+    d2 = ((0, 1), (2, 1))
+    assert rep.failures == [
+        Failure("construct-g", "g(D1)=3 !< g(D2)=3", d2),
+        Failure("construct-h", "h(D1)=3 !< h(D2)=3", d2),
+        Failure("claim1", "I^1_D2(S) not within I^1_D1(S - v1) for hull-set S=[0, 1, 2]",
+                orientation=d2, vertex_set=(1,)),
+    ]
+    report = corpus_run([encode_graph6(path_graph(3))], "separation")
+    assert report.violations == 1
+    assert report.exit_status() == 1
+    assert report.records[0].to_json_dict()["separation"]["failures"][0]["check"] == "construct-g"
+
+
+def test_claim2_is_the_second_interval_step():
+    # D1 reverses D2's arcs at 3: I_D2({0, 1}) = I_D1({0, 1}) = {0, 1, 3},
+    # but the next step puts 2 in on D2 alone (0 -> 2 -> 3)
+    d2 = Digraph.from_arcs(4, [(0, 2), (1, 2), (1, 3), (2, 3), (3, 0)])
+    d1 = Digraph.from_arcs(4, [(0, 2), (0, 3), (1, 2), (3, 1), (3, 2)])
+    failures = []
+    assert verifier._check_claims(d2, SimpleNamespace(v1=2), d1, range(2, 3), failures) == 1
+    assert failures == [
+        Failure("claim2", "I^2_D2(S) not within I^2_D1(S - v1) for hull-set S=[0, 1]",
+                orientation=d2.arcs, vertex_set=(2,)),
+    ]
+
+
+def test_convexity_failures_name_the_numbers(monkeypatch):
+    p3, c4 = path_graph(3), cycle_graph(4)
+    nums = orientable_numbers(p3)
+    rep = verify_convexity(p3, numbers=dataclasses.replace(nums, con_max=1, con_min=1))
+    assert rep.failures == [
+        Failure("con-max", "con+=1, expected 2"),
+        Failure("con-min-endvertex", "end-vertex present but con-=1 != 2"),
+    ]
+    nums = orientable_numbers(c4)
+    rep = verify_convexity(c4, numbers=dataclasses.replace(nums, con_min=3))
+    assert rep.failures == [Failure("con-min", "no end-vertex but con-=3 = n-1")]
+
+    monkeypatch.setattr(verifier, "convexity_number", lambda d: (0, ()))
+    rep = verify_convexity(p3)
+    assert rep.failures == [
+        Failure("con-max-witness", "all-out orientation has con=0", ((0, 1), (1, 2))),
+    ]
