@@ -4,7 +4,10 @@ The searches here are exact and deterministic, and every witness is the
 lexicographically least optimum, so reruns are diffable.  The g and h
 searches scan candidate sets by increasing size and lexicographically within
 a size, and every candidate contains all extreme vertices (which belong to
-every geodetic set and every hull-set).  The con search is V less the
+every geodetic set and every hull-set).  A depth-first walk lists the
+candidates in that order and carries each prefix's interval (for g) or
+hull (for h), so a candidate costs the pairs at its last vertex, not the
+recomputation of its whole set.  The con search is V less the
 largest extreme vertex when there is one.  Otherwise it walks the convex
 sets upward from the empty set by closure extension (they are closed under
 intersection), cutting every subtree that cannot beat the best size found.
@@ -94,21 +97,47 @@ def _hull_mask(iv, smask: int, convex: int = 0, stop: int = 0) -> int:
     return cur
 
 
-def _min_superset(n: int, seed: int, test) -> int:
-    """Smallest superset of `seed` passing `test`, lexicographically least.
+def _min_superset(n: int, seed: int, grow) -> int:
+    """Smallest superset of `seed` whose state is V, lexicographically least.
 
-    Candidates of equal size are visited in lexicographic order of the full
-    vertex tuple (merging a fixed seed into sorted combinations preserves
-    that order), so the first hit is the canonical witness.
+    A candidate's state (its interval I[S] for g, its hull for h) is the
+    state of its prefix grown by its last vertex: `grow(s, state, v)` is the
+    state of s | {v}, given the state of s.  The seed's state is grow folded
+    over its vertices.  The candidates of each size, in increasing size,
+    come from a depth-first walk over the vertices outside the seed in index
+    order, which visits them in the order of `itertools.combinations`; the
+    seed's bits below a candidate's do not change that order (merging a
+    fixed seed into sorted combinations preserves it), so the first hit is
+    the canonical witness.  The walk is recursive, one level per vertex
+    added to the seed.  It reaches depth d only after every candidate with
+    fewer added vertices failed, at least 2^(d-1) of them, so in any run
+    that ends its depth stays far below the recursion limit.
     """
+    full = (1 << n) - 1
+    state = s = 0
+    for v in bits(seed):
+        state = grow(s, state, v)
+        s |= 1 << v
+    if state == full:
+        return seed
     rest = [v for v in range(n) if not seed >> v & 1]
-    for extra in range(len(rest) + 1):
-        for combo in itertools.combinations(rest, extra):
-            s = seed
-            for v in combo:
-                s |= 1 << v
-            if test(s):
-                return s
+
+    def walk(start: int, s: int, state: int, left: int) -> int:
+        """The first of the candidates that add `left` vertices of
+        rest[start:] to s (whose state is `state`) to have state V, or 0."""
+        for i in range(start, len(rest) - left + 1):
+            v = rest[i]
+            nxt = grow(s, state, v)
+            if left == 1:
+                if nxt == full:
+                    return s | 1 << v
+            elif hit := walk(i + 1, s | 1 << v, nxt, left - 1):
+                return hit
+        return 0
+
+    for extra in range(1, len(rest) + 1):
+        if hit := walk(0, seed, state, extra):
+            return hit
     raise AssertionError("unreachable: the full vertex set always passes")
 
 
@@ -157,13 +186,22 @@ def _kernel(n: int, out_masks):
 
 
 def _geodetic_witness(n: int, iv, ext: int) -> int:
-    full = (1 << n) - 1
-    return _min_superset(n, ext, lambda s: _set_interval(iv, s) == full)
+    def grow(s: int, cover: int, v: int) -> int:
+        # I[S + v] = I[S] | I[v, u] for each u in S (I[v, v] = {v})
+        row = iv[v]
+        cover |= 1 << v
+        while s:
+            b = s & -s
+            s ^= b
+            cover |= row[b.bit_length() - 1]
+        return cover
+
+    return _min_superset(n, ext, grow)
 
 
 def _hull_witness(n: int, iv, ext: int) -> int:
-    full = (1 << n) - 1
-    return _min_superset(n, ext, lambda s: _hull_mask(iv, s) == full)
+    # the hull of S is convex, so the hull of S + v needs only the pairs at v
+    return _min_superset(n, ext, lambda s, hull, v: _hull_mask(iv, hull | 1 << v, hull))
 
 
 def _convex_witness(n: int, iv, ext: int) -> int:

@@ -49,25 +49,28 @@ class ConstructionError(RuntimeError):
 # chordless cycle packing
 
 
-def _chordless_cycles(g: Graph, free: list[int], length: int) -> Iterator[tuple[int, ...]]:
+def _chordless_cycles(g: Graph, free: list[int], length: int,
+                      core: int) -> Iterator[tuple[int, ...]]:
     """The chordless cycles of g on exactly ``length`` vertices over edges
-    set in the neighbour masks ``free``, in lexicographic order, as (min
-    vertex, smaller neighbour, ...).
+    set in the neighbour masks ``free`` and vertices in the mask ``core``,
+    in lexicographic order, as (min vertex, smaller neighbour, ...).
 
     DFS over chord-free paths rooted at the cycle's smallest vertex; a path
     may only close back to the root, and emitting only when the second
     vertex is smaller than the last fixes the traversal direction.  Chords
     are checked in g.  ``free`` is read as the walk goes: a caller may clear
     edges between cycles, and re-checks a cycle's edges before taking it.
+    Only core vertices are roots or path vertices: the packing passes the
+    2-core of its free edges, which holds every free cycle.
     """
     adj = g.adj
-    for a in range(g.n):
-        gt_a = ~((1 << (a + 1)) - 1)
-        for b in bits(free[a] & gt_a):
+    for a in bits(core):
+        above = core & ~((1 << (a + 1)) - 1)
+        for b in bits(free[a] & above):
             path, pathmask = [a, b], (1 << a) | (1 << b)
             # todo[i]: the extensions of path[: i + 2] left to try, one entry
             # per path vertex, so a long cycle needs no deep recursion
-            todo = [free[b] & gt_a & ~pathmask]
+            todo = [free[b] & above & ~pathmask]
             while todo:
                 if not todo[-1]:
                     todo.pop()
@@ -86,7 +89,7 @@ def _chordless_cycles(g: Graph, free: list[int], length: int) -> Iterator[tuple[
                 elif not closes:
                     path.append(w)
                     pathmask |= wbit
-                    todo.append(free[w] & gt_a & ~pathmask)
+                    todo.append(free[w] & above & ~pathmask)
 
 
 def _core(adj: list[int], live: int, todo: int) -> int:
@@ -143,7 +146,8 @@ def find_edge_disjoint_induced_cycles(g: Graph) -> list[tuple[int, ...]]:
     packing is maximal by construction.  The search stops at the first
     length k whose free edges have a 2-core of fewer than k vertices: a
     free k-cycle lies in that core, which starts as V (minimum degree 2)
-    and is peeled again from the vertices of each pass's cycles.
+    and is peeled again from the vertices of each pass's cycles.  For the
+    same reason each pass roots and walks its paths inside that core only.
 
     Past length 8, a pass that takes no cycle moves k on to the girth of
     the free edges: a free chordless cycle is a cycle of the free edges,
@@ -160,7 +164,7 @@ def find_edge_disjoint_induced_cycles(g: Graph) -> list[tuple[int, ...]]:
     while core.bit_count() >= k:
         taken = len(chosen)
         hit = 0
-        for cyc in _chordless_cycles(g, free, k):
+        for cyc in _chordless_cycles(g, free, k, core):
             edges = list(zip(cyc, cyc[1:] + cyc[:1]))
             if all(free[u] >> v & 1 for u, v in edges):
                 chosen.append(cyc)

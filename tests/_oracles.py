@@ -3,12 +3,14 @@
 These deliberately avoid the package's bitmask search machinery: distances
 come from Floyd-Warshall over the arc list, and the set searches enumerate
 every subset by size with no pruning, deciding membership through the
-public definitional interval/hull functions.  Two oracles are exceptions.
+public definitional interval/hull functions.  Three oracles are exceptions.
 The orientation-sweep oracle runs the per-digraph searches (checked against
 the oracles here) on every orientation, with none of the sweep's pruning.
 The con scan runs on the bitmask interval matrix (checked against
 `geodesic` in test_invariants), so each walk of the con search can be
 compared with it at sizes the frozenset reference cannot reach.  The
+superset scan takes any test, so the g and h searches can be compared with
+it on the same matrix, each candidate tested from scratch.  The
 chordless-cycle oracles list every cycle in one DFS, sort the list, and
 pack greedily over all of it, where the package searches one length at a
 time over the edges still free.  The augmenting-path oracle lists every
@@ -107,6 +109,24 @@ def oracle_convex_scan(n: int, iv, ext: int) -> int:
             if _set_interval(iv, s) == s:
                 return s
     raise AssertionError("unreachable: every singleton is convex")
+
+
+def oracle_min_superset(n: int, seed: int, test) -> int:
+    """The g and h searches as a plain scan: the first superset of `seed`
+    passing `test`, by increasing size and lexicographically within a size.
+
+    Every candidate is built and tested from scratch, where the package
+    grows each candidate's interval or hull from its prefix's.
+    """
+    rest = [v for v in range(n) if not seed >> v & 1]
+    for extra in range(len(rest) + 1):
+        for combo in itertools.combinations(rest, extra):
+            s = seed
+            for v in combo:
+                s |= 1 << v
+            if test(s):
+                return s
+    raise AssertionError("unreachable: the full vertex set always passes")
 
 
 def oracle_hull_by_intersection(d: Digraph, s) -> frozenset:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import time
@@ -52,6 +53,7 @@ from _oracles import (
     oracle_convexity,
     oracle_geodetic,
     oracle_hull,
+    oracle_min_superset,
     oracle_orientable_numbers,
     oracle_sweep,
     random_digraph,
@@ -203,6 +205,94 @@ def test_seeded_search_matches_oracle_on_general_digraphs():
         assert geodetic_number(d) == oracle_geodetic(d)
         assert hull_number(d) == oracle_hull(d)
         assert convexity_number(d) == oracle_convexity(d)
+
+
+# ---------------------------------------------------------------------------
+# the g and h searches: the prefix-extension walk against the plain scan
+
+
+_STATES = {"_geodetic_witness": invariants._set_interval, "_hull_witness": invariants._hull_mask}
+
+
+def _assert_g_and_h_searches_match_the_scan(d, seeds, monkeypatch):
+    n = d.n
+    full = (1 << n) - 1
+    iv, ext = invariants._kernel(n, d.out_masks)
+    walk = invariants._min_superset
+    for name, state_of in _STATES.items():
+
+        def checked(n_, seed, grow):
+            # the state the walk carries to each set it visits is that set's
+            def grow_checked(s, state, v):
+                nxt = grow(s, state, v)
+                assert nxt == state_of(iv, s | 1 << v), (d.arcs, name, s, v)
+                return nxt
+            return walk(n_, seed, grow_checked)
+
+        monkeypatch.setattr(invariants, "_min_superset", checked)
+        for seed in (ext, *seeds):
+            want = oracle_min_superset(n, seed, lambda s: state_of(iv, s) == full)
+            assert getattr(invariants, name)(n, iv, seed) == want, (d.arcs, name, seed)
+        monkeypatch.undo()
+
+
+def test_g_and_h_searches_match_the_scan_on_every_small_digraph(monkeypatch):
+    # n = 1 and 2, two-cycles and unreachable pairs; seed 0 is the seed of
+    # an extreme-free digraph, and a seed of V passes at once
+    for n in range(1, 4):
+        for d in all_digraphs(n):
+            _assert_g_and_h_searches_match_the_scan(d, range(1 << n), monkeypatch)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.sampled_from((0.15, 0.3, 0.5, 0.8)),
+       st.randoms(use_true_random=False))
+def test_g_and_h_searches_match_the_scan_on_random_digraphs(n, p, rng):
+    d = random_digraph(rng, n, p)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _assert_g_and_h_searches_match_the_scan(
+            d, (0, (1 << n) - 1, rng.randrange(1 << n)), monkeypatch)
+
+
+def test_g_and_h_searches_match_the_scan_on_extreme_free_orientations(monkeypatch):
+    rng = random.Random(9012)
+    for n in range(10, 13):
+        d = extreme_free_orientation(cycle_plus_chords(rng, n, 3 * n))
+        assert not invariants._kernel(n, d.out_masks)[1]
+        _assert_g_and_h_searches_match_the_scan(d, (), monkeypatch)
+
+
+def test_superset_walk_visits_candidates_in_combinations_order():
+    # a state that is V on an arbitrary family of sets, not an upward
+    # closed one, so the first hit shows the order the candidates came in;
+    # the empty set is left out, as its state is the fold's start and never
+    # V for n >= 1
+    rng = random.Random(3301)
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        full = (1 << n) - 1
+        family = set(rng.sample(range(1, 1 << n), min(rng.randint(0, 6), full))) | {full}
+        seed = rng.randrange(1 << n) & rng.randrange(1 << n)
+
+        def grow(s, state, v):
+            return full if s | 1 << v in family else 0
+
+        want = oracle_min_superset(n, seed, family.__contains__)
+        assert invariants._min_superset(n, seed, grow) == want, (n, seed, family)
+
+
+# g, h and con of 24 extreme-free orientations of conftest.cycle_plus_chords
+# graphs, 8 each of n = 12, 13, 14 with m = 3n (random.Random(1214)):
+# sha256 of the repr of their [(g, h, con)] results, witnesses included
+XFREE_N14_SEARCHES_SHA256 = "4c22adb0af7d24ded1a12679a272b0c6fbe3c7fd29df3eb49aa00a679e2a3805"
+
+
+def test_large_searches_keep_their_pinned_witnesses():
+    rng = random.Random(1214)
+    ds = [extreme_free_orientation(cycle_plus_chords(rng, n, 3 * n))
+          for _ in range(8) for n in (12, 13, 14)]
+    res = [(geodetic_number(d), hull_number(d), convexity_number(d)) for d in ds]
+    assert hashlib.sha256(repr(res).encode()).hexdigest() == XFREE_N14_SEARCHES_SHA256
 
 
 # ---------------------------------------------------------------------------

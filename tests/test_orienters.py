@@ -66,9 +66,9 @@ def test_k4_packing_searches_only_length_3(monkeypatch):
     lengths = []
     search = orienters._chordless_cycles
 
-    def spy(g, free, length):
+    def spy(g, free, length, core):
         lengths.append(length)
-        return search(g, free, length)
+        return search(g, free, length, core)
 
     monkeypatch.setattr(orienters, "_chordless_cycles", spy)
     assert find_edge_disjoint_induced_cycles(complete_graph(4)) == [(0, 1, 2)]
@@ -83,7 +83,7 @@ def test_k4_packing_searches_only_length_3(monkeypatch):
 
 
 def _cycles_of_length(g, length):
-    return list(orienters._chordless_cycles(g, g.adj, length))
+    return list(orienters._chordless_cycles(g, g.adj, length, (1 << g.n) - 1))
 
 
 def test_a_1000_cycle_is_found_without_deep_recursion():
