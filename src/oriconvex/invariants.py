@@ -11,6 +11,8 @@ recomputation of its whole set.  The con search is V less the
 largest extreme vertex when there is one.  Otherwise it walks the convex
 sets upward from the empty set by closure extension (they are closed under
 intersection), cutting every subtree that cannot beat the best size found.
+A child's hull stops at the first vertex below its new vertex outside the
+parent, since such a hull can no longer be a child.
 
 Internally everything runs on one bitmask kernel per digraph (the matrix of
 interval masks and the mask of extreme vertices), built once and shared by
@@ -239,6 +241,14 @@ def _convex_up(n: int, iv) -> int:
     taken to the end.  No set in C's subtree is larger than |C|
     plus the unforbidden vertices above c outside C.
 
+    A hull for v stops as soon as it holds a vertex below v outside C: it
+    can no longer agree with C below v, so it is no child.  Then v is not
+    marked forbidden, even if its hull is V.  Fewer forbidden vertices only
+    weaken the bound, which stays a bound, and such a v whose hull is V is
+    tried again under supersets of C, where its hull is V too and gives no
+    child.  So every set has the children, and the walk the answer, of
+    taking every hull to the end.
+
     The depth-first walk pops the children in increasing core order, and so
     visits the sets of one size in lexicographic order.  Two such sets lie
     under two children H_v and H_w (v < w) of one set, and H_v's subtree is
@@ -264,11 +274,13 @@ def _convex_up(n: int, iv) -> int:
         while cand:
             b = cand & -cand
             cand ^= b
-            # a hull that meets a forbidden vertex f holds hull(C | {f}) = V
-            h = _hull_mask(iv, c | b, c, forb)
+            # a hull that meets a forbidden vertex f holds hull(C | {f}) = V;
+            # one that meets a vertex below b outside c leaves the prefix
+            below = (b - 1) & ~c
+            h = _hull_mask(iv, c | b, c, forb | below)
             if h == full or h & forb:
                 forb |= b
-            elif not (h ^ c) & (b - 1):
+            elif not h & below:
                 kids.append((h, b.bit_length() - 1))
         for h, v in reversed(kids):
             stack.append((h, v, forb))

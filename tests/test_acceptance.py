@@ -5,6 +5,7 @@ pytest -s); a failed assertion is the corresponding FAIL.  Runtime budgets
 are asserted where stated.
 """
 
+import hashlib
 import itertools
 import random
 import time
@@ -137,18 +138,29 @@ def _mindeg2_corpus():
     return [g for n in range(3, 9) for g in connected_min_degree_2(n)]
 
 
+# sha256 of the repr of [convexity_number(d)] over the extreme-free
+# orientations of the 8,025 graphs of mindeg2_connected_upto_n8.g6, in file order
+MINDEG2_N8_XFREE_CON_SHA256 = "12490a640d121faff1146893fa746eda4a8581d0afabd63d8aa419d145c3b7c9"
+
+
 def test_criterion_07_extreme_free_constructive():
     graphs = _mindeg2_corpus()
     t0 = time.perf_counter()
+    cons = []
     for g in graphs:
         assert is_connected(g) and min_degree(g) >= 2 and 3 <= g.n <= 8
         d = extreme_free_orientation(g)
         assert d.is_orientation_of(g)
         assert not any(geodesic.is_extreme(d, v) for v in range(d.n))
+        # no vertex is extreme, so no (n-1)-set is convex
+        con, cw = convexity_number(d)
+        assert con < g.n - 1 and geodesic.is_convex(d, cw), g.edges
+        cons.append((con, cw))
+    assert hashlib.sha256(repr(cons).encode()).hexdigest() == MINDEG2_N8_XFREE_CON_SHA256
     elapsed = time.perf_counter() - t0
     assert elapsed < 60
-    _report(7, t0, f"extreme-free orientation on all {len(graphs)} connected "
-                   "min-degree-2 graphs, n <= 8")
+    _report(7, t0, f"extreme-free orientation with con < n - 1 on all "
+                   f"{len(graphs)} connected min-degree-2 graphs, n <= 8")
 
 
 def test_criterion_08_d1_d2_constructive():

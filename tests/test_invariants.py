@@ -295,6 +295,22 @@ def test_large_searches_keep_their_pinned_witnesses():
     assert hashlib.sha256(repr(res).encode()).hexdigest() == XFREE_N14_SEARCHES_SHA256
 
 
+# con of 82 extreme-free orientations of conftest.cycle_plus_chords graphs,
+# n = 20..60 with m = 3n // 2 and 3n each (random.Random(2060)): sha256 of
+# the repr of their [convexity_number(d)] results, witnesses included
+XFREE_N60_CON_SHA256 = "4521d8452be58246873269a258564d7bd7d8a98bf4f4ca7773ba66e9053be33a"
+
+
+def test_con_of_large_extreme_free_orientations_keeps_its_pinned_witnesses():
+    rng = random.Random(2060)
+    ds = [extreme_free_orientation(cycle_plus_chords(rng, n, m))
+          for n in range(20, 61) for m in (3 * n // 2, 3 * n)]
+    res = [convexity_number(d) for d in ds]
+    for d, (con, cw) in zip(ds, res):
+        assert con < d.n - 1 and is_convex(d, cw), d.arcs
+    assert hashlib.sha256(repr(res).encode()).hexdigest() == XFREE_N60_CON_SHA256
+
+
 # ---------------------------------------------------------------------------
 # the con search: the upward walk alone, and with the shortcut, against the scan
 
@@ -308,11 +324,24 @@ def _up_walk_hulls(n, iv):
 
     def spy(iv, smask, convex=0, stop=0):
         h = hull(iv, smask, convex, stop)
-        # a hull cut short at a stop vertex must really be V
-        whole = h == full or bool(h & stop)
-        assert whole == (hull(iv, smask) == full)
-        if not whole:
-            assert h == hull(iv, smask)
+        true = hull(iv, smask)
+        # the stop mask is the forbidden vertices plus those below the
+        # candidate b outside the convex part
+        b = smask & ~convex
+        assert b and not b & (b - 1)
+        below = (b - 1) & ~convex
+        forb = stop & ~below
+        assert not h & ~true
+        whole = h == full or bool(h & forb)
+        if whole:
+            # a hull that is V or meets a forbidden vertex must really be V
+            assert true == full
+        elif h & below:
+            # a hull cut below the candidate must really leave the prefix
+            assert (true ^ convex) & (b - 1)
+        else:
+            # an uncut hull is the whole hull, and is V only when taken so
+            assert h == true and true != full
         calls.append((smask, convex, whole))
         return h
 
@@ -381,6 +410,32 @@ def test_up_walk_cuts_a_subtree_that_can_only_tie(monkeypatch):
     assert invariants._convex_up(3, iv) == 0b011
     assert calls == [(0b001, 0), (0b010, 0), (0b100, 0),
                      (0b011, 0b001), (0b101, 0b001), (0b111, 0b011)]
+
+
+def test_up_walk_stops_a_child_hull_below_its_candidate(monkeypatch):
+    # 0 -> 1 -> 3 and 0 -> 2 -> 3 closed by 3 -> 0, so no vertex is extreme:
+    # hull({1, 3}) and hull({2, 3}) are V, but each stops once it holds 0,
+    # a vertex below 3 outside {1} or {2}, before it takes the other one
+    d = Digraph.from_arcs(4, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 0)])
+    iv, ext = invariants._kernel(4, d.out_masks)
+    assert not ext
+    hull = invariants._hull_mask
+    assert hull(iv, 0b1010) == 0b1111
+    assert hull(iv, 0b1010, 0b0010, 0b0101) == 0b1011
+    calls = []
+
+    def spy(iv, smask, convex=0, stop=0):
+        calls.append((smask, convex, stop))
+        return hull(iv, smask, convex, stop)
+
+    monkeypatch.setattr(invariants, "_hull_mask", spy)
+    assert invariants._convex_up(4, iv) == oracle_convex_scan(4, iv, ext) == 0b0001
+    assert calls == [(0b0001, 0, 0), (0b0010, 0, 0b0001), (0b0100, 0, 0b0011),
+                     (0b1000, 0, 0b0111),
+                     (0b0011, 0b0001, 0), (0b0101, 0b0001, 0b0010),
+                     (0b1001, 0b0001, 0b0110),
+                     (0b0110, 0b0010, 0b0001), (0b1010, 0b0010, 0b0101),
+                     (0b1100, 0b0100, 0b0011)]
 
 
 def test_hull_of_a_convex_set_plus_vertices_matches_the_reference():
