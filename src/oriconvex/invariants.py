@@ -31,8 +31,8 @@ each {D, reverse(D)} pair: sweep index idx is orientation idx << 1 of
 low->high.  The sweep takes them 2^12 at a time, one bit per orientation
 (`_Batch`), and the batch decides for each invariant where cheap bounds
 place its value inside the running [min, max] of the sweep.  The extreme
-vertices give g >= h >= max(#extreme, 2); a recent geodetic (hull) witness
-joined with them that still covers V gives an upper bound, and h <= g; con
+vertices give g >= h >= max(#extreme, 2); a recent geodetic witness
+joined with them that still covers V bounds g, and so h, from above; con
 is n - 1 when some vertex is extreme, and otherwise a recent convex witness
 that is still convex bounds it below once the max is n - 1.  A skip needs
 both inequalities, so the strict min/max updates could not have fired:
@@ -405,7 +405,7 @@ class OrientableNumbers:
         return out
 
 
-# recent witnesses per invariant that a batch tries as bounds; on the n = 6
+# recent g and con witnesses that a batch tries as bounds; on the n = 6
 # corpus 1, 3 and 6 of them leave 1,611, 1,232 and 1,066 exact g searches
 _RECENT = 3
 
@@ -418,15 +418,15 @@ def _remember(recent: list, w: int) -> None:
 
 class _Sweep:
     """The running state of the sweep: the [min, min index, max, max index]
-    slot and the recent witnesses of g, h and con, with the number of exact
-    g, h and con searches run and of kernels read off a batch.
+    slot of g, h and con, the recent witnesses of g and of con, and the
+    number of exact g, h and con searches run and of kernels read off a batch.
     `_Batch.skips` decides where a search is needed; the step only runs it,
     on the kernel that `_Batch.kernel` reads off the batch masks."""
 
     def __init__(self, n: int) -> None:
         self.n = n
         self.slots = [None, None, None]
-        self.recent = ([], [], [])
+        self.recent = ([], [])
         self.runs = [0, 0, 0]
         self.kernels = 0
 
@@ -449,14 +449,13 @@ class _Sweep:
         if not h_ok:
             w = _hull_witness(n, iv, ext)
             self.runs[1] += 1
-            _remember(self.recent[1], w)
             hs = _record(hs, w.bit_count(), idx)
         if ext:
             cs = _record(cs, n - 1, idx)
         elif not c_ok:
             w = _convex_witness(n, iv, ext)
             self.runs[2] += 1
-            _remember(self.recent[2], w)
+            _remember(self.recent[1], w)
             cs = _record(cs, w.bit_count(), idx)
         self.slots = [gs, hs, cs]
 
@@ -575,30 +574,20 @@ class _Batch:
         """Where each vertex is in w | ext."""
         return [self.all if w >> x & 1 else e for x, e in enumerate(self.ext)]
 
-    def _interval(self, cur: list[int]) -> list[int]:
-        """Where each vertex is in I[S], with S given by its member masks."""
-        out = cur[:]
-        for u, v, row in self.rows:
-            both = cur[u] & cur[v]
-            if both:
-                for y, m in row:
-                    out[y] |= both & m
-        return out
-
     def sizes(self, w: int) -> list[int]:
         """at[c]: where |w | ext| <= c."""
         return self._at_most(self._members(w))
 
     def cover(self, w: int) -> int:
         """Where I[w | ext] = V."""
-        return functools.reduce(int.__and__, self._interval(self._members(w)), self.all)
-
-    def hull(self, w: int) -> int:
-        """Where the hull of w | ext is V."""
         cur = self._members(w)
-        while (nxt := self._interval(cur)) != cur:
-            cur = nxt
-        return functools.reduce(int.__and__, cur, self.all)
+        out = cur[:]
+        for u, v, row in self.rows:
+            both = cur[u] & cur[v]
+            if both:
+                for y, m in row:
+                    out[y] |= both & m
+        return functools.reduce(int.__and__, out, self.all)
 
     def convex(self, w: int) -> int:
         """Where w is convex: no interval of two vertices of w leaves w."""
@@ -621,10 +610,9 @@ class _Batch:
         [min, max] of `sweep`, so that their exact search could move neither
         strict update; (0, 0, 0) before the first step.
 
-        g: max(|ext|, 2) >= g min, and the first recent g witness w whose
+        g: max(|ext|, 2) >= g min, and some recent g witness w whose
         w | ext covers V has |w | ext| <= g max.  h: max(|ext|, 2) >= h min,
-        and that first g witness has |w | ext| <= h max (h <= g), or a recent
-        hull witness joined with ext has hull V within the h max.  con: the
+        and some such w has |w | ext| <= h max (h <= g).  con: the
         max is n - 1 (con <= n - 1), and some vertex is extreme (con = n - 1)
         or a recent convex witness is convex here.
         """
@@ -634,19 +622,17 @@ class _Batch:
         g_ok = h_ok = 0
         for w in sweep.recent[0]:
             at = self._cached(self.sizes, w)
-            first = at[gs[2]] & self._cached(self.cover, w) & ~g_ok
-            g_ok |= first
-            h_ok |= first & at[hs[2]]
+            covers = self._cached(self.cover, w)
+            g_ok |= at[gs[2]] & covers
+            h_ok |= at[hs[2]] & covers
         g_ok &= self.low_at_least(gs[0])
-        for w in sweep.recent[1]:
-            h_ok |= self._cached(self.sizes, w)[hs[2]] & self._cached(self.hull, w)
         h_ok &= self.low_at_least(hs[0])
         c_ok = 0
         if cs[2] >= self.n - 1:
             c_ok = self.all & ~self.ext_at_most[0]
             # each recent con witness has at least the min's size: its search
             # recorded that size, and the min only falls
-            for w in sweep.recent[2]:
+            for w in sweep.recent[1]:
                 c_ok |= self._cached(self.convex, w)
         return g_ok, h_ok, c_ok
 

@@ -190,10 +190,15 @@ def _shortest_or_to_or_path(g: Graph, touched: int) -> list[int] | None:
     interior vertex.  Ties break toward the lexicographically least path:
     a BFS layer lists the paths to it in lexicographic order, so a start's
     first hit is its least shortest path, and the paths from a later start
-    begin with a larger vertex, so only a strictly shorter one replaces it."""
+    begin with a larger vertex, so only a strictly shorter one replaces it.
+    A path's first interior vertex is an untouched neighbour of its start,
+    so only touched vertices with one are started from."""
     adj = g.adj
+    near = 0
+    for u in bits(~touched & ((1 << g.n) - 1)):
+        near |= adj[u]
     best: list[int] | None = None
-    for start in bits(touched):
+    for start in bits(touched & near):
         parent = {start: -1}
         layer = [start]
         depth = 0

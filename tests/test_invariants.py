@@ -585,15 +585,15 @@ def test_batch_masks_match_the_scalar_kernel(seed, case):
             assert [batch.sizes(w)[t] >> i & 1 for t in range(n + 1)] == [
                 s.bit_count() <= t for t in range(n + 1)]
             assert batch.cover(w) >> i & 1 == (invariants._set_interval(iv, s) == full)
-            assert batch.hull(w) >> i & 1 == (invariants._hull_mask(iv, s) == full)
             assert batch.convex(w) >> i & 1 == (invariants._set_interval(iv, w) == w)
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_batch_skips_leave_every_value_inside_the_running_range(seed):
-    # in each state along a random walk, wherever a skip bit is set the exact
-    # value of that index lies inside the slot's [min, max]; the walk starts
-    # with no extreme vertex when it can, so that the con max starts below n - 1
+def _skip_walk(seed):
+    """A random walk of sweep states over one batch: yields (g, k, base,
+    batch, sweep) first, then once after each of eight steps of that sweep.
+    Each sampled index is stepped through the batch that holds it, those
+    with no extreme vertex first, so that the con max starts below n - 1
+    when it can."""
     rng = random.Random(seed)
     while True:
         g = random_graph(rng, rng.randint(5, 7))
@@ -603,11 +603,25 @@ def test_batch_skips_leave_every_value_inside_the_running_range(seed):
     base = rng.randrange(1, 2 ** (g.m - 1 - k)) << k
     batch = invariants._Batch(g.n, g.edges, base, k)
     sweep = invariants._Sweep(g.n)
-    numbers = (geodetic_number, hull_number, convexity_number)
-    fired = [False] * 3
 
     def has_extreme(idx):
         return invariants._kernel(g.n, orientation_from_index(g, idx << 1).out_masks)[1] != 0
+
+    yield g, k, base, batch, sweep
+    for idx in sorted(rng.sample(range(2 ** (g.m - 1)), 8), key=has_extreme):
+        at = idx >> k << k
+        sweep.step(invariants._Batch(g.n, g.edges, at, k), idx - at, 0, 0, 0)
+        yield
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_batch_skips_leave_every_value_inside_the_running_range(seed):
+    # in each state along the walk, wherever a skip bit is set the exact
+    # value of that index lies inside the slot's [min, max]
+    walk = _skip_walk(seed)
+    g, k, base, batch, sweep = next(walk)
+    numbers = (geodetic_number, hull_number, convexity_number)
+    fired = [False] * 3
 
     def check():
         skips = batch.skips(sweep)
@@ -620,30 +634,56 @@ def test_batch_skips_leave_every_value_inside_the_running_range(seed):
                                                       number.__name__)
 
     assert batch.skips(sweep) == (0, 0, 0)
-    for idx in sorted(rng.sample(range(2 ** (g.m - 1)), 8), key=has_extreme):
-        # each sampled index is stepped through the batch that holds it
-        at = idx >> k << k
-        sweep.step(invariants._Batch(g.n, g.edges, at, k), idx - at, 0, 0, 0)
+    for _ in walk:
         check()
-    # a first recent g witness V passes wherever the g max is n, and then
-    # the h skip rests on its size, not on that of a later witness
+    # a recent g witness V covers every index and passes wherever the g max
+    # is n; each h skip still needs a covering witness within the h max
     sweep.slots[0][2] = g.n
     sweep.recent[0].insert(0, (1 << g.n) - 1)
     check()
     assert fired == [True] * 3
 
 
-def test_exact_searches_counted_on_the_n5_corpus():
-    lines = (DATA_DIR / "connected_n5.g6").read_text().split()
+@pytest.mark.parametrize("seed", range(8))
+def test_a_recent_g_witness_never_clears_a_skip_bit(seed):
+    # each covering recent g witness bounds g and h on its own, so one more
+    # witness only adds skip bits: here V, at the front of the list, where it
+    # covers every index once the g max is raised to n
+    walk = _skip_walk(seed)
+    g, _, _, batch, sweep = next(walk)
+    for _ in walk:
+        more = invariants._Sweep(g.n)
+        more.slots = [slot[:] for slot in sweep.slots]
+        more.recent = tuple(recent[:] for recent in sweep.recent)
+        more.slots[0][2] = g.n
+        more.recent[0].insert(0, (1 << g.n) - 1)
+        (g_old, h_old, _), (g_new, h_new, _) = batch.skips(sweep), batch.skips(more)
+        assert (g_old & ~g_new, h_old & ~h_new) == (0, 0), (sweep.slots, sweep.recent)
+
+
+def _corpus_counts(name):
+    """The runs over a shipped corpus, with the total orientations, the exact
+    g, h and con searches and the kernels read off a batch."""
+    lines = (DATA_DIR / f"{name}.g6").read_text().split()
     runs = [orientable_numbers(parse_graph6(ln)) for ln in lines]
     searched = tuple(sum(col) for col in zip(*(r.exact_searches for r in runs)))
-    total = sum(r.orientations for r in runs)
+    return runs, sum(r.orientations for r in runs), searched, sum(r.scalar_kernels for r in runs)
+
+
+def test_exact_searches_counted_on_the_n5_corpus():
+    runs, total, searched, kernels = _corpus_counts("connected_n5")
     assert (len(runs), total) == (21, 1544)
     assert searched == (100, 74, 14)
     assert all(count < total for count in searched)
-    assert sum(r.scalar_kernels for r in runs) == 109
+    assert kernels == 109
     assert "exact_searches" not in runs[0].to_json_dict()
     assert "scalar_kernels" not in runs[0].to_json_dict()
+
+
+def test_exact_searches_counted_on_the_n6_corpus():
+    runs, total, searched, kernels = _corpus_counts("connected_n6")
+    assert (len(runs), total) == (112, 69056)
+    assert (searched, kernels) == ((1232, 690, 118), 1341)
 
 
 @pytest.mark.parametrize("g", [
