@@ -16,7 +16,9 @@ parent, since such a hull can no longer be a child.
 
 Internally everything runs on one bitmask kernel per digraph (the matrix of
 interval masks and the mask of extreme vertices), built once and shared by
-the g, h and con searches.  One BFS per source builds it: each vertex ORs
+the g, h and con searches, also when they are asked for one at a time: the
+public functions read it through `_digraph_kernel`, a cache of the two
+digraphs asked last.  One BFS per source builds it: each vertex ORs
 in the geodesic masks of its predecessors on the BFS frontier, and the
 extreme vertices are those interior to no geodesic.  The sweep reads the
 same kernel off the bit-parallel BFS of its batch instead, which runs the
@@ -291,8 +293,23 @@ def _convex_up(n: int, iv) -> int:
 # per-digraph API
 
 
+@functools.lru_cache(maxsize=2)
+def _digraph_kernel(d: Digraph):
+    """`_kernel` of d, for the per-digraph API; at most two are kept.
+
+    Callers ask for g, h and con one at a time, and each search needs the
+    whole kernel, so without a cache each call rebuilt it.  The key is the
+    frozen digraph, whose equality is that of its arcs, so equal digraphs
+    share an entry.  Two entries, because the D1/D2 pair is asked in turn:
+    g(D1), g(D2), h(D1), h(D2).  The kernel is not stored on the Digraph:
+    callers that keep many digraphs would keep every kernel too.  The
+    searches only read it.
+    """
+    return _kernel(d.n, d.out_masks)
+
+
 def _number(d: Digraph, search) -> tuple[int, tuple[int, ...]]:
-    w = search(d.n, *_kernel(d.n, d.out_masks))
+    w = search(d.n, *_digraph_kernel(d))
     return w.bit_count(), tuple(bits(w))
 
 
@@ -345,7 +362,7 @@ def digraph_report(d: Digraph) -> DigraphReport:
     if d.n < 2:
         raise ValueError("reports need at least two vertices")
     n = d.n
-    iv, ext = _kernel(n, d.out_masks)
+    iv, ext = _digraph_kernel(d)
     gw, hw, cw = (search(n, iv, ext)
                   for search in (_geodetic_witness, _hull_witness, _convex_witness))
     return DigraphReport(n, gw.bit_count(), hw.bit_count(), cw.bit_count(),

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import itertools
 import random
@@ -36,8 +37,9 @@ from oriconvex.invariants import (
     hull_number,
     orientable_numbers,
 )
-from oriconvex.orienters import extreme_free_orientation
+from oriconvex.orienters import d1_from_d2, d2_construction, extreme_free_orientation
 from oriconvex.smallgraphs import connected_graphs
+from oriconvex.verifier import d1d2_numbers
 from conftest import (
     DATA_DIR,
     complete_bipartite,
@@ -157,6 +159,94 @@ def test_report_matches_the_three_searches():
         d = random_digraph(rng, rng.randint(2, 7))
         (g, gw), (h, hw), (con, cw) = geodetic_number(d), hull_number(d), convexity_number(d)
         assert digraph_report(d) == DigraphReport(d.n, g, h, con, gw, hw, cw)
+
+
+# ---------------------------------------------------------------------------
+# the per-digraph kernel cache
+
+
+_SEARCHES = {
+    geodetic_number: invariants._geodetic_witness,
+    hull_number: invariants._hull_witness,
+    convexity_number: invariants._convex_witness,
+}
+
+
+def _on_a_fresh_kernel(d, search):
+    w = search(d.n, *invariants._kernel(d.n, d.out_masks))
+    return w.bit_count(), tuple(bits(w))
+
+
+def test_cached_kernels_give_the_answers_of_fresh_ones():
+    # g, h and con asked in a random order over a pool of more digraphs than
+    # the cache holds, so entries are evicted and hit out of order; the pool
+    # has equal digraphs that are distinct objects, several digraphs of one
+    # order and digraphs with 2-cycles
+    rng = random.Random(2626)
+    pool = [random_digraph(rng, 6, p) for p in (0.2, 0.4, 0.6)]
+    pool += [Digraph.from_arcs(d.n, reversed(d.arcs)) for d in pool]
+    pool += [transitive_tournament(5), reverse(transitive_tournament(5)),
+             extreme_free_orientation(cycle_plus_chords(rng, 9, 14))]
+    assert any(d.has_arc(u, v) and d.has_arc(v, u) for d in pool for u, v in d.arcs)
+    invariants._digraph_kernel.cache_clear()
+    for _ in range(300):
+        d = rng.choice(pool)
+        number = rng.choice(list(_SEARCHES))
+        assert number(d) == _on_a_fresh_kernel(d, _SEARCHES[number]), (d.arcs, number)
+        assert invariants._digraph_kernel.cache_info().currsize <= 2
+    info = invariants._digraph_kernel.cache_info()
+    assert info.hits and info.misses
+
+
+def _count_kernels(monkeypatch):
+    calls = []
+    build = invariants._kernel
+
+    def spy(n, out_masks):
+        calls.append(n)
+        return build(n, out_masks)
+
+    monkeypatch.setattr(invariants, "_kernel", spy)
+    invariants._digraph_kernel.cache_clear()
+    return calls
+
+
+def test_one_kernel_per_digraph_for_g_h_and_con_in_turn(monkeypatch):
+    d = extreme_free_orientation(cycle_plus_chords(random.Random(26), 10, 20))
+    calls = _count_kernels(monkeypatch)
+    geodetic_number(d), hull_number(d), convexity_number(d)
+    assert calls == [10]
+
+    d2, sel = d2_construction(path_graph(6))
+    d1 = d1_from_d2(d2, sel)
+    calls = _count_kernels(monkeypatch)
+    d1d2_numbers(d1, d2)
+    assert calls == [6, 6]
+
+    # the report reads its kernel through the cache too
+    calls = _count_kernels(monkeypatch)
+    digraph_report(d)
+    convexity_number(d)
+    assert calls == [10]
+
+
+def test_the_searches_do_not_write_to_the_kernel():
+    rng = random.Random(2627)
+    ds = [random_digraph(rng, rng.randint(2, 12), rng.choice((0.15, 0.3, 0.5, 0.8)))
+          for _ in range(40)]
+    ds += [extreme_free_orientation(cycle_plus_chords(rng, n, 2 * n)) for n in range(6, 13)]
+    # the symmetric cycle: 2-cycles and no extreme vertex
+    ds.append(Digraph.from_arcs(8, [a for v in range(8) for a in ((v, (v + 1) % 8),
+                                                                  ((v + 1) % 8, v))]))
+    searched_xfree = 0
+    for d in ds:
+        iv, ext = invariants._kernel(d.n, d.out_masks)
+        searched_xfree += not ext
+        for search in _SEARCHES.values():
+            before = copy.deepcopy(iv)
+            search(d.n, iv, ext)
+            assert iv == before, (d.arcs, search.__name__)
+    assert searched_xfree >= 8
 
 
 # ---------------------------------------------------------------------------

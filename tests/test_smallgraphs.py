@@ -21,14 +21,16 @@ def test_counts_match_published_values(n):
 
 
 def test_generated_graphs_are_pairwise_non_isomorphic_n6():
-    # bucket by WL hash (collides on regular graphs), then decide each bucket
-    # exactly with networkx's VF2 as the independent oracle
+    # bucket by an isomorphism invariant (the edge count and the sorted
+    # degree sequence), then decide each bucket exactly with networkx's VF2
+    # as the independent oracle
     buckets = {}
     for g in all_graphs(6):
         h = nx.Graph()
         h.add_nodes_from(range(g.n))
         h.add_edges_from(g.edges)
-        buckets.setdefault(nx.weisfeiler_lehman_graph_hash(h, iterations=3), []).append(h)
+        key = (g.m, tuple(sorted(a.bit_count() for a in g.adj)))
+        buckets.setdefault(key, []).append(h)
     for members in buckets.values():
         for i, a in enumerate(members):
             for b in members[i + 1:]:
