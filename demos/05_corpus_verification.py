@@ -26,6 +26,8 @@ for rec in report.records:
 
 print("\nsummary:", report.summary())
 print("exit status a CLI run would report:", report.exit_status())
-print("\nevery graph lands in case HG1 (h- = g- < h+ = g+); whether any graph")
-print("at all realizes the other four orderings is an open question, so the")
-print("classifier only ever reports them, it never asserts their absence.")
+print("\nevery graph lands in case HG1 (h- = g- < h+ = g+), as every connected")
+print("graph does up to n = 6.  data/connected_n7.g6 holds the first six outside")
+print("HG1: FEqrg, FErto, FEyrg (HG3) and F?bao, F?beo, F?bew (HG4).  No graph")
+print("up to n = 8 is HG5 or HG6; the classifier reports every case and never")
+print("asserts that one is empty.")

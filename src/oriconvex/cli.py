@@ -39,7 +39,7 @@ from .orienters import (
     d2_construction,
     extreme_free_orientation,
 )
-from .verifier import SUITES, corpus_run, d1d2_numbers, fan_out
+from .verifier import SUITES, corpus_run, d1d2_failures, d1d2_numbers, fan_out
 
 _SUP = dict(zip(NUMBER_KEYS, ("g⁻", "g⁺", "h⁻", "h⁺", "con⁻", "con⁺")))
 
@@ -191,24 +191,33 @@ def cmd_orient(args) -> int:
                          "use orient complete")
     d2, sel = d2_construction(g)
     d1 = d1_from_d2(d2, sel)
+    # d2_construction raises ConstructionError unless v1 is a sink of D2;
+    # the drops from D2 to D1 are checked here
     nums = d1d2_numbers(d1, d2)
+    failures = d1d2_failures(nums, d2)
     if args.format == "json":
-        out.write(json.dumps({
+        rec = {
             "selection": sel.to_json_dict(),
             "d2": [list(a) for a in d2.arcs],
             "d1": [list(a) for a in d1.arcs],
             **nums,
-        }) + "\n")
+        }
+        if failures:
+            rec["failures"] = [f.to_json_dict() for f in failures]
+        out.write(json.dumps(rec) + "\n")
     else:
         g1, g2, h1, h2 = nums.values()
         out.write(f"induced path: {sel.v0}-{sel.v1}-{sel.v2}\n")
         out.write(f"D2: {_arcs_str(d2)}\n")
         out.write(f"D1: {_arcs_str(d1)}\n")
-        out.write(
-            f"self-check: v1={sel.v1} is a sink of D2; "
-            f"g(D1)={g1} < g(D2)={g2}, h(D1)={h1} < h(D2)={h2}\n"
-        )
-    return 0
+        if failures:
+            out.writelines(f"FAIL {f.check}: {f.message}\n" for f in failures)
+        else:
+            out.write(
+                f"self-check: v1={sel.v1} is a sink of D2; "
+                f"g(D1)={g1} < g(D2)={g2}, h(D1)={h1} < h(D2)={h2}\n"
+            )
+    return 1 if failures else 0
 
 
 def _emit_corpus(report, fmt, out) -> None:

@@ -31,17 +31,9 @@ when every arc is reversed.  The sweep index space holds one orientation of
 each {D, reverse(D)} pair: sweep index idx is orientation idx << 1 of
 `graphs.orientation_from_index`, the 2^(m-1) orientations that keep edge 0
 low->high.  The sweep takes them 2^12 at a time, one bit per orientation
-(`_Batch`), and the batch decides for each invariant where cheap bounds
-place its value inside the running [min, max] of the sweep.  The extreme
-vertices give g >= h >= max(#extreme, 2); a recent geodetic witness
-joined with them that still covers V bounds g, and so h, from above; con
-is n - 1 when some vertex is extreme, and otherwise a recent convex witness
-that is still convex bounds it below once the max is n - 1.  A skip needs
-both inequalities, so the strict min/max updates could not have fired:
-values and least-index witnesses are those of searching every orientation.
-A step runs only where some invariant is left unsettled: it reads that
-orientation's kernel off the batch masks and searches for the invariants
-left.  The skips are recomputed after every step.
+(`_Batch`), and runs an exact search only where `_Batch.skips`, which states
+the skip rules and why they keep every result, leaves an invariant
+unsettled.
 """
 
 from __future__ import annotations
@@ -361,12 +353,9 @@ class DigraphReport:
 def digraph_report(d: Digraph) -> DigraphReport:
     if d.n < 2:
         raise ValueError("reports need at least two vertices")
-    n = d.n
-    iv, ext = _digraph_kernel(d)
-    gw, hw, cw = (search(n, iv, ext)
-                  for search in (_geodetic_witness, _hull_witness, _convex_witness))
-    return DigraphReport(n, gw.bit_count(), hw.bit_count(), cw.bit_count(),
-                         tuple(bits(gw)), tuple(bits(hw)), tuple(bits(cw)))
+    (g, gw), (h, hw), (con, cw) = (
+        _number(d, search) for search in (_geodetic_witness, _hull_witness, _convex_witness))
+    return DigraphReport(d.n, g, h, con, gw, hw, cw)
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +459,7 @@ class _Sweep:
         if ext:
             cs = _record(cs, n - 1, idx)
         elif not c_ok:
-            w = _convex_witness(n, iv, ext)
+            w = _convex_up(n, iv)
             self.runs[2] += 1
             _remember(self.recent[1], w)
             cs = _record(cs, w.bit_count(), idx)
@@ -625,13 +614,20 @@ class _Batch:
     def skips(self, sweep: _Sweep) -> tuple[int, int, int]:
         """(g_ok, h_ok, c_ok): where g, h and con lie inside the running
         [min, max] of `sweep`, so that their exact search could move neither
-        strict update; (0, 0, 0) before the first step.
+        strict update; (0, 0, 0) before the first step.  A skip needs both
+        bounds, so the values and the least-index witnesses of the sweep are
+        those of searching every orientation.
 
-        g: max(|ext|, 2) >= g min, and some recent g witness w whose
-        w | ext covers V has |w | ext| <= g max.  h: max(|ext|, 2) >= h min,
-        and some such w has |w | ext| <= h max (h <= g).  con: the
-        max is n - 1 (con <= n - 1), and some vertex is extreme (con = n - 1)
-        or a recent convex witness is convex here.
+        The extreme vertices lie in every geodetic set and every hull-set,
+        so g >= h >= max(|ext|, 2).  A recent g witness w whose w | ext
+        still covers V gives g <= |w | ext|, and h with it, since h <= g.
+        con <= n - 1, with equality where some vertex is extreme; otherwise
+        a recent convex witness that is still convex bounds con below.  So:
+        g: max(|ext|, 2) >= g min, and some such w has |w | ext| <= g max.
+        h: max(|ext|, 2) >= h min, and some such w has |w | ext| <= h max.
+        con: the max is n - 1, and some vertex is extreme or a recent convex
+        witness is convex here.  `_Sweep.step` adds the one bound that needs
+        an exact g: h <= g.
         """
         gs, hs, cs = sweep.slots
         if gs is None:
@@ -659,12 +655,10 @@ def _sweep(n: int, edges, k: int):
     2^k at a time.
 
     Returns the [min, min index, max, max index] slot of g, h and con, the
-    exact g, h and con searches run and the kernels read off a batch.  The
-    batch decides the skips of each invariant, and a step runs only at an
-    index where one of them is unsettled, searching only for that one.  The
-    skips are recomputed from the state after every step (the tests behind
-    them are cached per batch); the skipped indices change nothing, so the
-    slots and the searches are those of searching every index.
+    exact g, h and con searches run and the kernels read off a batch.  A
+    step runs only at an index where `_Batch.skips` leaves some invariant
+    unsettled, and searches only for those.  The skips are recomputed from
+    the state after every step (the tests behind them are cached per batch).
     """
     sweep = _Sweep(n)
     for base in range(0, 1 << (len(edges) - 1), 1 << k):

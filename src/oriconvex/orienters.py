@@ -231,10 +231,14 @@ def extreme_free_orientation_steps(g: Graph) -> Iterator[tuple[int, ...]]:
     """The construction one step at a time, for audit: the out-masks so far
     (bit y of entry x means x -> y, as in ``Digraph.out_masks``) after each
     cycle, each path, and the final cleanup."""
-    if min_degree(g) < 2:
+    low = next((v for v in range(g.n) if g.degree(v) < 2), None)
+    if low is not None:
+        deg = g.degree(low)
+        why = ("an end-vertex is a source or a sink in every orientation" if deg == 1
+               else "an isolated vertex is interior to no geodesic")
         raise ValueError(
-            "extreme-free orientation needs minimum degree 2: an end-vertex "
-            "is a source or a sink in every orientation, hence extreme"
+            f"extreme-free orientation needs minimum degree 2: vertex {low} "
+            f"has degree {deg}, and {why}, hence extreme"
         )
     adj = g.adj
     out = [0] * g.n

@@ -19,13 +19,16 @@ from .graphs import Graph, bits, is_connected, min_degree
 
 Adjacency = tuple[int, ...]  # neighbour bitmask per vertex
 
+# rounds of colour refinement before the isomorphism search
+_REFINE_ROUNDS = 3
 
-def _refine_colors(adj: Adjacency, rounds: int = 3):
+
+def _refine_colors(adj: Adjacency):
     """Degree-based colour refinement; colours are nested tuples, so equal
     colours mean equal refinement signatures across different graphs."""
     n = len(adj)
     colors: list = [adj[v].bit_count() for v in range(n)]
-    for _ in range(rounds):
+    for _ in range(_REFINE_ROUNDS):
         colors = [
             (colors[v], tuple(sorted(colors[u] for u in bits(adj[v]))))
             for v in range(n)

@@ -215,6 +215,18 @@ def d1d2_numbers(d1: Digraph, d2: Digraph) -> dict[str, int]:
     }
 
 
+def d1d2_failures(nums: dict[str, int], d2: Digraph) -> list[Failure]:
+    """The construct-g and construct-h failures of a D1/D2 pair, given its
+    `d1d2_numbers`: one for each of g and h that does not drop from D2 to D1."""
+    g1, g2, h1, h2 = nums.values()
+    failures = []
+    if not g1 < g2:
+        failures.append(Failure("construct-g", f"g(D1)={g1} !< g(D2)={g2}", d2.arcs))
+    if not h1 < h2:
+        failures.append(Failure("construct-h", f"h(D1)={h1} !< h(D2)={h2}", d2.arcs))
+    return failures
+
+
 def verify_separation(g: Graph, *, numbers: OrientableNumbers | None = None) -> SeparationReport:
     """Check g- < g+ and h- < h+ by enumeration and by construction."""
     numbers = _suite_numbers(g, numbers)
@@ -245,11 +257,8 @@ def verify_separation(g: Graph, *, numbers: OrientableNumbers | None = None) -> 
         d2, sel = d2_construction(g)
         d1 = d1_from_d2(d2, sel)
         constructed = d1d2_numbers(d1, d2)
-        g1, g2, h1, h2 = constructed.values()
-        if not g1 < g2:
-            failures.append(Failure("construct-g", f"g(D1)={g1} !< g(D2)={g2}", d2.arcs))
-        if not h1 < h2:
-            failures.append(Failure("construct-h", f"h(D1)={h1} !< h(D2)={h2}", d2.arcs))
+        failures += d1d2_failures(constructed, d2)
+        h2 = constructed["h_d2"]
         # every hull-set for n <= 5, the minimum ones (size h(D2)) beyond
         sizes = range(1, g.n + 1) if g.n <= 5 else range(h2, h2 + 1)
         hull_sets_checked = _check_claims(d2, sel, d1, sizes, failures)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import oriconvex
-from oriconvex import verifier
+from oriconvex import cli, verifier
 from oriconvex.cli import main
 from oriconvex.graphs import Digraph, encode_graph6
 from oriconvex.smallgraphs import connected_graphs
@@ -223,7 +223,47 @@ def test_orient_extreme_free_ends_quickly_on_100_vertices(capsys):
 def test_orient_extreme_free_refuses_p3(capsys):
     code, _, err = run(capsys, "orient", "extreme-free", "--edges", P3_EDGES)
     assert code == 2
-    assert "end-vertex" in err
+    assert err == ("error: extreme-free orientation needs minimum degree 2: vertex 0 has "
+                   "degree 1, and an end-vertex is a source or a sink in every orientation, "
+                   "hence extreme\n")
+
+
+@pytest.mark.parametrize("edges, vertex", [("1", 0), ("4\\n0 1\\n1 2\\n0 2", 3)],
+                         ids=["K1", "K3+K1"])
+def test_orient_extreme_free_names_an_isolated_vertex(capsys, edges, vertex):
+    # every vertex of degree below 2 used to be blamed on an end-vertex
+    code, out, err = run(capsys, "orient", "extreme-free", "--edges", edges)
+    assert (code, out) == (2, "")
+    assert err == ("error: extreme-free orientation needs minimum degree 2: "
+                   f"vertex {vertex} has degree 0, and an isolated vertex is interior "
+                   "to no geodesic, hence extreme\n")
+
+
+def _d1d2_numbers_with(monkeypatch, *keys):
+    """Make the CLI's d1d2_numbers report D1's g or h (keys "g", "h") equal
+    to D2's."""
+    real = cli.d1d2_numbers
+
+    def no_drop(d1, d2):
+        nums = real(d1, d2)
+        return {**nums, **{f"{k}_d1": nums[f"{k}_d2"] for k in keys}}
+
+    monkeypatch.setattr(cli, "d1d2_numbers", no_drop)
+
+
+def test_orient_d1d2_reports_a_failed_drop(capsys, monkeypatch):
+    # the self-check line used to be printed, with exit 0, whatever the numbers
+    _d1d2_numbers_with(monkeypatch, "g")
+    code, out, _ = run(capsys, "orient", "d1d2", "--edges", P3_EDGES)
+    assert code == 1
+    assert "self-check" not in out
+    assert out.splitlines()[3:] == ["FAIL construct-g: g(D1)=3 !< g(D2)=3"]
+    _d1d2_numbers_with(monkeypatch, "g", "h")
+    code, out, _ = run(capsys, "orient", "d1d2", "--edges", P3_EDGES, "--format", "json")
+    assert code == 1
+    rec = json.loads(out)
+    assert [(f["check"], f["message"]) for f in rec["failures"]] == [
+        ("construct-g", "g(D1)=3 !< g(D2)=3"), ("construct-h", "h(D1)=3 !< h(D2)=3")]
 
 
 def test_orient_d1d2_p3(capsys):

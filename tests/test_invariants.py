@@ -39,7 +39,7 @@ from oriconvex.invariants import (
 )
 from oriconvex.orienters import d1_from_d2, d2_construction, extreme_free_orientation
 from oriconvex.smallgraphs import connected_graphs
-from oriconvex.verifier import d1d2_numbers
+from oriconvex.verifier import classify_hg, d1d2_numbers
 from conftest import (
     DATA_DIR,
     complete_bipartite,
@@ -783,6 +783,21 @@ def test_exact_searches_counted_on_the_n6_corpus():
 def test_symmetric_inputs_match_the_oracle(g):
     want = oracle_orientable_numbers(g)
     got = orientable_numbers(g)
+    for key in invariants.NUMBER_KEYS:
+        assert (getattr(got, key), getattr(got, key + "_witness")) == want[key], key
+
+
+@pytest.mark.parametrize("text, case", [
+    ("FEqrg", "HG3"), ("FErto", "HG3"), ("FEyrg", "HG3"),
+    ("F?bao", "HG4"), ("F?beo", "HG4"), ("F?bew", "HG4"),
+])
+def test_graphs_where_h_and_g_part_match_the_oracle(text, case):
+    # the n = 7 graphs outside HG1: the smallest where h and g part, so the
+    # sweep's h bounds no longer follow its g bounds
+    g = parse_graph6(text)
+    got = orientable_numbers(g)
+    assert classify_hg(g, numbers=got).case == case
+    want = oracle_orientable_numbers(g)
     for key in invariants.NUMBER_KEYS:
         assert (getattr(got, key), getattr(got, key + "_witness")) == want[key], key
 
