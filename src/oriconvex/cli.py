@@ -39,7 +39,7 @@ from .orienters import (
     d2_construction,
     extreme_free_orientation,
 )
-from .verifier import SUITES, corpus_run, d1d2_failures, d1d2_numbers, fan_out
+from .verifier import SUITES, complete_check, corpus_run, d1d2_check, fan_out
 
 _SUP = dict(zip(NUMBER_KEYS, ("g⁻", "g⁺", "h⁻", "h⁺", "con⁻", "con⁺")))
 
@@ -138,9 +138,12 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_orient(args) -> int:
-    out = sys.stdout
+    """Build the asked-for orientation, check it, and write either its JSON
+    record or its text lines, whose last line is the self-check; a failed
+    check replaces that line with one FAIL line each and exits 1."""
     if args.n is not None and args.mode != "complete":
         raise ValueError(f"--n is for mode complete only, not {args.mode}")
+    failures = []
     if args.mode == "complete":
         if args.n is not None:
             if args.n > _LIST_MAX_N:
@@ -154,69 +157,50 @@ def cmd_orient(args) -> int:
         if n < 3:
             raise ValueError("orient complete needs n >= 3")
         d_max, d_min = complete_graph_orientations(n)
-        g_hi, _ = geodetic_number(d_max)
-        g_lo, wit = geodetic_number(d_min)
-        if args.format == "json":
-            out.write(json.dumps({
-                "transitive": [list(a) for a in d_max.arcs],
-                "reversed_path": [list(a) for a in d_min.arcs],
-                "g_transitive": g_hi,
-                "g_reversed_path": g_lo,
-            }) + "\n")
-        else:
-            out.write(f"transitive tournament: {_arcs_str(d_max)}\n")
-            out.write(f"reversed-path tournament: {_arcs_str(d_min)}\n")
-            out.write(
-                f"self-check: g(transitive)={g_hi}, g(reversed-path)={g_lo}, "
-                f"witness {set(wit)}\n"
-            )
-        return 0
-
-    g = _one_graph(args, "--input or --edges")
-    if args.mode == "extreme-free":
+        nums, failures = complete_check(d_max, d_min)
+        g_hi, g_lo = nums["g_of_transitive"], nums["g_of_reversed_path"]
+        rec = {"transitive": d_max.arcs, "reversed_path": d_min.arcs,
+               "g_transitive": g_hi, "g_reversed_path": g_lo}
+        # the witness search reads d_min's kernel, which the check left cached
+        lines = [
+            f"transitive tournament: {_arcs_str(d_max)}",
+            f"reversed-path tournament: {_arcs_str(d_min)}",
+            f"self-check: g(transitive)={g_hi}, g(reversed-path)={g_lo}, "
+            f"witness {set(geodetic_number(d_min)[1])}",
+        ]
+    elif args.mode == "extreme-free":
         # extreme_free_orientation raises ConstructionError unless no vertex
         # is extreme, so the self-check reports its postcondition
-        d = extreme_free_orientation(g)
-        if args.format == "json":
-            arcs = [list(a) for a in d.arcs]
-            out.write(json.dumps({"arcs": arcs, "extreme_vertices": []}) + "\n")
-        else:
-            out.write(f"orientation: {_arcs_str(d)}\n")
-            out.write("self-check: 0 extreme vertices\n")
-        return 0
-
-    # d1d2; below 3 vertices orient complete has nothing to offer either
-    if g.n >= 3 and is_complete(g):
-        raise ValueError("orient d1d2 needs a graph that is not complete: "
-                         "use orient complete")
-    d2, sel = d2_construction(g)
-    d1 = d1_from_d2(d2, sel)
-    # d2_construction raises ConstructionError unless v1 is a sink of D2;
-    # the drops from D2 to D1 are checked here
-    nums = d1d2_numbers(d1, d2)
-    failures = d1d2_failures(nums, d2)
-    if args.format == "json":
-        rec = {
-            "selection": sel.to_json_dict(),
-            "d2": [list(a) for a in d2.arcs],
-            "d1": [list(a) for a in d1.arcs],
-            **nums,
-        }
-        if failures:
-            rec["failures"] = [f.to_json_dict() for f in failures]
-        out.write(json.dumps(rec) + "\n")
+        d = extreme_free_orientation(_one_graph(args, "--input or --edges"))
+        rec = {"arcs": d.arcs, "extreme_vertices": []}
+        lines = [f"orientation: {_arcs_str(d)}", "self-check: 0 extreme vertices"]
     else:
+        g = _one_graph(args, "--input or --edges")
+        # below 3 vertices orient complete has nothing to offer either
+        if g.n >= 3 and is_complete(g):
+            raise ValueError("orient d1d2 needs a graph that is not complete: "
+                             "use orient complete")
+        d2, sel = d2_construction(g)
+        d1 = d1_from_d2(d2, sel)
+        # d2_construction raises ConstructionError unless v1 is a sink of D2;
+        # the drops from D2 to D1 are checked here
+        nums, failures = d1d2_check(d1, d2)
         g1, g2, h1, h2 = nums.values()
-        out.write(f"induced path: {sel.v0}-{sel.v1}-{sel.v2}\n")
-        out.write(f"D2: {_arcs_str(d2)}\n")
-        out.write(f"D1: {_arcs_str(d1)}\n")
-        if failures:
-            out.writelines(f"FAIL {f.check}: {f.message}\n" for f in failures)
-        else:
-            out.write(
-                f"self-check: v1={sel.v1} is a sink of D2; "
-                f"g(D1)={g1} < g(D2)={g2}, h(D1)={h1} < h(D2)={h2}\n"
-            )
+        rec = {"selection": sel.to_json_dict(), "d2": d2.arcs, "d1": d1.arcs, **nums}
+        lines = [
+            f"induced path: {sel.v0}-{sel.v1}-{sel.v2}",
+            f"D2: {_arcs_str(d2)}",
+            f"D1: {_arcs_str(d1)}",
+            f"self-check: v1={sel.v1} is a sink of D2; "
+            f"g(D1)={g1} < g(D2)={g2}, h(D1)={h1} < h(D2)={h2}",
+        ]
+    if failures:
+        rec["failures"] = [f.to_json_dict() for f in failures]
+        lines[-1:] = [f"FAIL {f.check}: {f.message}" for f in failures]
+    if args.format == "json":
+        sys.stdout.write(json.dumps(rec) + "\n")
+    else:
+        sys.stdout.writelines(line + "\n" for line in lines)
     return 1 if failures else 0
 
 

@@ -215,12 +215,13 @@ def parse_graph6(text: str) -> Graph:
 def graph6_lines(source) -> list[tuple[int, str]]:
     """(line number, text) of each nonblank line of a graph6 source.
 
+    The edge and arc lists of `_parse_pairs` are read by the same rule.
     `source` is a file path (str, bytes or os.PathLike) or an iterable of
     lines, each str or bytes.  A file and bytes are read as latin-1, one
     character per byte, so a byte that is not graph6 (non-ASCII included)
     fails to parse on its own line.
-    A file's lines end at '\n' only, as in `_parse_pairs`: a bare '\r' stays
-    inside its line and fails it.
+    A file's lines end at '\n' only: a bare '\r' stays inside its line and
+    fails it.
     Lines lose ASCII whitespace only, which is never a graph6 byte: a bare
     strip() would also drop 0x85 and 0xA0 and pass the rest of the line.
     """
@@ -264,17 +265,14 @@ _ASCII_SPACE = re.compile(f"[{re.escape(string.whitespace)}]+")
 def _parse_pairs(text: str, kind: str) -> tuple[int, list[tuple[int, int]]]:
     """Vertex count and 'u v' pairs; `kind` is "edge" (unordered) or "arc".
 
-    Lines end at '\n' only and tokens are padded and separated by ASCII
-    whitespace only, so a byte such as 0x85 or 0xA0 fails where it stands
-    instead of splitting a line or a pair.
+    Lines are those of `graph6_lines`, split at '\n' only, and tokens are
+    separated by ASCII whitespace only, so a byte such as 0x85 or 0xA0 fails
+    where it stands instead of splitting a line or a pair.
     """
     header = None
     pairs: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        stripped = raw.strip(string.whitespace)
-        if not stripped:
-            continue
+    for lineno, stripped in graph6_lines(text.split("\n")):
         if header is None:
             if not _INT_TOKEN.fullmatch(stripped):
                 raise GraphFormatError(

@@ -149,11 +149,10 @@ def find_edge_disjoint_induced_cycles(g: Graph) -> list[tuple[int, ...]]:
     and is peeled again from the vertices of each pass's cycles.  For the
     same reason each pass roots and walks its paths inside that core only.
 
-    Past length 8, a pass that takes no cycle moves k on to the girth of
-    the free edges: a free chordless cycle is a cycle of the free edges,
-    and their girth only grows as edges are taken.  This skips the empty
-    passes that made a long cycle cost cubic time, and leaves the output
-    unchanged too.  Graphs on 8 vertices or fewer never pay for the girth.
+    A pass that takes no cycle moves k on to the girth of the free edges:
+    a free chordless cycle is a cycle of the free edges, and their girth
+    only grows as edges are taken.  This skips the empty passes that made
+    a long cycle cost cubic time, and leaves the output unchanged.
     """
     if min_degree(g) < 2:
         raise ValueError("cycle packing needs minimum degree 2")
@@ -173,10 +172,7 @@ def find_edge_disjoint_induced_cycles(g: Graph) -> list[tuple[int, ...]]:
                     free[v] &= ~(1 << u)
                 hit |= mask_of(cyc)
         core = _core(free, core, hit)
-        if k > 8 and len(chosen) == taken:
-            k = max(k + 1, _girth(free))
-        else:
-            k += 1
+        k = k + 1 if len(chosen) > taken else max(k + 1, _girth(free))
     return chosen
 
 

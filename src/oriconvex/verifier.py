@@ -205,26 +205,40 @@ def _check_claims(d2, sel, d1, sizes, failures: list[Failure]) -> int:
     return len(hull_sets)
 
 
-def d1d2_numbers(d1: Digraph, d2: Digraph) -> dict[str, int]:
-    """g and h of the D1/D2 pair, keyed g_d1, g_d2, h_d1, h_d2 in that order."""
-    return {
-        "g_d1": geodetic_number(d1)[0],
-        "g_d2": geodetic_number(d2)[0],
-        "h_d1": hull_number(d1)[0],
-        "h_d2": hull_number(d2)[0],
-    }
-
-
-def d1d2_failures(nums: dict[str, int], d2: Digraph) -> list[Failure]:
-    """The construct-g and construct-h failures of a D1/D2 pair, given its
-    `d1d2_numbers`: one for each of g and h that does not drop from D2 to D1."""
-    g1, g2, h1, h2 = nums.values()
+def d1d2_check(d1: Digraph, d2: Digraph) -> tuple[dict[str, int], list[Failure]]:
+    """g and h of the D1/D2 pair, keyed g_d1, g_d2, h_d1, h_d2 in that order,
+    and a construct-g or construct-h failure for each of g and h that does
+    not drop from D2 to D1."""
+    nums: dict[str, int] = {}
     failures = []
-    if not g1 < g2:
-        failures.append(Failure("construct-g", f"g(D1)={g1} !< g(D2)={g2}", d2.arcs))
-    if not h1 < h2:
-        failures.append(Failure("construct-h", f"h(D1)={h1} !< h(D2)={h2}", d2.arcs))
-    return failures
+    for search, key in ((geodetic_number, "g"), (hull_number, "h")):
+        lo, hi = search(d1)[0], search(d2)[0]
+        nums[f"{key}_d1"], nums[f"{key}_d2"] = lo, hi
+        if not lo < hi:
+            failures.append(
+                Failure(f"construct-{key}", f"{key}(D1)={lo} !< {key}(D2)={hi}", d2.arcs)
+            )
+    return nums, failures
+
+
+def complete_check(d_max: Digraph, d_min: Digraph) -> tuple[dict[str, int], list[Failure]]:
+    """g and h of the transitive tournament `d_max` and of `d_min`, the same
+    with its Hamiltonian path reversed, keyed g_of_transitive,
+    g_of_reversed_path, h_of_transitive, h_of_reversed_path in that order,
+    and a complete-route failure for each that is not n or 2 respectively."""
+    nums: dict[str, int] = {}
+    failures = []
+    for search, key in ((geodetic_number, "g"), (hull_number, "h")):
+        for name, d, expect in (
+            (f"{key}_of_transitive", d_max, d_max.n),
+            (f"{key}_of_reversed_path", d_min, 2),
+        ):
+            nums[name] = val = search(d)[0]
+            if val != expect:
+                failures.append(
+                    Failure("complete-route", f"{name}={val}, expected {expect}", d.arcs)
+                )
+    return nums, failures
 
 
 def verify_separation(g: Graph, *, numbers: OrientableNumbers | None = None) -> SeparationReport:
@@ -236,28 +250,17 @@ def verify_separation(g: Graph, *, numbers: OrientableNumbers | None = None) -> 
     if not numbers.h_min < numbers.h_max:
         failures.append(Failure("h-separation", f"h-={numbers.h_min} !< h+={numbers.h_max}"))
 
-    constructed: dict[str, int] = {}
     if is_complete(g):
         route = "complete"
-        d_max, d_min = complete_graph_orientations(g.n)
-        for search, key in ((geodetic_number, "g"), (hull_number, "h")):
-            for name, d, expect in (
-                (f"{key}_of_transitive", d_max, g.n),
-                (f"{key}_of_reversed_path", d_min, 2),
-            ):
-                val, _ = search(d)
-                constructed[name] = val
-                if val != expect:
-                    failures.append(
-                        Failure("complete-route", f"{name}={val}, expected {expect}", d.arcs)
-                    )
+        constructed, found = complete_check(*complete_graph_orientations(g.n))
+        failures += found
         hull_sets_checked = 0
     else:
         route = "induced-path"
         d2, sel = d2_construction(g)
         d1 = d1_from_d2(d2, sel)
-        constructed = d1d2_numbers(d1, d2)
-        failures += d1d2_failures(constructed, d2)
+        constructed, found = d1d2_check(d1, d2)
+        failures += found
         h2 = constructed["h_d2"]
         # every hull-set for n <= 5, the minimum ones (size h(D2)) beyond
         sizes = range(1, g.n + 1) if g.n <= 5 else range(h2, h2 + 1)

@@ -14,8 +14,9 @@ import oriconvex
 from oriconvex import cli, verifier
 from oriconvex.cli import main
 from oriconvex.graphs import Digraph, encode_graph6
+from oriconvex.orienters import complete_graph_orientations, d2_construction
 from oriconvex.smallgraphs import connected_graphs
-from conftest import DATA_DIR, complete_graph, cycle_plus_chords
+from conftest import DATA_DIR, complete_graph, cycle_plus_chords, path_graph
 
 C5_EDGES = "5\\n0 1\\n1 2\\n2 3\\n3 4\\n4 0"
 K4_EDGES = "4\\n0 1\\n0 2\\n0 3\\n1 2\\n1 3\\n2 3"
@@ -239,26 +240,22 @@ def test_orient_extreme_free_names_an_isolated_vertex(capsys, edges, vertex):
                    "to no geodesic, hence extreme\n")
 
 
-def _d1d2_numbers_with(monkeypatch, *keys):
-    """Make the CLI's d1d2_numbers report D1's g or h (keys "g", "h") equal
-    to D2's."""
-    real = cli.d1d2_numbers
-
-    def no_drop(d1, d2):
-        nums = real(d1, d2)
-        return {**nums, **{f"{k}_d1": nums[f"{k}_d2"] for k in keys}}
-
-    monkeypatch.setattr(cli, "d1d2_numbers", no_drop)
+def _d1_numbers_like_d2(monkeypatch, g, *searches):
+    """Make the verifier's g or h search (names "geodetic_number",
+    "hull_number") report the number of g's D2 for D1 as well."""
+    d2, _ = d2_construction(g)
+    for name in searches:
+        monkeypatch.setattr(verifier, name, lambda d, real=getattr(verifier, name): real(d2))
 
 
 def test_orient_d1d2_reports_a_failed_drop(capsys, monkeypatch):
     # the self-check line used to be printed, with exit 0, whatever the numbers
-    _d1d2_numbers_with(monkeypatch, "g")
+    _d1_numbers_like_d2(monkeypatch, path_graph(3), "geodetic_number")
     code, out, _ = run(capsys, "orient", "d1d2", "--edges", P3_EDGES)
     assert code == 1
     assert "self-check" not in out
     assert out.splitlines()[3:] == ["FAIL construct-g: g(D1)=3 !< g(D2)=3"]
-    _d1d2_numbers_with(monkeypatch, "g", "h")
+    _d1_numbers_like_d2(monkeypatch, path_graph(3), "hull_number")
     code, out, _ = run(capsys, "orient", "d1d2", "--edges", P3_EDGES, "--format", "json")
     assert code == 1
     rec = json.loads(out)
@@ -289,12 +286,50 @@ def test_orient_complete(capsys):
     assert "g(reversed-path)=2" in out
 
 
-def test_orient_complete_large_n_asks_only_for_g(capsys):
+def test_orient_complete_large_n_asks_for_no_con(capsys):
     # the reversed-path tournament has no extreme vertex, so a con search
-    # here would be exponential in n
+    # here would be exponential in n; g and h are the numbers checked
     code, out, _ = run(capsys, "orient", "complete", "--n", "70")
     assert code == 0
     assert "g(reversed-path)=2, witness {0, 69}" in out
+
+
+def test_orient_complete_reports_swapped_tournaments(capsys, monkeypatch):
+    # each tournament number that is not n or 2 takes the self-check's place
+    transitive, reversed_path = complete_graph_orientations(4)
+    monkeypatch.setattr(cli, "complete_graph_orientations",
+                        lambda n: (reversed_path, transitive))
+    code, out, _ = run(capsys, "orient", "complete", "--n", "4")
+    assert code == 1
+    assert out.splitlines()[2:] == [
+        "FAIL complete-route: g_of_transitive=2, expected 4",
+        "FAIL complete-route: g_of_reversed_path=4, expected 2",
+        "FAIL complete-route: h_of_transitive=2, expected 4",
+        "FAIL complete-route: h_of_reversed_path=4, expected 2",
+    ]
+    code, out, _ = run(capsys, "orient", "complete", "--n", "4", "--format", "json")
+    assert code == 1
+    rec = json.loads(out)
+    assert (rec["g_transitive"], rec["g_reversed_path"]) == (2, 4)
+    assert [(f["check"], f["orientation"]) for f in rec["failures"]] == [
+        ("complete-route", [list(a) for a in d.arcs])
+        for d in (reversed_path, transitive, reversed_path, transitive)]
+
+
+def test_orient_complete_checks_h_too(capsys, monkeypatch):
+    monkeypatch.setattr(verifier, "hull_number", lambda d: (3, (0, 1, 2)))
+    code, out, _ = run(capsys, "orient", "complete", "--n", "4")
+    assert code == 1
+    assert out.splitlines()[2:] == [
+        "FAIL complete-route: h_of_transitive=3, expected 4",
+        "FAIL complete-route: h_of_reversed_path=3, expected 2",
+    ]
+    code, out, _ = run(capsys, "orient", "complete", "--n", "4", "--format", "json")
+    assert code == 1
+    rec = json.loads(out)
+    assert (rec["g_transitive"], rec["g_reversed_path"]) == (4, 2)
+    assert [f["message"] for f in rec["failures"]] == [
+        "h_of_transitive=3, expected 4", "h_of_reversed_path=3, expected 2"]
 
 
 def test_orient_complete_bounds_n(capsys):

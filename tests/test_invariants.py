@@ -37,9 +37,14 @@ from oriconvex.invariants import (
     hull_number,
     orientable_numbers,
 )
-from oriconvex.orienters import d1_from_d2, d2_construction, extreme_free_orientation
+from oriconvex.orienters import (
+    complete_graph_orientations,
+    d1_from_d2,
+    d2_construction,
+    extreme_free_orientation,
+)
 from oriconvex.smallgraphs import connected_graphs
-from oriconvex.verifier import classify_hg, d1d2_numbers
+from oriconvex.verifier import classify_hg, complete_check, d1d2_check
 from conftest import (
     DATA_DIR,
     complete_bipartite,
@@ -220,8 +225,11 @@ def test_one_kernel_per_digraph_for_g_h_and_con_in_turn(monkeypatch):
     d2, sel = d2_construction(path_graph(6))
     d1 = d1_from_d2(d2, sel)
     calls = _count_kernels(monkeypatch)
-    d1d2_numbers(d1, d2)
+    d1d2_check(d1, d2)
     assert calls == [6, 6]
+    calls = _count_kernels(monkeypatch)
+    complete_check(*complete_graph_orientations(5))
+    assert calls == [5, 5]
 
     # the report reads its kernel through the cache too
     calls = _count_kernels(monkeypatch)

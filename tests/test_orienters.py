@@ -78,8 +78,9 @@ def test_k4_packing_searches_only_length_3(monkeypatch):
     assert find_edge_disjoint_induced_cycles(complete_graph(5)) == [(0, 1, 2), (0, 3, 4)]
     assert lengths == [3, 4]
     lengths.clear()
+    # C5 has no triangle, so the empty length-3 pass jumps to its girth 5
     assert find_edge_disjoint_induced_cycles(cycle_graph(5)) == [(0, 1, 2, 3, 4)]
-    assert lengths == [3, 4, 5]
+    assert lengths == [3, 5]
 
 
 def _cycles_of_length(g, length):

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import operator
 import re
 from types import SimpleNamespace
 
@@ -12,6 +13,7 @@ from oriconvex.invariants import hull_number, orientable_numbers
 from oriconvex.orienters import d2_construction
 from oriconvex.smallgraphs import connected_graphs, trees
 from oriconvex.verifier import (
+    HG_CASES,
     Failure,
     classify_hg,
     classify_values,
@@ -102,6 +104,29 @@ def test_exactly_one_case_matches_any_theorem_consistent_values():
                     assert tags == ([got] if got != "UNCLASSIFIED" else []), (
                         g_min, g_max, h_min, h_max,
                     )
+
+
+def _chain_holds(chain: str, values: dict[str, int]) -> bool:
+    """Whether a relation chain such as "h- = g- < h+ < g+" holds."""
+    terms = chain.split()
+    rel = {"=": operator.eq, "<": operator.lt}
+    return all(rel[op](values[a], values[b])
+               for a, op, b in zip(terms[0::2], terms[1::2], terms[2::2]))
+
+
+def test_classify_values_and_hg_cases_state_the_same_cases():
+    # every tuple gets the one case whose published chain it satisfies, and
+    # UNCLASSIFIED exactly when it satisfies none
+    seen = set()
+    for g_min, g_max, h_min, h_max in itertools.product(range(2, 9), repeat=4):
+        if not (h_min <= g_min and h_max <= g_max and g_min < g_max and h_min < h_max):
+            continue
+        values = {"g-": g_min, "g+": g_max, "h-": h_min, "h+": h_max}
+        case = classify_values(g_min, g_max, h_min, h_max)
+        holds = [c for c, chain in HG_CASES.items() if _chain_holds(chain, values)]
+        assert holds == ([] if case == "UNCLASSIFIED" else [case]), values
+        seen.add(case)
+    assert seen == {*HG_CASES, "UNCLASSIFIED"}
 
 
 def test_trees_and_cycles_classify_hg1():
@@ -262,13 +287,13 @@ def test_hull_sets_at_size_h_d2_are_the_least_layer_of_a_full_scan():
 
 
 def test_no_hull_set_at_size_h_d2_is_a_failure(monkeypatch):
-    real = verifier.d1d2_numbers
+    real = verifier.d1d2_check
 
     def one_too_low(d1, d2):
-        nums = real(d1, d2)
-        return {**nums, "h_d2": nums["h_d2"] - 1}
+        nums, failures = real(d1, d2)
+        return {**nums, "h_d2": nums["h_d2"] - 1}, failures
 
-    monkeypatch.setattr(verifier, "d1d2_numbers", one_too_low)
+    monkeypatch.setattr(verifier, "d1d2_check", one_too_low)
     g = cycle_graph(6)
     rep = verify_separation(g)
     h2 = rep.constructed["h_d2"]
