@@ -1,9 +1,11 @@
 """Command-line front end: invariants, orient, verify, classify.
 
 Everything printed on stdout is derived deterministically from the input
-and the flags; timing and diagnostics go to stderr.  Exit codes: 0 all
-checks pass, 1 a theorem check failed, 2 input or usage trouble, or a
-corpus run in which no graph was checked.
+and the flags; timing and diagnostics go to stderr.  Each command builds
+one triple per result, its JSON record, CSV row and text lines, and
+`_write`, the one writer of stdout, prints the asked format.  Exit codes:
+0 all checks pass, 1 a theorem check failed, 2 input or usage trouble, or
+a corpus run in which no graph was checked.
 """
 
 from __future__ import annotations
@@ -88,52 +90,57 @@ def _arcs_str(d) -> str:
     return " ".join(f"{u}->{v}" for u, v in d.arcs)
 
 
-def _numbers_line(values: dict[str, int]) -> str:
-    return " ".join(f"{_SUP[k]}={values[k]}" for k in NUMBER_KEYS)
+def _fail_lines(failures, indent: str = "") -> list[str]:
+    return [f"{indent}FAIL {f.check}: {f.message}" for f in failures]
 
 
-def cmd_invariants(args) -> int:
+def _write(fmt: str, results, header=None) -> None:
+    """The one writer of stdout.  Each result is a triple (JSON record, CSV
+    row, text lines); write each in `fmt`, the CSV rows under `header`.  A
+    triple whose CSV row is None, the corpus summary, has no CSV form."""
     out = sys.stdout
-    if args.arcs is not None:
-        d = parse_arc_list(_inline_list(args.arcs))
-        rep = digraph_report(d)
-        if args.format == "json":
-            out.write(json.dumps(rep.to_json_dict()) + "\n")
-        elif args.format == "csv":
-            w = csv.writer(out)
-            w.writerow(["n", "g", "h", "con"])
-            w.writerow([rep.n, rep.g, rep.h, rep.con])
-        else:
-            out.write(f"digraph on {rep.n} vertices: g={rep.g} h={rep.h} con={rep.con}\n")
-            out.write(f"  geodetic witness: {set(rep.geodetic_witness)}\n")
-            out.write(f"  hull witness: {set(rep.hull_witness)}\n")
-            out.write(f"  convexity witness: {set(rep.convexity_witness)}\n")
-        return 0
+    if fmt == "csv":
+        rows = csv.writer(out)
+        rows.writerow(header)
+    for rec, row, lines in results:
+        if fmt == "json":
+            out.write(json.dumps(rec) + "\n")
+        elif fmt == "text":
+            out.writelines(line + "\n" for line in lines)
+        elif row is not None:
+            rows.writerow(row)
 
-    graphs = _input_graphs(args, "--input, --edges or --arcs")
-    csv_writer = None
-    if args.format == "csv":
-        csv_writer = csv.writer(out)
-        csv_writer.writerow(["graph", "n", "m", *NUMBER_KEYS])
-    # results arrive in input order, each graph validated by its sweep: a bad
-    # graph fails as what it is (not a graph6 encoding limit), after the ones before it
+
+def _graph_results(graphs, args):
+    """Each graph's triple in input order, yielded as its sweep finishes,
+    after its time on stderr; the sweep validates its graph, so a bad one
+    fails as what it is (not a graph6 encoding limit) after those before."""
     sweep = functools.partial(orientable_numbers, edge_budget=args.budget)
     t0 = time.perf_counter()
     for g, nums in zip(graphs, fan_out(sweep, graphs, args.workers)):
         gid = encode_graph6(g)
         print(f"{gid}: {time.perf_counter() - t0:.2f}s", file=sys.stderr)
         t0 = time.perf_counter()
-        if args.format == "json":
-            rec = nums.to_json_dict()
-            rec["graph"] = gid
-            out.write(json.dumps(rec) + "\n")
-        elif csv_writer is not None:
-            csv_writer.writerow([gid, g.n, g.m] + [getattr(nums, k) for k in NUMBER_KEYS])
-        else:
-            out.write(f"{gid} (n={g.n} m={g.m}): {_numbers_line(nums.values())}\n")
-            for key in NUMBER_KEYS:
-                wit = getattr(nums, key + "_witness")
-                out.write(f"  {_SUP[key]} witness: {_arcs_str(wit)}\n")
+        rec = nums.to_json_dict()
+        rec["graph"] = gid
+        vals = " ".join(f"{_SUP[k]}={getattr(nums, k)}" for k in NUMBER_KEYS)
+        lines = [f"{gid} (n={g.n} m={g.m}): {vals}"]
+        lines += [f"  {_SUP[k]} witness: {_arcs_str(getattr(nums, k + '_witness'))}"
+                  for k in NUMBER_KEYS]
+        yield rec, [gid, g.n, g.m, *(getattr(nums, k) for k in NUMBER_KEYS)], lines
+
+
+def cmd_invariants(args) -> int:
+    if args.arcs is not None:
+        rep = digraph_report(parse_arc_list(_inline_list(args.arcs)))
+        lines = [f"digraph on {rep.n} vertices: g={rep.g} h={rep.h} con={rep.con}"]
+        lines += [f"  {name} witness: {set(getattr(rep, name + '_witness'))}"
+                  for name in ("geodetic", "hull", "convexity")]
+        _write(args.format, [(rep.to_json_dict(), [rep.n, rep.g, rep.h, rep.con], lines)],
+               ["n", "g", "h", "con"])
+    else:
+        graphs = _input_graphs(args, "--input, --edges or --arcs")
+        _write(args.format, _graph_results(graphs, args), ["graph", "n", "m", *NUMBER_KEYS])
     return 0
 
 
@@ -158,14 +165,14 @@ def cmd_orient(args) -> int:
             raise ValueError("orient complete needs n >= 3")
         d_max, d_min = complete_graph_orientations(n)
         nums, failures = complete_check(d_max, d_min)
-        g_hi, g_lo = nums["g_of_transitive"], nums["g_of_reversed_path"]
-        rec = {"transitive": d_max.arcs, "reversed_path": d_min.arcs,
-               "g_transitive": g_hi, "g_reversed_path": g_lo}
+        g_hi, g_lo, h_hi, h_lo = nums.values()
+        rec = {"transitive": d_max.arcs, "reversed_path": d_min.arcs, **nums}
         # the witness search reads d_min's kernel, which the check left cached
         lines = [
             f"transitive tournament: {_arcs_str(d_max)}",
             f"reversed-path tournament: {_arcs_str(d_min)}",
-            f"self-check: g(transitive)={g_hi}, g(reversed-path)={g_lo}, "
+            f"self-check: g(transitive)={g_hi}, h(transitive)={h_hi}, "
+            f"h(reversed-path)={h_lo}, g(reversed-path)={g_lo}, "
             f"witness {set(geodetic_number(d_min)[1])}",
         ]
     elif args.mode == "extreme-free":
@@ -196,52 +203,38 @@ def cmd_orient(args) -> int:
         ]
     if failures:
         rec["failures"] = [f.to_json_dict() for f in failures]
-        lines[-1:] = [f"FAIL {f.check}: {f.message}" for f in failures]
-    if args.format == "json":
-        sys.stdout.write(json.dumps(rec) + "\n")
-    else:
-        sys.stdout.writelines(line + "\n" for line in lines)
+        lines[-1:] = _fail_lines(failures)
+    _write(args.format, [(rec, None, lines)])
     return 1 if failures else 0
 
 
-def _emit_corpus(report, fmt, out) -> None:
-    if fmt == "json":
-        for rec in report.records:
-            out.write(json.dumps(rec.to_json_dict()) + "\n")
-        out.write(json.dumps({"summary": report.summary()}) + "\n")
-        return
-    if fmt == "csv":
-        w = csv.writer(out)
-        w.writerow(["line", "graph", "status", "ok", "case", *NUMBER_KEYS])
-        for rec in report.records:
-            cls, nums = rec.classification, rec.numbers
-            row = [rec.line, rec.text, rec.status, rec.ok, cls.case if cls else ""]
-            row += [getattr(nums, k) for k in NUMBER_KEYS] if nums is not None else [""] * 6
-            w.writerow(row)
-        return
+def _corpus_results(report):
+    """Each corpus line's triple, its text a status line and the failures
+    indented under it, then the summary's, which has no CSV row."""
     for rec in report.records:
+        cls, nums = rec.classification, rec.numbers
+        row = [rec.line, rec.text, rec.status, rec.ok, cls.case if cls else ""]
+        row += [getattr(nums, k) for k in NUMBER_KEYS] if nums is not None else [""] * 6
         if rec.status != "ok":
-            out.write(f"line {rec.line} ({rec.text}): {rec.status}: {rec.reason}\n")
-            continue
-        bits = []
-        nums = rec.numbers
-        if rec.separation is not None:
-            bits.append(
-                f"g⁻={nums.g_min}<g⁺={nums.g_max} h⁻={nums.h_min}<h⁺={nums.h_max} "
-                f"route={rec.separation.route}"
-            )
-        if rec.convexity is not None:
-            bits.append(f"con⁻={nums.con_min} con⁺={nums.con_max}")
-        if rec.classification is not None:
-            bits.append(f"case={rec.classification.case}")
-        status = "pass" if rec.ok else "FAIL"
-        out.write(f"{rec.text}: {status} {' '.join(bits)}\n")
-        for rep in (rec.separation, rec.convexity):
-            if rep is not None:
-                for f in rep.failures:
-                    out.write(f"  FAIL {f.check}: {f.message}\n")
+            lines = [f"line {rec.line} ({rec.text}): {rec.status}: {rec.reason}"]
+        else:
+            bits = []
+            if rec.separation is not None:
+                bits.append(
+                    f"g⁻={nums.g_min}<g⁺={nums.g_max} h⁻={nums.h_min}<h⁺={nums.h_max} "
+                    f"route={rec.separation.route}"
+                )
+            if rec.convexity is not None:
+                bits.append(f"con⁻={nums.con_min} con⁺={nums.con_max}")
+            if cls is not None:
+                bits.append(f"case={cls.case}")
+            lines = [f"{rec.text}: {'pass' if rec.ok else 'FAIL'} {' '.join(bits)}"]
+            for rep in (rec.separation, rec.convexity):
+                if rep is not None:
+                    lines += _fail_lines(rep.failures, "  ")
+        yield rec.to_json_dict(), row, lines
     summary = report.summary()
-    out.write("summary: " + json.dumps(summary) + "\n")
+    yield {"summary": summary}, None, ["summary: " + json.dumps(summary)]
 
 
 def cmd_verify(args) -> int:
@@ -250,7 +243,8 @@ def cmd_verify(args) -> int:
                         edge_budget=args.budget, workers=args.workers)
     print(f"{len(report.records)} lines in {time.perf_counter() - t0:.2f}s",
           file=sys.stderr)
-    _emit_corpus(report, args.format, sys.stdout)
+    _write(args.format, _corpus_results(report),
+           ["line", "graph", "status", "ok", "case", *NUMBER_KEYS])
     if not report.graphs:
         raise ValueError("no graph was checked")
     return report.exit_status()

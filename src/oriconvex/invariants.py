@@ -56,16 +56,6 @@ from .graphs import (
 # bitmask core (shared by the per-digraph API and the orientation sweep)
 
 
-def _set_interval(iv, smask: int) -> int:
-    verts = list(bits(smask))
-    out = smask
-    for i, u in enumerate(verts):
-        row = iv[u]
-        for v in verts[i + 1:]:
-            out |= row[v]
-    return out
-
-
 def _hull_mask(iv, smask: int, convex: int = 0, stop: int = 0) -> int:
     """Convex hull of `smask`, given a convex subset `convex` of it.
 

@@ -6,11 +6,12 @@ every subset by size with no pruning, deciding membership through the
 public definitional interval/hull functions.  Three oracles are exceptions.
 The orientation-sweep oracle runs the per-digraph searches (checked against
 the oracles here) on every orientation, with none of the sweep's pruning.
-The con scan runs on the bitmask interval matrix (checked against
-`geodesic` in test_invariants), so each walk of the con search can be
-compared with it at sizes the frozenset reference cannot reach.  The
-superset scan takes any test, so the g and h searches can be compared with
-it on the same matrix, each candidate tested from scratch.  The
+The con scan and the set interval I[S] it tests run on the bitmask
+interval matrix (checked against `geodesic` in test_invariants), so each
+walk of the con search can be compared with it at sizes the frozenset
+reference cannot reach.  The superset scan takes any test, so the g and h
+searches can be compared with it on the same matrix, each candidate
+tested from scratch.  The
 chordless-cycle oracles list every cycle in one DFS, sort the list, and
 pack greedily over all of it, where the package searches one length at a
 time over the edges still free.  The augmenting-path oracle lists every
@@ -29,7 +30,7 @@ import random
 
 from oriconvex.graphs import Digraph, Graph, bits, orientation_count, orientation_from_index
 from oriconvex import geodesic
-from oriconvex.invariants import NUMBER_KEYS, _set_interval, digraph_report
+from oriconvex.invariants import NUMBER_KEYS, digraph_report
 from oriconvex.orienters import TripleSelection, triple_selection
 
 
@@ -93,6 +94,18 @@ def oracle_convexity(d: Digraph):
     raise AssertionError("unreachable for n >= 2")
 
 
+def oracle_set_interval(iv, smask: int) -> int:
+    """I[S] on the bitmask interval matrix: S with the interval of every
+    pair of its vertices ORed in, each pair taken, with no early exit."""
+    verts = list(bits(smask))
+    out = smask
+    for i, u in enumerate(verts):
+        row = iv[u]
+        for v in verts[i + 1:]:
+            out |= row[v]
+    return out
+
+
 def oracle_convex_scan(n: int, iv, ext: int) -> int:
     """The con search as a plain bitmask scan: the first subset S, by
     decreasing size and lexicographically within a size, with I[S] = S.
@@ -106,7 +119,7 @@ def oracle_convex_scan(n: int, iv, ext: int) -> int:
             s = 0
             for v in combo:
                 s |= 1 << v
-            if _set_interval(iv, s) == s:
+            if oracle_set_interval(iv, s) == s:
                 return s
     raise AssertionError("unreachable: every singleton is convex")
 

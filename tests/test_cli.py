@@ -115,21 +115,42 @@ def test_invariants_input_names_the_failing_line(capsys, tmp_path):
 INVARIANTS_JSON_SHA256 = "d23a067a0ccd7f561801b5c9e12c0614840f9579fd046544147855228cd1ee67"
 # the same for data/connected_n6.g6
 INVARIANTS_N6_JSON_SHA256 = "8d13ac78c503248befa0885e2b807f7ad7cdbc1aac82bba51ec8abfe6d850995"
+# the same for data/connected_n5.g6 in the text and CSV formats
+INVARIANTS_TEXT_SHA256 = "af41d1625f925e62673055e4c8147b1cb1c34cd0ffb933b73c43fed5522624d4"
+INVARIANTS_CSV_SHA256 = "70d6f1bc289a7ace2f34c215bef2956bdaddd2303066847f401eceec1ab4e8ff"
 
 
-@pytest.mark.parametrize("corpus, sha, workers", [
-    ("connected_n5", INVARIANTS_JSON_SHA256, []),
-    ("connected_n5", INVARIANTS_JSON_SHA256, ["--workers", "1"]),
-    ("connected_n5", INVARIANTS_JSON_SHA256, ["--workers", "2"]),
-    ("connected_n5", INVARIANTS_JSON_SHA256, ["--workers", "3"]),
-    ("connected_n6", INVARIANTS_N6_JSON_SHA256, []),
-    ("connected_n6", INVARIANTS_N6_JSON_SHA256, ["--workers", "2"]),
-], ids=["serial", "1", "2", "3", "n6-serial", "n6-2"])
-def test_invariants_json_witnesses_are_pinned(capsys, corpus, sha, workers):
+@pytest.mark.parametrize("corpus, fmt, sha, workers", [
+    ("connected_n5", "json", INVARIANTS_JSON_SHA256, []),
+    ("connected_n5", "json", INVARIANTS_JSON_SHA256, ["--workers", "1"]),
+    ("connected_n5", "json", INVARIANTS_JSON_SHA256, ["--workers", "2"]),
+    ("connected_n5", "json", INVARIANTS_JSON_SHA256, ["--workers", "3"]),
+    ("connected_n6", "json", INVARIANTS_N6_JSON_SHA256, []),
+    ("connected_n6", "json", INVARIANTS_N6_JSON_SHA256, ["--workers", "2"]),
+    ("connected_n5", "text", INVARIANTS_TEXT_SHA256, []),
+    ("connected_n5", "csv", INVARIANTS_CSV_SHA256, []),
+], ids=["serial", "1", "2", "3", "n6-serial", "n6-2", "text", "csv"])
+def test_invariants_json_witnesses_are_pinned(capsys, corpus, fmt, sha, workers):
     code, out, _ = run(capsys, "invariants", "--input", str(DATA_DIR / f"{corpus}.g6"),
-                       "--format", "json", *workers)
+                       "--format", fmt, *workers)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == sha
+
+
+# sha256 of `invariants --arcs` stdout for the directed 4-cycle, each format
+INVARIANTS_ARCS_SHA256 = {
+    "text": "bf69f91b7102ad22772b62720af5c4b21cae64f6c6605271060a7ec68565ee21",
+    "csv": "41f12bd617bd6f2c34e7b97751f52917e6f036de9a3a32081ad80ae0fbdc3f32",
+    "json": "dbf01ee3c245e39107d7f668a59b1ae9efbb2ca823fbf80bbd3a7d2c28dd177e",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(INVARIANTS_ARCS_SHA256))
+def test_invariants_arcs_stdout_is_pinned(capsys, fmt):
+    code, out, _ = run(capsys, "invariants", "--arcs", "4\\n0 1\\n1 2\\n2 3\\n3 0",
+                       "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == INVARIANTS_ARCS_SHA256[fmt]
 
 
 def test_invariants_empty_input_file_exits_2(capsys, tmp_path):
@@ -284,6 +305,9 @@ def test_orient_complete(capsys):
     assert code == 0
     assert "g(transitive)=4" in out
     assert "g(reversed-path)=2" in out
+    # h of both tournaments is checked, so it is shown too
+    assert out.splitlines()[2] == ("self-check: g(transitive)=4, h(transitive)=4, "
+                                   "h(reversed-path)=2, g(reversed-path)=2, witness {0, 3}")
 
 
 def test_orient_complete_large_n_asks_for_no_con(capsys):
@@ -310,7 +334,7 @@ def test_orient_complete_reports_swapped_tournaments(capsys, monkeypatch):
     code, out, _ = run(capsys, "orient", "complete", "--n", "4", "--format", "json")
     assert code == 1
     rec = json.loads(out)
-    assert (rec["g_transitive"], rec["g_reversed_path"]) == (2, 4)
+    assert (rec["g_of_transitive"], rec["g_of_reversed_path"]) == (2, 4)
     assert [(f["check"], f["orientation"]) for f in rec["failures"]] == [
         ("complete-route", [list(a) for a in d.arcs])
         for d in (reversed_path, transitive, reversed_path, transitive)]
@@ -327,7 +351,7 @@ def test_orient_complete_checks_h_too(capsys, monkeypatch):
     code, out, _ = run(capsys, "orient", "complete", "--n", "4", "--format", "json")
     assert code == 1
     rec = json.loads(out)
-    assert (rec["g_transitive"], rec["g_reversed_path"]) == (4, 2)
+    assert (rec["g_of_transitive"], rec["g_of_reversed_path"]) == (4, 2)
     assert [f["message"] for f in rec["failures"]] == [
         "h_of_transitive=3, expected 4", "h_of_reversed_path=3, expected 2"]
 
@@ -357,7 +381,8 @@ def test_orient_json_reports(capsys):
     assert code == 0
     assert json.loads(out) == {"transitive": [[0, 1], [0, 2], [1, 2]],
                                "reversed_path": [[0, 2], [1, 0], [2, 1]],
-                               "g_transitive": 3, "g_reversed_path": 2}
+                               "g_of_transitive": 3, "g_of_reversed_path": 2,
+                               "h_of_transitive": 3, "h_of_reversed_path": 2}
     code, out, _ = run(capsys, "orient", "extreme-free", "--edges", "4\\n0 1\\n1 2\\n2 3\\n0 3",
                        "--format", "json")
     assert code == 0
@@ -597,6 +622,24 @@ def test_verify_json_stdout_is_pinned(capsys, corpus, fmt):
                        str(DATA_DIR / f"{corpus}.g6"))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_STDOUT_SHA256[corpus, fmt]
+
+
+# a corpus with a pass, a parse error, a pass, a 21-edge skip and an n = 2
+# skip, and the sha256 of `verify --suite all --format <fmt> -` stdout on it
+MIXED_CORPUS = b"Bw\nD\x85hc\nFEqrg\nF~~~w\nA_\n"
+MIXED_STDOUT_SHA256 = {
+    "text": "d25429dd000da5eda53f89bd3c2a056eb744231c23e886af0220cdcef66795d0",
+    "csv": "68ef30f00e0da55a5b6fa763ab46045f6317703ed2a013236948d978590db5d7",
+    "json": "e5bcdcd3abdb78b1c24419246b02d11279b1f78850ffb68263ea3105083bc0a3",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(MIXED_STDOUT_SHA256))
+def test_verify_mixed_stdin_corpus_is_pinned(capsys, monkeypatch, fmt):
+    _bytes_stdin(monkeypatch, MIXED_CORPUS)
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--format", fmt, "-")
+    assert code == 2
+    assert hashlib.sha256(out.encode()).hexdigest() == MIXED_STDOUT_SHA256[fmt]
 
 
 NON_ASCII_CORPUS = b"Bw\nD\xc3hc\nDhc\n"  # line 2 holds one byte outside ASCII

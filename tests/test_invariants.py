@@ -62,6 +62,7 @@ from _oracles import (
     oracle_hull,
     oracle_min_superset,
     oracle_orientable_numbers,
+    oracle_set_interval,
     oracle_sweep,
     random_digraph,
     random_graph,
@@ -309,7 +310,7 @@ def test_seeded_search_matches_oracle_on_general_digraphs():
 # the g and h searches: the prefix-extension walk against the plain scan
 
 
-_STATES = {"_geodetic_witness": invariants._set_interval, "_hull_witness": invariants._hull_mask}
+_STATES = {"_geodetic_witness": oracle_set_interval, "_hull_witness": invariants._hull_mask}
 
 
 def _assert_g_and_h_searches_match_the_scan(d, seeds, monkeypatch):
@@ -463,7 +464,7 @@ def _assert_con_search_matches_the_scan(d):
     forbidden = []
     for s, c, whole in calls:
         v = s & ~c
-        assert c != full and invariants._set_interval(iv, c) == c, d.arcs
+        assert c != full and oracle_set_interval(iv, c) == c, d.arcs
         assert not any(fv == v and not fc & ~c for fc, fv in forbidden), d.arcs
         if whole:
             forbidden.append((c, v))
@@ -541,7 +542,7 @@ def test_hull_of_a_convex_set_plus_vertices_matches_the_reference():
     for _ in range(40):
         d = random_digraph(rng, rng.randint(2, 7), rng.choice((0.2, 0.4, 0.7)))
         iv, _ = invariants._kernel(d.n, d.out_masks)
-        convex = [c for c in range(1 << d.n) if invariants._set_interval(iv, c) == c]
+        convex = [c for c in range(1 << d.n) if oracle_set_interval(iv, c) == c]
         for c in rng.sample(convex, min(6, len(convex))):
             for extra in rng.sample(range(1, 1 << d.n), min(12, (1 << d.n) - 1)):
                 s = c | extra
@@ -682,8 +683,8 @@ def test_batch_masks_match_the_scalar_kernel(seed, case):
             s = w | ext
             assert [batch.sizes(w)[t] >> i & 1 for t in range(n + 1)] == [
                 s.bit_count() <= t for t in range(n + 1)]
-            assert batch.cover(w) >> i & 1 == (invariants._set_interval(iv, s) == full)
-            assert batch.convex(w) >> i & 1 == (invariants._set_interval(iv, w) == w)
+            assert batch.cover(w) >> i & 1 == (oracle_set_interval(iv, s) == full)
+            assert batch.convex(w) >> i & 1 == (oracle_set_interval(iv, w) == w)
 
 
 def _skip_walk(seed):
