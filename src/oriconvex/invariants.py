@@ -402,7 +402,8 @@ class OrientableNumbers:
 
 
 # recent g and con witnesses that a batch tries as bounds; on the n = 6
-# corpus 1, 3 and 6 of them leave 1,611, 1,232 and 1,066 exact g searches
+# corpus 1, 3 and 6 of them leave 385, 240 and 225 exact g searches, in
+# 1,034, 860 and 844 steps
 _RECENT = 3
 
 
@@ -473,7 +474,8 @@ class _Batch:
     reached from a frontier vertex p, it ORs in p and each y on an s->p
     geodesic, so no distances are kept.  `rows` holds, for each pair
     u < v, each y outside {u, v} with the mask where y is in I[u,v] (on a
-    u->v or a v->u geodesic); `ext[x]` masks where x is extreme.  The tests
+    u->v or a v->u geodesic); `ext[x]` masks where x is extreme, and `two`
+    where some pair's interval is V (there g = 2, see `skips`).  The tests
     of a witness w below do not depend on the running state, so `skips`
     caches them.
     """
@@ -525,14 +527,19 @@ class _Batch:
 
         inner = [0] * n
         self.rows = []
+        self.two = 0
         for u, v in itertools.combinations(range(n), 2):
             uv, vu = on[u][v], on[v][u]
             row = []
+            every = full  # where each y on the row is in I[u,v]
             for y in range(n):
                 m = uv[y] | vu[y]
                 if m:
                     row.append((y, m))
                     inner[y] |= m
+                    every &= m
+            if len(row) == n - 2:
+                self.two |= every
             self.rows.append((u, v, row))
         self.ext = [full & ~m for m in inner]
         self.ext_at_most = self._at_most(self.ext)
@@ -562,9 +569,9 @@ class _Batch:
                 exactly[0] &= ~m
         return list(itertools.accumulate(exactly, int.__or__))
 
-    def low_at_least(self, t: int) -> int:
-        """Where max(|ext|, 2) >= t."""
-        return self.all if t <= 2 else self.all & ~self.ext_at_most[t - 1]
+    def low_at_least(self, t: int, floor: int = 2) -> int:
+        """Where max(|ext|, floor) >= t."""
+        return self.all if t <= floor else self.all & ~self.ext_at_most[t - 1]
 
     def _members(self, w: int) -> list[int]:
         """Where each vertex is in w | ext."""
@@ -609,15 +616,22 @@ class _Batch:
         those of searching every orientation.
 
         The extreme vertices lie in every geodetic set and every hull-set,
-        so g >= h >= max(|ext|, 2).  A recent g witness w whose w | ext
-        still covers V gives g <= |w | ext|, and h with it, since h <= g.
-        con <= n - 1, with equality where some vertex is extreme; otherwise
-        a recent convex witness that is still convex bounds con below.  So:
-        g: max(|ext|, 2) >= g min, and some such w has |w | ext| <= g max.
-        h: max(|ext|, 2) >= h min, and some such w has |w | ext| <= h max.
+        so g >= h >= max(|ext|, 2).  A pair {u, v} with I[u,v] = V holds
+        every extreme vertex, which is interior to no geodesic, so g = 2
+        exactly on `two` (where some pair has I[u,v] = V), g >= 3 elsewhere,
+        and h = 2 on `two`, since 2 <= h <= g.  A recent g witness w whose
+        w | ext still covers V gives g <= |w | ext|, and h with it, since
+        h <= g.  con <= n - 1, with equality where some vertex is extreme;
+        otherwise a recent convex witness that is still convex bounds con
+        below.  So:
+        g: on `two`, the g min is 2; elsewhere max(|ext|, 3) >= g min, and
+        some such w has |w | ext| <= g max.
+        h: on `two`, the h min is 2; elsewhere max(|ext|, 2) >= h min, and
+        some such w has |w | ext| <= h max.
         con: the max is n - 1, and some vertex is extreme or a recent convex
         witness is convex here.  `_Sweep.step` adds the one bound that needs
-        an exact g: h <= g.
+        an exact g: h <= g.  `_sweep` takes the g min of 2 from `two`
+        itself.
         """
         gs, hs, cs = sweep.slots
         if gs is None:
@@ -628,8 +642,9 @@ class _Batch:
             covers = self._cached(self.cover, w)
             g_ok |= at[gs[2]] & covers
             h_ok |= at[hs[2]] & covers
-        g_ok &= self.low_at_least(gs[0])
-        h_ok &= self.low_at_least(hs[0])
+        two = self.two
+        g_ok = g_ok & ~two & self.low_at_least(gs[0], 3) | (two if gs[0] <= 2 else 0)
+        h_ok = h_ok & ~two & self.low_at_least(hs[0]) | (two if hs[0] <= 2 else 0)
         c_ok = 0
         if cs[2] >= self.n - 1:
             c_ok = self.all & ~self.ext_at_most[0]
@@ -655,6 +670,14 @@ def _sweep(n: int, edges, k: int):
         batch = _Batch(n, edges, base, k)
         above = batch.all
         while True:
+            gs = sweep.slots[0]
+            if gs is not None and gs[0] > 2 and batch.two:
+                # the least index with g = 2, so the least with the g min:
+                # no g is below 2, the indices folded in so far have g >= 3
+                # (once a slot exists, this runs before every step), and
+                # this batch has g = 2 only on `two`.  The g max is above 2
+                # and keeps its witness
+                _record(gs, 2, base + (batch.two & -batch.two).bit_length() - 1)
             g_ok, h_ok, c_ok = batch.skips(sweep)
             todo = above & ~(g_ok & h_ok & c_ok)
             if not todo:

@@ -676,15 +676,34 @@ def test_batch_masks_match_the_scalar_kernel(seed, case):
         iv, ext = invariants._kernel(n, d.out_masks)
         # the kernel a step reads off the batch: the whole matrix and ext
         assert batch.kernel(i) == (iv, ext)
-        low = max(ext.bit_count(), 2)
-        assert [batch.low_at_least(t) >> i & 1 for t in range(n + 1)] == [
-            low >= t for t in range(n + 1)]
+        for floor in (2, 3):
+            low = max(ext.bit_count(), floor)
+            assert [batch.low_at_least(t, floor) >> i & 1 for t in range(n + 1)] == [
+                low >= t for t in range(n + 1)]
+        # some pair's interval is V exactly where g = 2
+        assert batch.two >> i & 1 == (invariants._geodetic_witness(n, iv, ext).bit_count() == 2)
         for w in witnesses:
             s = w | ext
             assert [batch.sizes(w)[t] >> i & 1 for t in range(n + 1)] == [
                 s.bit_count() <= t for t in range(n + 1)]
             assert batch.cover(w) >> i & 1 == (oracle_set_interval(iv, s) == full)
             assert batch.convex(w) >> i & 1 == (oracle_set_interval(iv, w) == w)
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_sweep_takes_the_g_min_from_the_first_index_where_g_is_2(k):
+    # index 0 has g = 6 and the first of the 64 indices with g = 2 is 43, past
+    # the first batch at every k < m - 1 = 6: the sweep records g = 2 there
+    # from the batch's `two` mask, not from a search, and keeps its index
+    g = parse_graph6("ECZg")
+    assert (g.n, g.m) == (6, 7)
+    slots, searched, _ = invariants._sweep(g.n, g.edges, k)
+    assert slots == oracle_sweep(g)
+    assert slots[0][:2] == [2, 43]
+    # once the g min is 2 no g search runs, so every one falls before the
+    # batch that holds index 43
+    assert searched[0] == (1 if k == 6 else 3)
+    assert geodetic_number(orientation_from_index(g, 0))[0] == 6
 
 
 def _skip_walk(seed):
@@ -772,9 +791,9 @@ def _corpus_counts(name):
 def test_exact_searches_counted_on_the_n5_corpus():
     runs, total, searched, kernels = _corpus_counts("connected_n5")
     assert (len(runs), total) == (21, 1544)
-    assert searched == (100, 74, 14)
+    assert searched == (30, 74, 14)
     assert all(count < total for count in searched)
-    assert kernels == 109
+    assert kernels == 90
     assert "exact_searches" not in runs[0].to_json_dict()
     assert "scalar_kernels" not in runs[0].to_json_dict()
 
@@ -782,7 +801,7 @@ def test_exact_searches_counted_on_the_n5_corpus():
 def test_exact_searches_counted_on_the_n6_corpus():
     runs, total, searched, kernels = _corpus_counts("connected_n6")
     assert (len(runs), total) == (112, 69056)
-    assert (searched, kernels) == ((1232, 690, 118), 1341)
+    assert (searched, kernels) == ((240, 682, 118), 860)
 
 
 @pytest.mark.parametrize("g", [
