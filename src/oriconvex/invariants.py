@@ -31,9 +31,10 @@ when every arc is reversed.  The sweep index space holds one orientation of
 each {D, reverse(D)} pair: sweep index idx is orientation idx << 1 of
 `graphs.orientation_from_index`, the 2^(m-1) orientations that keep edge 0
 low->high.  The sweep takes them 2^12 at a time, one bit per orientation
-(`_Batch`), and runs an exact search only where `_Batch.skips`, which states
-the skip rules and why they keep every result, leaves an invariant
-unsettled.
+(`_Batch`), and runs an exact search only where `_Batch.skips` leaves an
+invariant unsettled, by bounds against the running [min, max] or against
+values that the batch attains.  `skips` states the rules and why they keep
+every result.
 """
 
 from __future__ import annotations
@@ -402,8 +403,8 @@ class OrientableNumbers:
 
 
 # recent g and con witnesses that a batch tries as bounds; on the n = 6
-# corpus 1, 3 and 6 of them leave 385, 240 and 225 exact g searches, in
-# 1,034, 860 and 844 steps
+# corpus 1, 3 and 6 of them leave 380, 234 and 219 exact g searches, in
+# 862, 708 and 692 steps
 _RECENT = 3
 
 
@@ -444,9 +445,14 @@ class _Sweep:
             h_ok = h_ok or (hs is not None and max(ext.bit_count(), 2) >= hs[0]
                             and w.bit_count() <= hs[2])
         if not h_ok:
-            w = _hull_witness(n, iv, ext)
-            self.runs[1] += 1
-            hs = _record(hs, w.bit_count(), idx)
+            if batch.two >> i & 1:
+                # h = 2 here, and every earlier index with h = 2 is folded
+                # in: no skip passes over h = 2 while the h min is above it
+                hs = _record(hs, 2, idx)
+            else:
+                w = _hull_witness(n, iv, ext)
+                self.runs[1] += 1
+                hs = _record(hs, w.bit_count(), idx)
         if ext:
             cs = _record(cs, n - 1, idx)
         elif not c_ok:
@@ -543,6 +549,9 @@ class _Batch:
             self.rows.append((u, v, row))
         self.ext = [full & ~m for m in inner]
         self.ext_at_most = self._at_most(self.ext)
+        # the largest lower bounds on g and on h in the batch (see `skips`)
+        most = self.ext_at_most.index(full)  # the largest |ext|
+        self.lows = (max(most, 3) if full & ~self.two else 2, max(most, 2))
         self._memo = {}
 
     def kernel(self, i: int):
@@ -609,42 +618,62 @@ class _Batch:
         return self._memo[key]
 
     def skips(self, sweep: _Sweep) -> tuple[int, int, int]:
-        """(g_ok, h_ok, c_ok): where g, h and con lie inside the running
-        [min, max] of `sweep`, so that their exact search could move neither
-        strict update; (0, 0, 0) before the first step.  A skip needs both
-        bounds, so the values and the least-index witnesses of the sweep are
-        those of searching every orientation.
+        """(g_ok, h_ok, c_ok): where the exact search of g, h and con could
+        change neither the final min nor the final max of the sweep, nor
+        their least indices; (0, 0, 0) before the first step.
 
-        The extreme vertices lie in every geodetic set and every hull-set,
-        so g >= h >= max(|ext|, 2).  A pair {u, v} with I[u,v] = V holds
-        every extreme vertex, which is interior to no geodesic, so g = 2
-        exactly on `two` (where some pair has I[u,v] = V), g >= 3 elsewhere,
-        and h = 2 on `two`, since 2 <= h <= g.  A recent g witness w whose
-        w | ext still covers V gives g <= |w | ext|, and h with it, since
-        h <= g.  con <= n - 1, with equality where some vertex is extreme;
-        otherwise a recent convex witness that is still convex bounds con
-        below.  So:
+        An index is settled on its min side when its lower bound is at least
+        the running min (the search could not move the strict update), or
+        above an upper bound that some index of this batch attains (its
+        value is above the final min, so it is not the least-index min).
+        It is settled on its max side when its upper bound is at most the
+        running max, or below the largest lower bound in the batch (its
+        value is below the final max).  A skip needs both sides.  The index
+        of each final extreme is never skipped: its value is beyond neither
+        batch bound, and beyond the running slot until it is folded in.  So
+        the running slot may lag, but the values and the least-index
+        witnesses of the sweep are those of searching every orientation.
+
+        The bounds.  The extreme vertices lie in every geodetic set and
+        every hull-set, so g >= h >= max(|ext|, 2).  A pair {u, v} with
+        I[u,v] = V holds every extreme vertex, which is interior to no
+        geodesic, so g = 2 exactly on `two` (where some pair has
+        I[u,v] = V), g >= 3 elsewhere, and h = 2 on `two`, since
+        2 <= h <= g.  A recent g witness w whose w | ext still covers V
+        gives g <= |w | ext|, and h with it, since h <= g.  The largest
+        lower bounds in the batch are `lows`.  The one attained upper bound
+        used is h = 2 on `two`: a witness w attains |w | ext| >= |w|, a g
+        value the running slot has folded in, and off `two` the running h
+        min is at most the running g min, so w settles no min side that the
+        running range does not.  con <= n - 1, with equality where
+        some vertex is extreme; otherwise a recent convex witness that is
+        still convex bounds con below.  So:
         g: on `two`, the g min is 2; elsewhere max(|ext|, 3) >= g min, and
-        some such w has |w | ext| <= g max.
-        h: on `two`, the h min is 2; elsewhere max(|ext|, 2) >= h min, and
-        some such w has |w | ext| <= h max.
+        some such w has |w | ext| <= g max, or < the largest max(|ext|, 3)
+        off `two` (2 if the whole batch is in `two`).
+        h: on `two`, the h min is 2; elsewhere max(|ext|, 2) >= h min, or
+        >= 3 where `two` is not empty, and some such w has |w | ext| <=
+        h max, or < the largest max(|ext|, 2).
         con: the max is n - 1, and some vertex is extreme or a recent convex
         witness is convex here.  `_Sweep.step` adds the one bound that needs
-        an exact g: h <= g.  `_sweep` takes the g min of 2 from `two`
-        itself.
+        an exact g, h <= g, and records h = 2 on `two` with no search.
+        `_sweep` takes the g min of 2 from `two` itself.
         """
         gs, hs, cs = sweep.slots
         if gs is None:
             return 0, 0, 0
+        g_low, h_low = self.lows
+        g_hi, h_hi = max(gs[2], g_low - 1), max(hs[2], h_low - 1)
         g_ok = h_ok = 0
         for w in sweep.recent[0]:
             at = self._cached(self.sizes, w)
             covers = self._cached(self.cover, w)
-            g_ok |= at[gs[2]] & covers
-            h_ok |= at[hs[2]] & covers
+            g_ok |= at[g_hi] & covers
+            h_ok |= at[h_hi] & covers
         two = self.two
         g_ok = g_ok & ~two & self.low_at_least(gs[0], 3) | (two if gs[0] <= 2 else 0)
-        h_ok = h_ok & ~two & self.low_at_least(hs[0]) | (two if hs[0] <= 2 else 0)
+        h_ok = (h_ok & ~two & self.low_at_least(min(hs[0], 3) if two else hs[0])
+                | (two if hs[0] <= 2 else 0))
         c_ok = 0
         if cs[2] >= self.n - 1:
             c_ok = self.all & ~self.ext_at_most[0]
@@ -715,11 +744,14 @@ def orientable_numbers(
 
     slots, searches, kernels = _sweep(g.n, g.edges, min(_BATCH_BITS, g.m - 1))
     fields = {}
+    witnesses = {}  # one digraph per distinct witness index
     # each slot is [min, min index, max, max index]; NUMBER_KEYS runs min, max per slot
     ends = (end for slot in slots for end in (slot[:2], slot[2:]))
     for key, (value, idx) in zip(NUMBER_KEYS, ends):
+        if idx not in witnesses:
+            witnesses[idx] = orientation_from_index(g, idx << 1)
         fields[key] = value
-        fields[key + "_witness"] = orientation_from_index(g, idx << 1)
+        fields[key + "_witness"] = witnesses[idx]
     return OrientableNumbers(
         n=g.n,
         m=g.m,

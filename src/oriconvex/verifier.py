@@ -5,7 +5,8 @@ Each suite recomputes its theorem's claim from scratch on one graph:
 orientation enumeration and along the constructive route (tournament pair
 for complete graphs, the D1/D2 pair otherwise, including the two interval
 containment claims for hull-sets of D2: all of them for n <= 5, beyond that
-the minimum ones, scanned at size h(D2) only), and ``verify_convexity``
+the minimum ones, scanned at size h(D2) only, with the intervals read off
+the kernels that the g and h checks of D1 and D2 built), and ``verify_convexity``
 checks con+ = n-1 and the end-vertex criterion for con- = n-1.  Failures
 carry the offending orientation and vertex set, so they can be replayed.
 """
@@ -22,16 +23,19 @@ from .graphs import (
     Digraph,
     Graph,
     GraphFormatError,
+    bits,
     encode_graph6,
     end_vertices,
     graph6_lines,
     is_complete,
     is_connected,
+    mask_of,
     parse_graph6,
 )
 from .invariants import (
     NUMBER_KEYS,
     OrientableNumbers,
+    _digraph_kernel,
     convexity_number,
     geodetic_number,
     hull_number,
@@ -176,26 +180,40 @@ def _hull_sets(d2: Digraph, dist2, sizes) -> list[tuple[int, ...]]:
     ]
 
 
+def _set_interval(iv, s: int) -> int:
+    """I[S] as a bitmask: S with I[u,v] ORed in for each pair of its vertices."""
+    out = s
+    verts = list(bits(s))
+    for i, u in enumerate(verts):
+        row = iv[u]
+        for v in verts[i + 1:]:
+            out |= row[v]
+    return out
+
+
 def _check_claims(d2, sel, d1, sizes, failures: list[Failure]) -> int:
-    dist2 = geodesic.all_pairs_distances(d2)
-    dist1 = geodesic.all_pairs_distances(d1)
-    hull_sets = _hull_sets(d2, dist2, sizes)
+    """Claims 1 and 2 on the hull-sets of d2 whose size is in `sizes`:
+    I^k_D2(S) lies within I^k_D1(S - v1) at every step k until both stop
+    growing.  The intervals are bitmasks read off the cached kernels of d2
+    and d1, which `d1d2_check` has just built; the hull-sets come from the
+    frozenset scan of `_hull_sets`.  Returns the number of hull-sets."""
+    hull_sets = _hull_sets(d2, geodesic.all_pairs_distances(d2), sizes)
+    iv2, iv1 = _digraph_kernel(d2)[0], _digraph_kernel(d1)[0]
     for s in hull_sets:
-        a: frozenset[int] = frozenset(s)
-        b = a - {sel.v1}
+        a = mask_of(s)
+        b = a & ~(1 << sel.v1)
         level = 0
         while True:
             level += 1
-            a2 = geodesic.interval_of_set(d2, dist2, a)
-            b2 = geodesic.interval_of_set(d1, dist1, b)
-            if not a2 <= b2:
+            a2, b2 = _set_interval(iv2, a), _set_interval(iv1, b)
+            if a2 & ~b2:
                 failures.append(
                     Failure(
                         "claim1" if level == 1 else "claim2",
                         f"I^{level}_D2(S) not within I^{level}_D1(S - v1) "
                         f"for hull-set S={sorted(s)}",
                         orientation=d2.arcs,
-                        vertex_set=tuple(sorted(a2 - b2)),
+                        vertex_set=tuple(bits(a2 & ~b2)),
                     )
                 )
                 break

@@ -20,7 +20,8 @@ runs one BFS per start and stops at the first hit.  The triple oracle tries ever
 vertex triple, where the package stops at the first pair of non-adjacent
 neighbours of the least possible middle vertex.  The D2 oracle orients
 each edge by the paper's rule table, where the package orients along one
-vertex order.
+vertex order.  The claims oracle is the frozenset form of the claims
+check, which the package runs on the bitmask kernels.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from oriconvex.graphs import Digraph, Graph, bits, orientation_count, orientatio
 from oriconvex import geodesic
 from oriconvex.invariants import NUMBER_KEYS, digraph_report
 from oriconvex.orienters import TripleSelection, triple_selection
+from oriconvex.verifier import Failure
 
 
 def oracle_distances(d: Digraph):
@@ -104,6 +106,44 @@ def oracle_set_interval(iv, smask: int) -> int:
         for v in verts[i + 1:]:
             out |= row[v]
     return out
+
+
+def oracle_claims(d2: Digraph, v1: int, d1: Digraph, sizes):
+    """The claims check of `verifier._check_claims` on frozensets: (number of
+    hull-sets of d2 with a size in `sizes`, failures).  Hull-sets come from
+    `geodesic.convex_hull` and each interval step from
+    `geodesic.interval_of_set` on the distance matrices of d2 and d1, the
+    restatement that criterion 8 of test_acceptance walks."""
+    dist2 = geodesic.all_pairs_distances(d2)
+    dist1 = geodesic.all_pairs_distances(d1)
+    full = frozenset(range(d2.n))
+    hull_sets = [
+        s
+        for r in sizes
+        for s in itertools.combinations(range(d2.n), r)
+        if geodesic.convex_hull(d2, s, dist2) == full
+    ]
+    failures = []
+    for s in hull_sets:
+        a = frozenset(s)
+        b = a - {v1}
+        level = 0
+        while True:
+            level += 1
+            a2 = geodesic.interval_of_set(d2, dist2, a)
+            b2 = geodesic.interval_of_set(d1, dist1, b)
+            if not a2 <= b2:
+                failures.append(Failure(
+                    "claim1" if level == 1 else "claim2",
+                    f"I^{level}_D2(S) not within I^{level}_D1(S - v1) for hull-set S={sorted(s)}",
+                    orientation=d2.arcs,
+                    vertex_set=tuple(sorted(a2 - b2)),
+                ))
+                break
+            if a2 == a and b2 == b:
+                break
+            a, b = a2, b2
+    return len(hull_sets), failures
 
 
 def oracle_convex_scan(n: int, iv, ext: int) -> int:

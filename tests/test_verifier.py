@@ -23,6 +23,8 @@ from oriconvex.verifier import (
 )
 from conftest import DATA_DIR, complete_bipartite, complete_graph, cycle_graph, path_graph
 
+from _oracles import oracle_claims
+
 
 # ---------------------------------------------------------------------------
 # single-graph suites
@@ -361,6 +363,49 @@ def test_claim2_is_the_second_interval_step():
         Failure("claim2", "I^2_D2(S) not within I^2_D1(S - v1) for hull-set S=[0, 1]",
                 orientation=d2.arcs, vertex_set=(2,)),
     ]
+
+
+def _claims_corpus():
+    """(d2, sel, d1, sizes) of the claims check for every graph of
+    connected_n6.g6 and each n <= 7 graph of mindeg2_connected_upto_n8.g6
+    that is not complete, with the sizes `verify_separation` scans."""
+    texts = [t for _, t in graph6_lines(str(DATA_DIR / "connected_n6.g6"))]
+    texts += [t for _, t in graph6_lines(str(DATA_DIR / "mindeg2_connected_upto_n8.g6"))]
+    for g in map(parse_graph6, texts):
+        if g.n <= 7 and not is_complete(g):
+            d2, sel = d2_construction(g)
+            h2 = hull_number(d2)[0]
+            sizes = range(1, g.n + 1) if g.n <= 5 else range(h2, h2 + 1)
+            yield d2, sel, orienters.d1_from_d2(d2, sel), sizes
+
+
+def test_claims_on_the_kernels_match_the_frozenset_restatement():
+    checked = hull_sets = 0
+    for d2, sel, d1, sizes in _claims_corpus():
+        failures = []
+        count = verifier._check_claims(d2, sel, d1, sizes, failures)
+        assert (count, failures) == oracle_claims(d2, sel.v1, d1, sizes), d2.arcs
+        checked += 1
+        hull_sets += count
+    assert checked == 111 + 578  # K6 and K3..K7 are complete
+    assert hull_sets > checked
+
+
+def test_a_broken_d1_fails_claim1_as_the_frozenset_restatement_does():
+    # reversing one arc of D1 at a time breaks claim 1 on some hull-sets;
+    # each failure record, vertex set included, is the frozenset one
+    broken = 0
+    for d2, sel, d1, sizes in itertools.islice(_claims_corpus(), 12):
+        for j, (u, v) in enumerate(d1.arcs):
+            arcs = list(d1.arcs)
+            arcs[j] = (v, u)
+            bad = Digraph.from_arcs(d1.n, arcs)
+            failures = []
+            count = verifier._check_claims(d2, sel, bad, sizes, failures)
+            assert (count, failures) == oracle_claims(d2, sel.v1, bad, sizes), arcs
+            assert {f.check for f in failures} <= {"claim1"}
+            broken += bool(failures)
+    assert broken > 0
 
 
 def test_convexity_failures_name_the_numbers(monkeypatch):
