@@ -304,9 +304,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     # the one place an exception becomes exit 2: every problem the CLI
-    # finds, and bad input, raises ValueError (GraphFormatError and
-    # EdgeBudgetError among them), an unreadable file OSError; a closed
-    # stdout pipe, itself an OSError, is caught first as no error
+    # finds, and bad input, raises ValueError (GraphFormatError,
+    # EdgeBudgetError and ScanBudgetError among them), an unreadable file
+    # OSError; a closed stdout pipe, itself an OSError, is caught first as
+    # no error
     try:
         # the sweep settings, checked once for every command that takes them
         budget = getattr(args, "budget", DEFAULT_EDGE_BUDGET)

@@ -7,12 +7,15 @@ a size, and every candidate contains all extreme vertices (which belong to
 every geodetic set and every hull-set).  A depth-first walk lists the
 candidates in that order and carries each prefix's interval (for g) or
 hull (for h), so a candidate costs the pairs at its last vertex, not the
-recomputation of its whole set.  The con search is V less the
+recomputation of its whole set.  These scans stay exponential, so one that
+would test more than `_SCAN_LIMIT` sets of one size raises
+`ScanBudgetError` instead.  The con search is V less the
 largest extreme vertex when there is one.  Otherwise it walks the convex
 sets upward from the empty set by closure extension (they are closed under
 intersection), cutting every subtree that cannot beat the best size found.
 A child's hull stops at the first vertex below its new vertex outside the
-parent, since such a hull can no longer be a child.
+parent, since such a hull can no longer be a child, and most children are
+settled by the first round of their hull, which the walk takes inline.
 
 Internally everything runs on one bitmask kernel per digraph (the matrix of
 interval masks and the mask of extreme vertices), built once and shared by
@@ -41,6 +44,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from .graphs import (
@@ -50,21 +54,49 @@ from .graphs import (
     Graph,
     bits,
     is_connected,
+    mask_of,
     orientation_from_index,
 )
 
 # ---------------------------------------------------------------------------
 # bitmask core (shared by the per-digraph API and the orientation sweep)
 
+# the most candidate sets of one size the g and h scans test: no digraph with
+# n <= 26 meets it (C(26, 13) = 10,400,600), so neither does a sweep within
+# the default edge budget (n <= 21); 20 disjoint directed triangles (n = 60,
+# g = 40) do, at size 6
+_SCAN_LIMIT = 1 << 24
+
+
+class ScanBudgetError(ValueError):
+    """A g or h scan would test more candidate sets of one size than
+    `_SCAN_LIMIT`."""
+
+    def __init__(self, size: int, count: int):
+        super().__init__(
+            f"the exact g or h search would test {count} candidate sets of "
+            f"size {size} (every smaller set failed), over its limit of "
+            f"{_SCAN_LIMIT}"
+        )
+        self.size = size
+        self.count = count
+
+    def __reduce__(self):
+        # rebuilt from (size, count), as EdgeBudgetError is, so the error
+        # survives a worker process's pickle
+        return type(self), (self.size, self.count)
+
 
 def _hull_mask(iv, smask: int, convex: int = 0, stop: int = 0) -> int:
-    """Convex hull of `smask`, given a convex subset `convex` of it.
+    """Convex hull of `smask`, given a subset `convex` of it whose pairs'
+    intervals `smask` holds (a convex subset does).
 
     Each round ORs in the intervals of the pairs that touch a vertex added
     in the round before (at first, a vertex outside `convex`).  The pairs
     inside the older part were taken in an earlier round or lie in
-    `convex`, which holds their intervals.  Once the hull meets `stop` it
-    returns early, with only part of the hull.
+    `convex`, whose intervals `smask` holds.  So a caller that has run a
+    round itself resumes here with its result and the set it grew from.
+    Once the hull meets `stop` it returns early, with only part of the hull.
     """
     cur = smask
     fresh = smask & ~convex
@@ -88,9 +120,11 @@ def _min_superset(n: int, seed: int, grow) -> int:
     """Smallest superset of `seed` whose state is V, lexicographically least.
 
     A candidate's state (its interval I[S] for g, its hull for h) is the
-    state of its prefix grown by its last vertex: `grow(s, state, v)` is the
-    state of s | {v}, given the state of s.  The seed's state is grow folded
-    over its vertices.  The candidates of each size, in increasing size,
+    state of its prefix grown by its last vertex: `grow(members, state, v)`
+    is the state of S | {v}, given the state of S and the list of S's
+    vertices, which the walk keeps by appending and popping as it goes
+    (grow only reads it).  The seed's state is grow folded over its
+    vertices.  The candidates of each size, in increasing size,
     come from a depth-first walk over the vertices outside the seed in index
     order, which visits them in the order of `itertools.combinations`; the
     seed's bits below a candidate's do not change that order (merging a
@@ -99,31 +133,44 @@ def _min_superset(n: int, seed: int, grow) -> int:
     added to the seed.  It reaches depth d only after every candidate with
     fewer added vertices failed, at least 2^(d-1) of them, so in any run
     that ends its depth stays far below the recursion limit.
+
+    The scan stays exponential, so before each size it counts the
+    candidates of that size and raises `ScanBudgetError` past
+    `_SCAN_LIMIT`, naming a size that every smaller set has failed.
     """
     full = (1 << n) - 1
-    state = s = 0
+    members = []
+    state = 0
     for v in bits(seed):
-        state = grow(s, state, v)
-        s |= 1 << v
+        state = grow(members, state, v)
+        members.append(v)
     if state == full:
         return seed
     rest = [v for v in range(n) if not seed >> v & 1]
 
-    def walk(start: int, s: int, state: int, left: int) -> int:
+    def walk(start: int, state: int, left: int) -> int:
         """The first of the candidates that add `left` vertices of
-        rest[start:] to s (whose state is `state`) to have state V, or 0."""
+        rest[start:] to the set of `members` (whose state is `state`) to
+        have state V, or 0."""
         for i in range(start, len(rest) - left + 1):
             v = rest[i]
-            nxt = grow(s, state, v)
+            nxt = grow(members, state, v)
             if left == 1:
                 if nxt == full:
-                    return s | 1 << v
-            elif hit := walk(i + 1, s | 1 << v, nxt, left - 1):
-                return hit
+                    return mask_of(members) | 1 << v
+            else:
+                members.append(v)
+                hit = walk(i + 1, nxt, left - 1)
+                members.pop()
+                if hit:
+                    return hit
         return 0
 
     for extra in range(1, len(rest) + 1):
-        if hit := walk(0, seed, state, extra):
+        count = math.comb(len(rest), extra)
+        if count > _SCAN_LIMIT:
+            raise ScanBudgetError(len(members) + extra, count)
+        if hit := walk(0, state, extra):
             return hit
     raise AssertionError("unreachable: the full vertex set always passes")
 
@@ -173,14 +220,12 @@ def _kernel(n: int, out_masks):
 
 
 def _geodetic_witness(n: int, iv, ext: int) -> int:
-    def grow(s: int, cover: int, v: int) -> int:
+    def grow(members, cover: int, v: int) -> int:
         # I[S + v] = I[S] | I[v, u] for each u in S (I[v, v] = {v})
         row = iv[v]
         cover |= 1 << v
-        while s:
-            b = s & -s
-            s ^= b
-            cover |= row[b.bit_length() - 1]
+        for u in members:
+            cover |= row[u]
         return cover
 
     return _min_superset(n, ext, grow)
@@ -188,7 +233,7 @@ def _geodetic_witness(n: int, iv, ext: int) -> int:
 
 def _hull_witness(n: int, iv, ext: int) -> int:
     # the hull of S is convex, so the hull of S + v needs only the pairs at v
-    return _min_superset(n, ext, lambda s, hull, v: _hull_mask(iv, hull | 1 << v, hull))
+    return _min_superset(n, ext, lambda members, hull, v: _hull_mask(iv, hull | 1 << v, hull))
 
 
 def _convex_witness(n: int, iv, ext: int) -> int:
@@ -217,7 +262,11 @@ def _convex_up(n: int, iv) -> int:
     has exactly one parent, hull(P & {0..v-1}) for the least v with
     hull(P & {0..v}) = P, so each convex set is visited once, with no
     record of those seen.  Since C is convex, hull(C | {v}) only needs the
-    pairs that touch the new vertices.
+    pairs that touch the new vertices.  Its first round, C | {v} and the
+    intervals I[v, u] for u in C (listed once per set), is taken inline:
+    most candidates are settled there, because it adds no vertex (C | {v}
+    is convex), is V, or meets a vertex that stops the hull (below).  Only
+    the rest call `_hull_mask`, which resumes at the second round.
 
     A subtree agrees with its root below the root's core, so C's subtree
     adds only vertices above c.  A vertex v with hull(C | {v}) = V is
@@ -255,6 +304,7 @@ def _convex_up(n: int, iv) -> int:
         cand = full & ~((1 << (core + 1)) - 1) & ~c & ~forb
         if size + cand.bit_count() <= bsize:
             continue
+        members = list(bits(c))
         kids = []
         while cand:
             b = cand & -cand
@@ -262,11 +312,19 @@ def _convex_up(n: int, iv) -> int:
             # a hull that meets a forbidden vertex f holds hull(C | {f}) = V;
             # one that meets a vertex below b outside c leaves the prefix
             below = (b - 1) & ~c
-            h = _hull_mask(iv, c | b, c, forb | below)
+            stop = forb | below
+            # the first round of hull(C | {b}): c is convex, so the pairs at b
+            cb = h = c | b
+            v = b.bit_length() - 1
+            row = iv[v]
+            for u in members:
+                h |= row[u]
+            if h != cb and h != full and not h & stop:
+                h = _hull_mask(iv, h, cb, stop)
             if h == full or h & forb:
                 forb |= b
             elif not h & below:
-                kids.append((h, b.bit_length() - 1))
+                kids.append((h, v))
         for h, v in reversed(kids):
             stack.append((h, v, forb))
     return best

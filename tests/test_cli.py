@@ -153,6 +153,17 @@ def test_invariants_arcs_stdout_is_pinned(capsys, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == INVARIANTS_ARCS_SHA256[fmt]
 
 
+def test_invariants_arcs_past_the_scan_limit_exit_2(capsys):
+    # 67 disjoint directed triangles: g = 134, and the g scan would test
+    # C(201, 4) sets of size 4, over its limit
+    arcs = "\\n".join(["201"] + [f"{3 * i + a} {3 * i + (a + 1) % 3}"
+                                  for i in range(67) for a in range(3)])
+    code, out, err = run(capsys, "invariants", "--arcs", arcs)
+    assert (code, out) == (2, "")
+    assert err == ("error: the exact g or h search would test 65998350 candidate sets "
+                   "of size 4 (every smaller set failed), over its limit of 16777216\n")
+
+
 def test_invariants_empty_input_file_exits_2(capsys, tmp_path):
     path = tmp_path / "empty.g6"
     path.write_text("")

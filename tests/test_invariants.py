@@ -1,6 +1,8 @@
 import copy
 import hashlib
 import itertools
+import math
+import pickle
 import random
 import time
 from unittest import mock
@@ -321,10 +323,12 @@ def _assert_g_and_h_searches_match_the_scan(d, seeds, monkeypatch):
     for name, state_of in _STATES.items():
 
         def checked(n_, seed, grow):
-            # the state the walk carries to each set it visits is that set's
-            def grow_checked(s, state, v):
-                nxt = grow(s, state, v)
-                assert nxt == state_of(iv, s | 1 << v), (d.arcs, name, s, v)
+            # the state the walk carries to each set it visits is that set's,
+            # and the walk lists each vertex of the set once
+            def grow_checked(members, state, v):
+                assert len(set(members)) == len(members), (d.arcs, name, members)
+                nxt = grow(members, state, v)
+                assert nxt == state_of(iv, mask_of(members) | 1 << v), (d.arcs, name, members, v)
                 return nxt
             return walk(n_, seed, grow_checked)
 
@@ -373,8 +377,8 @@ def test_superset_walk_visits_candidates_in_combinations_order():
         family = set(rng.sample(range(1, 1 << n), min(rng.randint(0, 6), full))) | {full}
         seed = rng.randrange(1 << n) & rng.randrange(1 << n)
 
-        def grow(s, state, v):
-            return full if s | 1 << v in family else 0
+        def grow(members, state, v):
+            return full if mask_of(members) | 1 << v in family else 0
 
         want = oracle_min_superset(n, seed, family.__contains__)
         assert invariants._min_superset(n, seed, grow) == want, (n, seed, family)
@@ -410,64 +414,171 @@ def test_con_of_large_extreme_free_orientations_keeps_its_pinned_witnesses():
     assert hashlib.sha256(repr(res).encode()).hexdigest() == XFREE_N60_CON_SHA256
 
 
+def disjoint_triangles(k):
+    """k disjoint directed triangles: no extreme vertex, and g = h = 2k."""
+    return Digraph.from_arcs(3 * k, [(3 * i + a, 3 * i + (a + 1) % 3)
+                                     for i in range(k) for a in range(3)])
+
+
+def test_a_scan_past_its_limit_raises_and_names_the_size():
+    # 67 triangles: every set of 1..3 vertices fails, and the 201 vertices
+    # give C(201, 4) = 65,998,350 sets of size 4, over the limit of 2^24
+    d = disjoint_triangles(67)
+    with pytest.raises(invariants.ScanBudgetError) as exc:
+        geodetic_number(d)
+    assert (exc.value.size, exc.value.count) == (4, math.comb(201, 4))
+    assert str(exc.value) == (
+        "the exact g or h search would test 65998350 candidate sets of size 4 "
+        "(every smaller set failed), over its limit of 16777216")
+    # the h scan is bounded alike, here under a lower limit
+    with mock.patch.object(invariants, "_SCAN_LIMIT", 100):
+        with pytest.raises(invariants.ScanBudgetError) as exc:
+            hull_number(disjoint_triangles(5))
+    assert (exc.value.size, exc.value.count) == (2, math.comb(15, 2))
+    # a scan within the limit is not refused
+    assert geodetic_number(disjoint_triangles(4)) == (8, (0, 1, 3, 4, 6, 7, 9, 10))
+
+
+def test_scan_budget_error_survives_a_pickle():
+    # a worker process hands its errors back pickled
+    err = invariants.ScanBudgetError(6, math.comb(60, 6))
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is invariants.ScanBudgetError
+    assert isinstance(back, ValueError)
+    assert str(back) == str(err)
+    assert (back.size, back.count) == (6, 50063860)
+
+
 # ---------------------------------------------------------------------------
 # the con search: the upward walk alone, and with the shortcut, against the scan
 
 
-def _up_walk_hulls(n, iv):
-    """Run the upward walk; return its answer and each hull it took, as
-    (set, the convex part given, whether the walk took the hull to be V)."""
+class _ReadRows(list):
+    """The interval matrix, noting each row the walk itself reads: the
+    first hull round of a candidate reads that candidate's row."""
+
+    def __init__(self, iv, events):
+        super().__init__(iv)
+        self.events = events
+
+    def __getitem__(self, v):
+        self.events.append(("try", v))
+        return super().__getitem__(v)
+
+
+def _up_walk_hulls(d):
+    """Run the upward walk on d, checking each candidate's hull against the
+    full one and the walk's bookkeeping.
+
+    Returns the answer, the sets whose vertices the walk listed (the sets it
+    extends, in order), each candidate it tried, as (set with the candidate,
+    set, outcome), and each `_hull_mask` call, as (smask, convex, stop).  A
+    candidate's outcome is that of its first hull round, taken inline:
+    "convex" (it adds no vertex), "V", "below" (it meets a vertex below the
+    candidate outside the set) or "forbidden" (it meets a forbidden
+    vertex); or "resumed", when the walk calls `_hull_mask` for the rest.
+    """
+    n = d.n
+    iv, _ = invariants._kernel(n, d.out_masks)
     hull = invariants._hull_mask
     full = (1 << n) - 1
-    calls = []
+    events = []
 
-    def spy(iv, smask, convex=0, stop=0):
+    def listed(mask):
+        events.append(("node", mask))
+        return bits(mask)
+
+    def spy(rows, smask, convex=0, stop=0):
         h = hull(iv, smask, convex, stop)
-        true = hull(iv, smask)
-        # the stop mask is the forbidden vertices plus those below the
-        # candidate b outside the convex part
-        b = smask & ~convex
-        assert b and not b & (b - 1)
-        below = (b - 1) & ~convex
-        forb = stop & ~below
-        assert not h & ~true
-        whole = h == full or bool(h & forb)
-        if whole:
-            # a hull that is V or meets a forbidden vertex must really be V
-            assert true == full
-        elif h & below:
-            # a hull cut below the candidate must really leave the prefix
-            assert (true ^ convex) & (b - 1)
-        else:
-            # an uncut hull is the whole hull, and is V only when taken so
-            assert h == true and true != full
-        calls.append((smask, convex, whole))
+        events.append(("call", smask, convex, stop, h))
         return h
 
-    with mock.patch.object(invariants, "_hull_mask", spy):
-        return invariants._convex_up(n, iv), calls
+    with mock.patch.object(invariants, "bits", listed), \
+            mock.patch.object(invariants, "_hull_mask", spy):
+        got = invariants._convex_up(n, _ReadRows(iv, events))
+
+    nodes, tries, calls, forbidden = [], [], [], []
+    c = None
+    for i, (kind, *args) in enumerate(events):
+        if kind == "node":
+            c = args[0]
+            nodes.append(c)
+        elif kind == "call":
+            calls.append(tuple(args[:3]))
+        else:
+            v = args[0]
+            b = 1 << v
+            assert c is not None and not c & b, d.arcs
+            first = c | b
+            for u in bits(c):
+                first |= iv[v][u]
+            true = hull(iv, c | b)
+            below = (b - 1) & ~c
+            assert not first & ~true, d.arcs
+            nxt = events[i + 1] if i + 1 < len(events) else ("end",)
+            if nxt[0] == "call":
+                smask, convex, stop, h = nxt[1:]
+                # the call resumes the hull at its second round: the first
+                # round settled nothing, and it holds the intervals of the
+                # pairs inside c | b (the precondition of _hull_mask)
+                assert (smask, convex) == (first, c | b), d.arcs
+                assert first not in (c | b, full) and not first & stop, d.arcs
+                assert oracle_set_interval(iv, c | b) & ~smask == 0, d.arcs
+                # the stop mask is the forbidden vertices plus those below
+                # the candidate outside c
+                assert stop & below == below, d.arcs
+                forb = stop & ~below
+                assert not h & ~true, d.arcs
+                whole = h == full or bool(h & forb)
+                if whole:
+                    # a hull that is V or meets a forbidden vertex must really be V
+                    assert true == full, d.arcs
+                elif h & below:
+                    # a hull cut below the candidate must really leave the prefix
+                    assert (true ^ c) & (b - 1), d.arcs
+                else:
+                    # an uncut hull is the whole hull, and is V only when taken so
+                    assert h == true and true != full, d.arcs
+                outcome = "resumed"
+            elif first == full:
+                outcome, whole = "V", True
+            elif first == c | b:
+                assert true == c | b, d.arcs
+                outcome, whole = "convex", False
+            elif first & below:
+                assert (true ^ c) & (b - 1), d.arcs
+                outcome, whole = "below", False
+            else:
+                # settled with no call, yet neither V, convex nor cut: it met
+                # a forbidden vertex, so the hull is V
+                assert true == full, d.arcs
+                outcome, whole = "forbidden", True
+            # a vertex whose hull with a set is V is not tried again with a
+            # superset of that set
+            assert not any(fv == v and not fc & ~c for fc, fv in forbidden), d.arcs
+            if whole:
+                forbidden.append((c, v))
+            tries.append((c | b, c, outcome))
+    # each set the walk extends is convex and proper and is extended once,
+    # and each candidate is tried once with it
+    assert len(set(nodes)) == len(nodes), d.arcs
+    for c in nodes:
+        assert c != full and oracle_set_interval(iv, c) == c, d.arcs
+    assert len({(s, c) for s, c, _ in tries}) == len(tries), d.arcs
+    return got, nodes, tries, calls
 
 
 def _assert_con_search_matches_the_scan(d):
+    """Check the walk (see `_up_walk_hulls`) and the search against the
+    scan; return the candidates the walk tried."""
     n = d.n
-    full = (1 << n) - 1
     iv, ext = invariants._kernel(n, d.out_masks)
     want = oracle_convex_scan(n, iv, ext)
     # the walk alone also meets digraphs the extreme-vertex shortcut answers
-    got, calls = _up_walk_hulls(n, iv)
+    got, _, tries, _ = _up_walk_hulls(d)
     assert got == want, d.arcs
     assert invariants._convex_witness(n, iv, ext) == want, d.arcs
-    # each set the walk extends is convex and proper and is extended once,
-    # and a vertex whose hull with a set is V is not tried again with a
-    # superset of that set
-    assert len({(s, c) for s, c, _ in calls}) == len(calls), d.arcs
-    forbidden = []
-    for s, c, whole in calls:
-        v = s & ~c
-        assert c != full and oracle_set_interval(iv, c) == c, d.arcs
-        assert not any(fv == v and not fc & ~c for fc, fv in forbidden), d.arcs
-        if whole:
-            forbidden.append((c, v))
+    return tries
 
 
 def test_con_search_matches_the_scan_on_every_small_digraph():
@@ -494,47 +605,40 @@ def test_con_search_matches_the_scan_on_extreme_free_orientations(n):
         _assert_con_search_matches_the_scan(d)
 
 
-def test_up_walk_cuts_a_subtree_that_can_only_tie(monkeypatch):
+def test_up_walk_cuts_a_subtree_that_can_only_tie():
     # with no arc every subset is convex: {0, 1} is found first, so the
-    # subtrees of {0, 2}, {1} and {2} cannot beat it and take no hull
-    hull = invariants._hull_mask
-    calls = []
-
-    def spy(iv, smask, convex=0, stop=0):
-        calls.append((smask, convex))
-        return hull(iv, smask, convex, stop)
-
-    monkeypatch.setattr(invariants, "_hull_mask", spy)
-    iv, _ = invariants._kernel(3, Digraph.from_arcs(3, []).out_masks)
-    assert invariants._convex_up(3, iv) == 0b011
-    assert calls == [(0b001, 0), (0b010, 0), (0b100, 0),
-                     (0b011, 0b001), (0b101, 0b001), (0b111, 0b011)]
+    # subtrees of {0, 2}, {1} and {2} cannot beat it and take no hull; every
+    # first round settles its candidate, so no hull is resumed
+    got, nodes, tries, calls = _up_walk_hulls(Digraph.from_arcs(3, []))
+    assert got == 0b011
+    assert nodes == [0, 0b001, 0b011]
+    assert tries == [(0b001, 0, "convex"), (0b010, 0, "convex"), (0b100, 0, "convex"),
+                     (0b011, 0b001, "convex"), (0b101, 0b001, "convex"),
+                     (0b111, 0b011, "V")]
+    assert calls == []
 
 
-def test_up_walk_stops_a_child_hull_below_its_candidate(monkeypatch):
+def test_up_walk_stops_a_child_hull_below_its_candidate():
     # 0 -> 1 -> 3 and 0 -> 2 -> 3 closed by 3 -> 0, so no vertex is extreme:
     # hull({1, 3}) and hull({2, 3}) are V, but each stops once it holds 0,
-    # a vertex below 3 outside {1} or {2}, before it takes the other one
+    # a vertex below 3 outside {1} or {2}, before it takes the other one;
+    # the first round already holds 0, so neither is resumed
     d = Digraph.from_arcs(4, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 0)])
     iv, ext = invariants._kernel(4, d.out_masks)
     assert not ext
     hull = invariants._hull_mask
     assert hull(iv, 0b1010) == 0b1111
     assert hull(iv, 0b1010, 0b0010, 0b0101) == 0b1011
-    calls = []
-
-    def spy(iv, smask, convex=0, stop=0):
-        calls.append((smask, convex, stop))
-        return hull(iv, smask, convex, stop)
-
-    monkeypatch.setattr(invariants, "_hull_mask", spy)
-    assert invariants._convex_up(4, iv) == oracle_convex_scan(4, iv, ext) == 0b0001
-    assert calls == [(0b0001, 0, 0), (0b0010, 0, 0b0001), (0b0100, 0, 0b0011),
-                     (0b1000, 0, 0b0111),
-                     (0b0011, 0b0001, 0), (0b0101, 0b0001, 0b0010),
-                     (0b1001, 0b0001, 0b0110),
-                     (0b0110, 0b0010, 0b0001), (0b1010, 0b0010, 0b0101),
-                     (0b1100, 0b0100, 0b0011)]
+    got, nodes, tries, calls = _up_walk_hulls(d)
+    assert got == oracle_convex_scan(4, iv, ext) == 0b0001
+    assert nodes == [0, 0b0001, 0b0010, 0b0100]
+    assert tries == [(0b0001, 0, "convex"), (0b0010, 0, "convex"), (0b0100, 0, "convex"),
+                     (0b1000, 0, "convex"),
+                     (0b0011, 0b0001, "resumed"), (0b0101, 0b0001, "resumed"),
+                     (0b1001, 0b0001, "V"),
+                     (0b0110, 0b0010, "V"), (0b1010, 0b0010, "below"),
+                     (0b1100, 0b0100, "below")]
+    assert calls == [(0b1011, 0b0011, 0), (0b1101, 0b0101, 0b0010)]
 
 
 def test_hull_of_a_convex_set_plus_vertices_matches_the_reference():
@@ -548,6 +652,60 @@ def test_hull_of_a_convex_set_plus_vertices_matches_the_reference():
                 s = c | extra
                 want = mask_of(convex_hull(d, tuple(bits(s))))
                 assert invariants._hull_mask(iv, s, c) == want == invariants._hull_mask(iv, s)
+
+
+def test_hull_resumed_after_a_first_round_matches_the_reference():
+    # the con walk runs the first round of hull(c | {b}) itself and resumes
+    # _hull_mask from it, with c | b as the part whose pairs it holds
+    rng = random.Random(4711)
+    for _ in range(40):
+        d = random_digraph(rng, rng.randint(2, 7), rng.choice((0.2, 0.4, 0.7)))
+        n = d.n
+        iv, _ = invariants._kernel(n, d.out_masks)
+        convex = [c for c in range(1 << n) if oracle_set_interval(iv, c) == c]
+        for c in rng.sample(convex, min(8, len(convex))):
+            for v in (v for v in range(n) if not c >> v & 1):
+                first = c | 1 << v
+                for u in bits(c):
+                    first |= iv[v][u]
+                want = mask_of(convex_hull(d, tuple(bits(c | 1 << v))))
+                assert invariants._hull_mask(iv, first, c | 1 << v) == want, (d.arcs, c, v)
+
+
+@pytest.mark.parametrize("n, arcs, outcomes", [
+    # no arc: every first round adds nothing, until c | b is V
+    (3, (), {"convex", "V"}),
+    # a directed triangle on 1, 2, 3: hull({1, 2}) takes a second round, and
+    # the first round of hull({1, 3}) already holds 2, below 3 outside {1}
+    (4, ((1, 2), (2, 3), (3, 1)), {"convex", "V", "resumed", "below"}),
+    # the first round of hull({0, 2, 3}) meets 4, forbidden since
+    # hull({0, 4}) = V, and not 1, the vertex below 3 outside {0, 2}
+    (5, ((0, 2), (0, 3), (1, 0), (2, 0), (3, 0), (3, 4), (4, 1), (4, 2), (4, 3)),
+     {"convex", "V", "resumed", "below", "forbidden"}),
+])
+def test_up_walk_settles_each_first_round_outcome(n, arcs, outcomes):
+    tries = _assert_con_search_matches_the_scan(Digraph.from_arcs(n, arcs))
+    assert {outcome for _, _, outcome in tries} == outcomes
+
+
+def test_up_walk_resumes_few_hulls_on_the_search_benchmark_digraphs():
+    # the 24 digraphs of the search benchmark's seed 0: the first hull
+    # round, taken inline, settles all but 311 of the climb's candidates
+    # (2,352 _hull_mask calls when every hull went through it)
+    rng = random.Random(0)
+    ds = [extreme_free_orientation(cycle_plus_chords(rng, n, 3 * n))
+          for _ in range(8) for n in (12, 13, 14)]
+    hull = invariants._hull_mask
+    calls = []
+
+    def spy(*args):
+        calls.append(args[1:])
+        return hull(*args)
+
+    with mock.patch.object(invariants, "_hull_mask", spy):
+        for d in ds:
+            invariants._convex_up(d.n, invariants._kernel(d.n, d.out_masks)[0])
+    assert len(calls) == 311
 
 
 def test_con_of_an_extreme_free_digraph_with_24_vertices_returns_quickly():
