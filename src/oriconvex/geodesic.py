@@ -67,6 +67,9 @@ def interval_of_set(
     verts = sorted(set(s))
     if not verts:
         raise ValueError("interval of the empty set is undefined")
+    # the two ends of the sorted set check every vertex, also one in no pair
+    _check_vertex(d, verts[0])
+    _check_vertex(d, verts[-1])
     members = set(verts)
     for i, u in enumerate(verts):
         for v in verts[i + 1:]:
@@ -81,6 +84,8 @@ def iterated_interval(d: Digraph, s: Iterable[int], k: int) -> frozenset[int]:
     cur = frozenset(s)
     if not cur:
         raise ValueError("interval of the empty set is undefined")
+    _check_vertex(d, min(cur))
+    _check_vertex(d, max(cur))
     dist = all_pairs_distances(d)
     for _ in range(k):
         cur = interval_of_set(d, dist, cur)

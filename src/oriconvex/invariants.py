@@ -442,8 +442,9 @@ class OrientableNumbers:
     # equality and of the JSON.
     exact_searches: tuple[int, int, int] = field(compare=False)
     # sweep indices that read a kernel off their batch to search: those where
-    # the bit-sliced bounds could not settle g, h and con.  A counter, like
-    # exact_searches.
+    # neither the bit-sliced bounds nor the values known exactly (g = h = 2
+    # on `two`, con = n - 1 with an extreme vertex) settle g, h and con.  A
+    # counter, like exact_searches.
     scalar_kernels: int = field(compare=False)
 
     def values(self) -> dict[str, int]:
@@ -462,7 +463,7 @@ class OrientableNumbers:
 
 # recent g and con witnesses that a batch tries as bounds; on the n = 6
 # corpus 1, 3 and 6 of them leave 380, 234 and 219 exact g searches, in
-# 862, 708 and 692 steps
+# 917, 763 and 747 steps, of which 838, 684 and 668 read a kernel
 _RECENT = 3
 
 
@@ -476,8 +477,9 @@ class _Sweep:
     """The running state of the sweep: the [min, min index, max, max index]
     slot of g, h and con, the recent witnesses of g and of con, and the
     number of exact g, h and con searches run and of kernels read off a batch.
-    `_Batch.skips` decides where a search is needed; the step only runs it,
-    on the kernel that `_Batch.kernel` reads off the batch masks."""
+    `_Batch.skips` decides where a search is needed.  The step records the
+    values the batch knows exactly, and runs the searches left on the kernel
+    that `_Batch.kernel` reads off the batch masks."""
 
     def __init__(self, n: int) -> None:
         self.n = n
@@ -488,36 +490,43 @@ class _Sweep:
 
     def step(self, batch: _Batch, i: int, g_ok: int, h_ok: int, c_ok: int) -> None:
         """Fold sweep index batch.base + i into the state, given its bits of
-        `_Batch.skips`: each exact search runs only where its bit is 0."""
+        `_Batch.skips`: each exact search runs only where its bit is 0.
+        The values known with no search come first and settle their
+        invariants, so a kernel is read off the batch only to search."""
         n, idx = self.n, batch.base + i
         gs, hs, cs = self.slots
-        iv, ext = batch.kernel(i)
-        self.kernels += 1
-        if not g_ok:
-            w = _geodetic_witness(n, iv, ext)
-            self.runs[0] += 1
-            _remember(self.recent[0], w)
-            gs = _record(gs, w.bit_count(), idx)
-            # h <= g, and extreme vertices and a single vertex give h >= low:
-            # the one bound the batch cannot see, since it needs the exact g
-            h_ok = h_ok or (hs is not None and max(ext.bit_count(), 2) >= hs[0]
-                            and w.bit_count() <= hs[2])
-        if not h_ok:
-            if batch.two >> i & 1:
-                # h = 2 here, and every earlier index with h = 2 is folded
-                # in: no skip passes over h = 2 while the h min is above it
-                hs = _record(hs, 2, idx)
-            else:
+        ext = sum(1 << x for x, e in enumerate(batch.ext) if e >> i & 1)
+        # g = h = 2 on `two`: every earlier index with g or h = 2 is folded
+        # in, since `skips` settles a value of 2 on its min side only once the
+        # running min is 2.  con = n - 1 where some vertex is extreme: `skips`
+        # settles con nowhere before the running max is n - 1
+        if batch.two >> i & 1:
+            gs, hs = _record(gs, 2, idx), _record(hs, 2, idx)
+            g_ok = h_ok = 1
+        if ext:
+            cs = _record(cs, n - 1, idx)
+            c_ok = 1
+        if not (g_ok and h_ok and c_ok):
+            iv = batch.kernel(i)
+            self.kernels += 1
+            if not g_ok:
+                w = _geodetic_witness(n, iv, ext)
+                self.runs[0] += 1
+                _remember(self.recent[0], w)
+                gs = _record(gs, w.bit_count(), idx)
+                # h <= g, and extreme vertices and a single vertex give h >= low:
+                # the one bound the batch cannot see, since it needs the exact g
+                h_ok = h_ok or (hs is not None and max(ext.bit_count(), 2) >= hs[0]
+                                and w.bit_count() <= hs[2])
+            if not h_ok:
                 w = _hull_witness(n, iv, ext)
                 self.runs[1] += 1
                 hs = _record(hs, w.bit_count(), idx)
-        if ext:
-            cs = _record(cs, n - 1, idx)
-        elif not c_ok:
-            w = _convex_up(n, iv)
-            self.runs[2] += 1
-            _remember(self.recent[1], w)
-            cs = _record(cs, w.bit_count(), idx)
+            if not c_ok:
+                w = _convex_up(n, iv)
+                self.runs[2] += 1
+                _remember(self.recent[1], w)
+                cs = _record(cs, w.bit_count(), idx)
         self.slots = [gs, hs, cs]
 
 
@@ -613,8 +622,8 @@ class _Batch:
         self._memo = {}
 
     def kernel(self, i: int):
-        """(iv, ext) of sweep index base + i, read off the masks: what
-        `_kernel` builds from that orientation."""
+        """The interval-mask matrix of sweep index base + i, read off the
+        masks: what `_kernel` builds from that orientation."""
         n, bit = self.n, 1 << i
         iv = [[0] * u + [1 << u] + [0] * (n - 1 - u) for u in range(n)]
         for u, v, row in self.rows:
@@ -623,7 +632,7 @@ class _Batch:
                 if ym & bit:
                     m |= 1 << y
             iv[u][v] = iv[v][u] = m
-        return iv, sum(1 << x for x, e in enumerate(self.ext) if e & bit)
+        return iv
 
     def _at_most(self, members) -> list[int]:
         """at[c]: where at most c of the masks `members` are set, by one
@@ -636,7 +645,7 @@ class _Batch:
                 exactly[0] &= ~m
         return list(itertools.accumulate(exactly, int.__or__))
 
-    def low_at_least(self, t: int, floor: int = 2) -> int:
+    def low_at_least(self, t: int, floor: int) -> int:
         """Where max(|ext|, floor) >= t."""
         return self.all if t <= floor else self.all & ~self.ext_at_most[t - 1]
 
@@ -700,22 +709,23 @@ class _Batch:
         2 <= h <= g.  A recent g witness w whose w | ext still covers V
         gives g <= |w | ext|, and h with it, since h <= g.  The largest
         lower bounds in the batch are `lows`.  The one attained upper bound
-        used is h = 2 on `two`: a witness w attains |w | ext| >= |w|, a g
-        value the running slot has folded in, and off `two` the running h
+        used is g = h = 2 on `two`: a witness w attains |w | ext| >= |w|, a
+        g value the running slot has folded in, and off `two` the running h
         min is at most the running g min, so w settles no min side that the
         running range does not.  con <= n - 1, with equality where
         some vertex is extreme; otherwise a recent convex witness that is
         still convex bounds con below.  So:
-        g: on `two`, the g min is 2; elsewhere max(|ext|, 3) >= g min, and
-        some such w has |w | ext| <= g max, or < the largest max(|ext|, 3)
-        off `two` (2 if the whole batch is in `two`).
+        g: on `two`, the g min is 2; elsewhere max(|ext|, 3) >= g min, or
+        >= 3 where `two` is not empty, and some such w has |w | ext| <=
+        g max, or < the largest max(|ext|, 3) off `two` (2 if the whole batch
+        is in `two`).
         h: on `two`, the h min is 2; elsewhere max(|ext|, 2) >= h min, or
         >= 3 where `two` is not empty, and some such w has |w | ext| <=
         h max, or < the largest max(|ext|, 2).
         con: the max is n - 1, and some vertex is extreme or a recent convex
-        witness is convex here.  `_Sweep.step` adds the one bound that needs
-        an exact g, h <= g, and records h = 2 on `two` with no search.
-        `_sweep` takes the g min of 2 from `two` itself.
+        witness is convex here.  `_Sweep.step` records g = h = 2 on `two`
+        and con = n - 1 where some vertex is extreme, with no search, and
+        adds the one bound that needs an exact g: h <= g.
         """
         gs, hs, cs = sweep.slots
         if gs is None:
@@ -729,9 +739,9 @@ class _Batch:
             g_ok |= at[g_hi] & covers
             h_ok |= at[h_hi] & covers
         two = self.two
-        g_ok = g_ok & ~two & self.low_at_least(gs[0], 3) | (two if gs[0] <= 2 else 0)
-        h_ok = (h_ok & ~two & self.low_at_least(min(hs[0], 3) if two else hs[0])
-                | (two if hs[0] <= 2 else 0))
+        g_ok, h_ok = (ok & ~two & self.low_at_least(min(s[0], 3) if two else s[0], floor)
+                      | (two if s[0] <= 2 else 0)
+                      for ok, s, floor in ((g_ok, gs, 3), (h_ok, hs, 2)))
         c_ok = 0
         if cs[2] >= self.n - 1:
             c_ok = self.all & ~self.ext_at_most[0]
@@ -749,22 +759,15 @@ def _sweep(n: int, edges, k: int):
     Returns the [min, min index, max, max index] slot of g, h and con, the
     exact g, h and con searches run and the kernels read off a batch.  A
     step runs only at an index where `_Batch.skips` leaves some invariant
-    unsettled, and searches only for those.  The skips are recomputed from
-    the state after every step (the tests behind them are cached per batch).
+    unsettled.  It records what the batch knows exactly there, and searches
+    only for what is left.  The skips are recomputed from the state after
+    every step (the tests behind them are cached per batch).
     """
     sweep = _Sweep(n)
     for base in range(0, 1 << (len(edges) - 1), 1 << k):
         batch = _Batch(n, edges, base, k)
         above = batch.all
         while True:
-            gs = sweep.slots[0]
-            if gs is not None and gs[0] > 2 and batch.two:
-                # the least index with g = 2, so the least with the g min:
-                # no g is below 2, the indices folded in so far have g >= 3
-                # (once a slot exists, this runs before every step), and
-                # this batch has g = 2 only on `two`.  The g max is above 2
-                # and keeps its witness
-                _record(gs, 2, base + (batch.two & -batch.two).bit_length() - 1)
             g_ok, h_ok, c_ok = batch.skips(sweep)
             todo = above & ~(g_ok & h_ok & c_ok)
             if not todo:

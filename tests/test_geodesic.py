@@ -127,6 +127,25 @@ def test_interval_of_set_examples():
         interval_of_set(DIR_C4, dist, set())
 
 
+# each function of a vertex set, on DIR_P3
+SET_CALLS = {
+    "interval_of_set": lambda s: interval_of_set(DIR_P3, all_pairs_distances(DIR_P3), s),
+    "convex_hull": lambda s: convex_hull(DIR_P3, s),
+    "is_convex": lambda s: is_convex(DIR_P3, s),
+    **{f"iterated_interval_{k}": lambda s, k=k: iterated_interval(DIR_P3, s, k)
+       for k in range(3)},
+}
+
+
+@pytest.mark.parametrize("v", [7, -1])
+@pytest.mark.parametrize("name", list(SET_CALLS))
+def test_vertex_set_functions_reject_a_vertex_outside_the_digraph(name, v):
+    # alone, where no pair reaches the check of `interval`, and beside a vertex
+    for s in ([v], [0, v]):
+        with pytest.raises(ValueError, match=rf"^vertex {v} outside \[0, 3\)$"):
+            SET_CALLS[name](s)
+
+
 def test_set_interval_is_monotone():
     rng = random.Random(9)
     for _ in range(40):

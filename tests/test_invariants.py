@@ -832,8 +832,9 @@ def test_batch_masks_match_the_scalar_kernel(seed, case):
             assert inside == sorted(interval(d, dist, u, v) - {u, v}), (u, v)
         assert [x for x in range(n) if batch.ext[x] >> i & 1] == sorted(extreme_vertices(d))
         iv, ext = invariants._kernel(n, d.out_masks)
-        # the kernel a step reads off the batch: the whole matrix and ext
-        assert batch.kernel(i) == (iv, ext)
+        # the kernel a step reads off the batch to search: the whole matrix
+        # (the line above checks ext)
+        assert batch.kernel(i) == iv
         for floor in (2, 3):
             low = max(ext.bit_count(), floor)
             assert [batch.low_at_least(t, floor) >> i & 1 for t in range(n + 1)] == [
@@ -862,6 +863,34 @@ def test_sweep_takes_the_g_min_from_the_first_index_where_g_is_2(k):
     # batch that holds index 43
     assert searched[0] == (1 if k == 6 else 3)
     assert geodetic_number(orientation_from_index(g, 0))[0] == 6
+
+
+def _cube():
+    """The 3-cube, each vertex labelled by its bits.  At sweep index 0 every
+    edge runs low->high, so the 0->7 geodesics pass every vertex (index 0
+    lies on `two`: g = h = 2) and 0 is a source (con = n - 1)."""
+    return Graph.from_edges(8, [(x, x ^ b) for x in range(8) for b in (1, 2, 4) if x < x ^ b])
+
+
+def test_a_step_records_the_values_known_exactly_with_no_kernel(monkeypatch):
+    # the first step of a sweep, with no slot yet, and a later index on `two`
+    # with an extreme vertex, under a g and h min of 3 and a con max of n - 1
+    g = _cube()
+    batch = invariants._Batch(g.n, g.edges, 0, 4)
+    assert batch.two & 1 and batch.ext[0] & 1
+    later = next(i for i in range(1, 16) if batch.two >> i & ~batch.ext_at_most[0] >> i & 1)
+
+    def no_kernel(self, i):
+        raise AssertionError(f"kernel read at {i}, where no search is left")
+
+    monkeypatch.setattr(invariants._Batch, "kernel", no_kernel)
+    sweep = invariants._Sweep(g.n)
+    sweep.step(batch, 0, 0, 0, 0)
+    assert sweep.slots == [[2, 0, 2, 0], [2, 0, 2, 0], [7, 0, 7, 0]]
+    sweep.slots = [[3, 0, 8, 0], [3, 0, 8, 0], [1, 0, 7, 0]]
+    sweep.step(batch, later, 0, 0, 0)
+    assert sweep.slots == [[2, later, 8, 0], [2, later, 8, 0], [1, 0, 7, 0]]
+    assert (sweep.runs, sweep.kernels, sweep.recent) == ([0, 0, 0], 0, ([], []))
 
 
 def _skip_walk(seed):
@@ -954,7 +983,7 @@ def test_exact_searches_counted_on_the_n5_corpus():
     assert (len(runs), total) == (21, 1544)
     assert searched == (30, 56, 14)
     assert all(count < total for count in searched)
-    assert kernels == 82
+    assert kernels == 75
     assert "exact_searches" not in runs[0].to_json_dict()
     assert "scalar_kernels" not in runs[0].to_json_dict()
 
@@ -962,7 +991,7 @@ def test_exact_searches_counted_on_the_n5_corpus():
 def test_exact_searches_counted_on_the_n6_corpus():
     runs, total, searched, kernels = _corpus_counts("connected_n6")
     assert (len(runs), total) == (112, 69056)
-    assert (searched, kernels) == ((234, 504, 118), 708)
+    assert (searched, kernels) == ((234, 504, 118), 684)
 
 
 @pytest.mark.parametrize("g", [
@@ -995,12 +1024,13 @@ def test_graphs_where_h_and_g_part_match_the_oracle(text, case):
 
 @pytest.mark.parametrize("g", [
     complete_graph(4), complete_graph(5), cycle_graph(6), complete_bipartite(3, 3),
-    parse_graph6("ECZg"), *(parse_graph6(text) for text, _ in PARTED),
-], ids=["K4", "K5", "C6", "K3,3", "ECZg", *(text for text, _ in PARTED)])
+    parse_graph6("ECZg"), *(parse_graph6(text) for text, _ in PARTED), _cube(),
+], ids=["K4", "K5", "C6", "K3,3", "ECZg", *(text for text, _ in PARTED), "Q3"])
 def test_sweep_matches_the_oracle_at_every_batch_size(g):
     # the skips bound values by what other indices of the batch attain, so
     # the running slot may lag inside a batch: at every k the final values
-    # and least indices must still be those of the unpruned sweep
+    # and least indices must still be those of the unpruned sweep.  Q3 has
+    # index 0 on `two`, so its first step records g = h = 2 with no slot
     want = oracle_sweep(g)
     for k in range(g.m):
         slots, _, _ = invariants._sweep(g.n, g.edges, k)
