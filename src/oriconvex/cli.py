@@ -31,9 +31,10 @@ from .graphs import (
 )
 from .invariants import (
     NUMBER_KEYS,
+    _packs,
     digraph_report,
     geodetic_number,
-    orientable_numbers,
+    orientable_numbers_each,
 )
 from .orienters import (
     complete_graph_orientations,
@@ -111,23 +112,33 @@ def _write(fmt: str, results, header=None) -> None:
             rows.writerow(row)
 
 
+def _sweep_listed(pack, edge_budget: int) -> list:
+    return list(orientable_numbers_each(pack, edge_budget=edge_budget))
+
+
 def _graph_results(graphs, args):
-    """Each graph's triple in input order, yielded as its sweep finishes,
-    after its time on stderr; the sweep validates its graph, so a bad one
-    fails as what it is (not a graph6 encoding limit) after those before."""
-    sweep = functools.partial(orientable_numbers, edge_budget=args.budget)
+    """Each graph's triple in input order, yielded as its pack's sweep
+    finishes.  Consecutive graphs that fit in one batch share one BFS, and
+    each pack is one job of `fan_out`, so --workers splits packs.  The sweep
+    validates each graph, so a bad one fails as what it is (not a graph6
+    encoding limit) after those before.  Each graph's line on stderr gives
+    the time since the line before, so a pack's sweep shows on its first
+    graph."""
+    sweep = functools.partial(_sweep_listed, edge_budget=args.budget)
+    todo = iter(graphs)
     t0 = time.perf_counter()
-    for g, nums in zip(graphs, fan_out(sweep, graphs, args.workers)):
-        gid = encode_graph6(g)
-        print(f"{gid}: {time.perf_counter() - t0:.2f}s", file=sys.stderr)
-        t0 = time.perf_counter()
-        rec = nums.to_json_dict()
-        rec["graph"] = gid
-        vals = " ".join(f"{_SUP[k]}={getattr(nums, k)}" for k in NUMBER_KEYS)
-        lines = [f"{gid} (n={g.n} m={g.m}): {vals}"]
-        lines += [f"  {_SUP[k]} witness: {_arcs_str(getattr(nums, k + '_witness'))}"
-                  for k in NUMBER_KEYS]
-        yield rec, [gid, g.n, g.m, *(getattr(nums, k) for k in NUMBER_KEYS)], lines
+    for done in fan_out(sweep, _packs(graphs, args.budget), args.workers):
+        for nums, g in zip(done, todo):  # done first: todo is not read past the pack
+            gid = encode_graph6(g)
+            print(f"{gid}: {time.perf_counter() - t0:.2f}s", file=sys.stderr)
+            t0 = time.perf_counter()
+            rec = nums.to_json_dict()
+            rec["graph"] = gid
+            vals = " ".join(f"{_SUP[k]}={getattr(nums, k)}" for k in NUMBER_KEYS)
+            lines = [f"{gid} (n={g.n} m={g.m}): {vals}"]
+            lines += [f"  {_SUP[k]} witness: {_arcs_str(getattr(nums, k + '_witness'))}"
+                      for k in NUMBER_KEYS]
+            yield rec, [gid, g.n, g.m, *(getattr(nums, k) for k in NUMBER_KEYS)], lines
 
 
 def cmd_invariants(args) -> int:
@@ -272,7 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--budget", type=int, default=DEFAULT_EDGE_BUDGET,
                        help="edge budget guarding the 2^m enumeration (default %(default)s)")
     sweep.add_argument("--workers", type=int, default=None,
-                       help="worker processes (>= 1) across the input graphs or corpus lines")
+                       help="worker processes (>= 1) across packs of input graphs or "
+                       "corpus lines (consecutive small graphs share one sweep BFS)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("invariants", parents=[sweep], help="six orientable numbers "

@@ -33,11 +33,16 @@ I[u,v] joins the u->v and the v->u geodesics, so g, h and con do not change
 when every arc is reversed.  The sweep index space holds one orientation of
 each {D, reverse(D)} pair: sweep index idx is orientation idx << 1 of
 `graphs.orientation_from_index`, the 2^(m-1) orientations that keep edge 0
-low->high.  The sweep takes them 2^12 at a time, one bit per orientation
-(`_Batch`), and runs an exact search only where `_Batch.skips` leaves an
-invariant unsettled, by bounds against the running [min, max] or against
-values that the batch attains.  `skips` states the rules and why they keep
-every result.
+low->high.  The sweep takes them up to 2^12 at a time, one bit per
+orientation (`_Batch`), and runs an exact search only where `_Batch.skips`
+leaves an invariant unsettled, by bounds against the running [min, max] or
+against values that the batch attains.  `skips` states the rules and why
+they keep every result.  The bit-parallel BFS behind a batch costs about the
+same for few lanes as for 2^12, so consecutive graphs of one order whose
+index spaces each fit in one batch share one BFS as lane blocks (a pack,
+see `_packs` and `_batches`), each with its own sweep state:
+`orientable_numbers_each` sweeps graphs this way, and `orientable_numbers`
+sweeps one graph as a pack of one.
 """
 
 from __future__ import annotations
@@ -64,7 +69,9 @@ from .graphs import (
 # the most candidate sets of one size the g and h scans test: no digraph with
 # n <= 26 meets it (C(26, 13) = 10,400,600), so neither does a sweep within
 # the default edge budget (n <= 21); 20 disjoint directed triangles (n = 60,
-# g = 40) do, at size 6
+# g = 40) do, at size 6.  It caps each size, not the whole scan, so a scan
+# under it at every size can still take minutes: 8 disjoint directed
+# triangles (n = 24, g = 16) take about 29 s
 _SCAN_LIMIT = 1 << 24
 
 
@@ -529,34 +536,49 @@ class _Sweep:
                 cs = _record(cs, w.bit_count(), idx)
         self.slots = [gs, hs, cs]
 
+    def fold(self, batch: _Batch) -> None:
+        """Step each index of `batch`, in order, where `_Batch.skips` leaves
+        some invariant unsettled.  The skips are recomputed from the state
+        after every step (the tests behind them are cached per batch)."""
+        above = batch.all
+        while True:
+            g_ok, h_ok, c_ok = batch.skips(self)
+            todo = above & ~(g_ok & h_ok & c_ok)
+            if not todo:
+                return
+            bit = todo & -todo
+            self.step(batch, bit.bit_length() - 1, g_ok & bit, h_ok & bit, c_ok & bit)
+            above = batch.all & -(bit << 1)  # the indices above this one
 
-# a batch holds 2^k consecutive sweep indices, k = min(_BATCH_BITS, m - 1)
+
+# a batch holds 2^k consecutive sweep indices, k = min(_BATCH_BITS, m - 1),
+# and one BFS runs on at most 2^_BATCH_BITS lanes: one batch, or a pack
 _BATCH_BITS = 12
 
 
-class _Batch:
-    """The sweep indices base .. base + 2^k - 1 at once, one bit per index:
-    bit i of every mask here stands for sweep index base + i.
+def _batches(n: int, blocks) -> list[_Batch]:
+    """One bit-parallel BFS over lane blocks, and the `_Batch` of each block.
 
-    Index idx reverses edge j >= 1 where its bit j - 1 is set, so with base
-    a multiple of 2^k edge j <= k is reversed in a periodic pattern, and a
-    higher edge in all of the batch or in none of it.  One BFS per source
-    runs on every orientation at once (the bit-parallel BFS of Akiba, Iwata
-    and Yoshida, SIGMOD 2013, with a bit per orientation where theirs has
-    one per root) by the rule of `_kernel`: where t is first
-    reached from a frontier vertex p, it ORs in p and each y on an s->p
-    geodesic, so no distances are kept.  `rows` holds, for each pair
-    u < v, each y outside {u, v} with the mask where y is in I[u,v] (on a
-    u->v or a v->u geodesic); `ext[x]` masks where x is extreme, and `two`
-    where some pair's interval is V (there g = 2, see `skips`).  The tests
-    of a witness w below do not depend on the running state, so `skips`
-    caches them.
+    Each block (edges, base, k) is the sweep indices base .. base + 2^k - 1
+    of a graph on the n vertices with those edges, base a multiple of 2^k.
+    The blocks stand side by side, each on the 2^k lanes after those of the
+    blocks before it, and may come from different graphs: every step of the
+    BFS is a bitwise operation, so each lane sees only its own orientation,
+    and each `_Batch` is its block's slice of the shared masks.
+
+    Index idx reverses edge j >= 1 where its bit j - 1 is set, so edge
+    j <= k is reversed in a periodic pattern over a block, and a higher edge
+    in all of it or in none of it.  One BFS per source runs on every lane at
+    once (the bit-parallel BFS of Akiba, Iwata and Yoshida, SIGMOD 2013,
+    with a bit per orientation where theirs has one per root) by the rule of
+    `_kernel`: where t is first reached from a frontier vertex p, it ORs in
+    p and each y on an s->p geodesic, so no distances are kept.
     """
-
-    def __init__(self, n: int, edges, base: int, k: int) -> None:
-        self.n, self.base = n, base
-        self.all = full = (1 << (1 << k)) - 1
-        into = [[] for _ in range(n)]  # (p, mask where p -> t) per vertex t
+    into = [{} for _ in range(n)]  # into[t][p]: the lanes where p -> t
+    spans = []  # (first lane, lane mask) of each block
+    lanes = 0
+    for edges, base, k in blocks:
+        full = (1 << (1 << k)) - 1
         for j, (u, v) in enumerate(edges):
             if j == 0:
                 rev = 0
@@ -567,58 +589,86 @@ class _Batch:
                 rev = full if base >> (j - 1) & 1 else 0
             for p, t, arc in ((u, v, full & ~rev), (v, u, rev)):
                 if arc:
-                    into[t].append((p, arc))
+                    into[t][p] = into[t].get(p, 0) | arc << lanes
+        spans.append((lanes, full))
+        lanes += 1 << k
+    full = (1 << lanes) - 1
+    into = [list(arcs.items()) for arcs in into]
 
-        on = []  # on[s][t][y]: where y is on an s->t geodesic, s and t left out
-        for s in range(n):
-            to = [[0] * n for _ in range(n)]
-            seen = [0] * n
-            seen[s] = full
-            front = {s: full}  # where each vertex was first reached one level up
-            while front:
-                nxt = {}
-                for t in range(n):
-                    if seen[t] == full:
-                        continue
-                    row = to[t]
-                    reach = 0
-                    for p, arc in into[t]:
-                        if p in front:
-                            e = front[p] & arc & ~seen[t]  # where p -> t is a first step
-                            if e:
-                                reach |= e
-                                if p != s:
-                                    row[p] |= e
-                                    for y, m in enumerate(to[p]):
-                                        if m:
-                                            row[y] |= m & e
-                    if reach:
-                        seen[t] |= reach
-                        nxt[t] = reach
-                front = nxt
-            on.append(to)
+    on = []  # on[s][t][y]: where y is on an s->t geodesic, s and t left out
+    for s in range(n):
+        to = [[0] * n for _ in range(n)]
+        seen = [0] * n
+        seen[s] = full
+        front = {s: full}  # where each vertex was first reached one level up
+        while front:
+            nxt = {}
+            for t in range(n):
+                if seen[t] == full:
+                    continue
+                row = to[t]
+                reach = 0
+                for p, arc in into[t]:
+                    if p in front:
+                        e = front[p] & arc & ~seen[t]  # where p -> t is a first step
+                        if e:
+                            reach |= e
+                            if p != s:
+                                row[p] |= e
+                                for y, m in enumerate(to[p]):
+                                    if m:
+                                        row[y] |= m & e
+                if reach:
+                    seen[t] |= reach
+                    nxt[t] = reach
+            front = nxt
+        on.append(to)
 
-        inner = [0] * n
-        self.rows = []
-        self.two = 0
-        for u, v in itertools.combinations(range(n), 2):
-            uv, vu = on[u][v], on[v][u]
-            row = []
-            every = full  # where each y on the row is in I[u,v]
-            for y in range(n):
-                m = uv[y] | vu[y]
-                if m:
-                    row.append((y, m))
-                    inner[y] |= m
-                    every &= m
-            if len(row) == n - 2:
-                self.two |= every
-            self.rows.append((u, v, row))
-        self.ext = [full & ~m for m in inner]
-        self.ext_at_most = self._at_most(self.ext)
+    inner = [0] * n
+    rows = []
+    two = 0
+    for u, v in itertools.combinations(range(n), 2):
+        uv, vu = on[u][v], on[v][u]
+        row = []
+        every = full  # where each y on the row is in I[u,v]
+        for y in range(n):
+            m = uv[y] | vu[y]
+            if m:
+                row.append((y, m))
+                inner[y] |= m
+                every &= m
+        if len(row) == n - 2:
+            two |= every
+        rows.append((u, v, row))
+    if len(blocks) == 1:
+        return [_Batch(n, blocks[0][1], full, rows, [full & ~m for m in inner], two)]
+    return [
+        _Batch(n, base, mask,
+               [(u, v, [(y, s) for y, m in row if (s := m >> lo & mask)]) for u, v, row in rows],
+               [mask & ~(m >> lo) for m in inner], two >> lo & mask)
+        for (_, base, _), (lo, mask) in zip(blocks, spans)
+    ]
+
+
+class _Batch:
+    """The sweep indices base .. base + 2^k - 1 of one graph at once, one bit
+    per index: bit i of every mask here stands for sweep index base + i.
+
+    `_batches` builds it, from the bit-parallel BFS that it shares with the
+    other blocks of its pack.  `rows` holds, for each pair u < v, each y
+    outside {u, v} with the mask where y is in I[u,v] (on a u->v or a v->u
+    geodesic); `ext[x]` masks where x is extreme, and `two` where some
+    pair's interval is V (there g = 2, see `skips`).  The tests of a witness
+    w below do not depend on the running state, so `skips` caches them.
+    """
+
+    def __init__(self, n: int, base: int, full: int, rows, ext, two: int) -> None:
+        self.n, self.base, self.all = n, base, full
+        self.rows, self.ext, self.two = rows, ext, two
+        self.ext_at_most = self._at_most(ext)
         # the largest lower bounds on g and on h in the batch (see `skips`)
         most = self.ext_at_most.index(full)  # the largest |ext|
-        self.lows = (max(most, 3) if full & ~self.two else 2, max(most, 2))
+        self.lows = (max(most, 3) if full & ~two else 2, max(most, 2))
         self._memo = {}
 
     def kernel(self, i: int):
@@ -752,30 +802,19 @@ class _Batch:
         return g_ok, h_ok, c_ok
 
 
-def _sweep(n: int, edges, k: int):
-    """Aggregate every sweep index 0 .. 2^(m-1) - 1 (orientations idx << 1),
-    2^k at a time.
+def _sweep(n: int, edges, k: int) -> _Sweep:
+    """Every sweep index 0 .. 2^(m-1) - 1 (orientations idx << 1) of one
+    graph, 2^k at a time, each batch a BFS of its own (a pack of one block).
 
-    Returns the [min, min index, max, max index] slot of g, h and con, the
-    exact g, h and con searches run and the kernels read off a batch.  A
-    step runs only at an index where `_Batch.skips` leaves some invariant
-    unsettled.  It records what the batch knows exactly there, and searches
-    only for what is left.  The skips are recomputed from the state after
-    every step (the tests behind them are cached per batch).
+    A step runs only at an index where `_Batch.skips` leaves some invariant
+    unsettled (see `_Sweep.fold`), so the state returned holds the slots,
+    the exact searches run and the kernels read off a batch.
     """
     sweep = _Sweep(n)
     for base in range(0, 1 << (len(edges) - 1), 1 << k):
-        batch = _Batch(n, edges, base, k)
-        above = batch.all
-        while True:
-            g_ok, h_ok, c_ok = batch.skips(sweep)
-            todo = above & ~(g_ok & h_ok & c_ok)
-            if not todo:
-                break
-            bit = todo & -todo
-            sweep.step(batch, bit.bit_length() - 1, g_ok & bit, h_ok & bit, c_ok & bit)
-            above = batch.all & -(bit << 1)  # the indices above this one
-    return sweep.slots, sweep.runs, sweep.kernels
+        (batch,) = _batches(n, [(edges, base, k)])
+        sweep.fold(batch)
+    return sweep
 
 
 def _record(slot, v: int, idx: int):
@@ -789,13 +828,7 @@ def _record(slot, v: int, idx: int):
     return slot
 
 
-def orientable_numbers(
-    g: Graph,
-    *,
-    edge_budget: int = DEFAULT_EDGE_BUDGET,
-) -> OrientableNumbers:
-    """Sweep one orientation of each {D, reverse(D)} pair of g's
-    orientations, and aggregate the six extremes (reversal changes none)."""
+def _check(g: Graph, edge_budget: int) -> None:
     if g.n < 3:
         raise ValueError("orientable numbers need at least three vertices")
     if not is_connected(g):
@@ -803,11 +836,67 @@ def orientable_numbers(
     if g.m > edge_budget:
         raise EdgeBudgetError(g.m, edge_budget)
 
-    slots, searches, kernels = _sweep(g.n, g.edges, min(_BATCH_BITS, g.m - 1))
+
+def _lanes(g: Graph, edge_budget: int) -> int:
+    """The lanes g takes in a pack: 2^(m-1) when its whole sweep index space
+    is one batch, 0 when it is swept alone (it is wider than a batch, or its
+    sweep raises)."""
+    try:
+        _check(g, edge_budget)
+    except ValueError:
+        return 0
+    return 1 << (g.m - 1) if g.m - 1 <= _BATCH_BITS else 0
+
+
+def _packs(items, edge_budget: int, graph=lambda item: item):
+    """The items in order, in lists that share one BFS: packs.
+
+    `graph(item)` is the graph of an item, or None for an item with no graph
+    to sweep.  A pack holds consecutive graphs of one order whose lanes
+    (`_lanes`) add up to at most 2^_BATCH_BITS.  Every other item is a pack
+    of its own: a graph wider than one batch, which is swept a batch at a
+    time, a graph whose sweep raises, and an item with no graph.  A pack is
+    yielded as soon as the item after it is read.
+    """
+    pack, n, lanes = [], 0, 0
+    for item in items:
+        g = graph(item)
+        width = 0 if g is None else _lanes(g, edge_budget)
+        if pack and not (width and g.n == n and lanes + width <= 1 << _BATCH_BITS):
+            yield pack
+            pack, lanes = [], 0
+        if width:
+            pack.append(item)
+            n, lanes = g.n, lanes + width
+        else:
+            yield [item]
+    if pack:
+        yield pack
+
+
+def _sweep_pack(graphs, edge_budget: int) -> list[OrientableNumbers]:
+    """The orientable numbers of each graph of a pack from `_packs`: one BFS
+    over the whole index space of each graph, or a BFS per batch for a graph
+    wider than a batch.  Each graph has its own sweep state, so its result
+    and its counters are those of a sweep of it alone."""
+    for g in graphs:
+        _check(g, edge_budget)
+    n = graphs[0].n
+    if graphs[0].m - 1 > _BATCH_BITS:
+        (g,) = graphs
+        sweeps = [_sweep(n, g.edges, _BATCH_BITS)]
+    else:
+        sweeps = [_Sweep(n) for _ in graphs]
+        for sweep, batch in zip(sweeps, _batches(n, [(g.edges, 0, g.m - 1) for g in graphs])):
+            sweep.fold(batch)
+    return [_sweep_result(g, sweep) for g, sweep in zip(graphs, sweeps)]
+
+
+def _sweep_result(g: Graph, sweep: _Sweep) -> OrientableNumbers:
     fields = {}
     witnesses = {}  # one digraph per distinct witness index
     # each slot is [min, min index, max, max index]; NUMBER_KEYS runs min, max per slot
-    ends = (end for slot in slots for end in (slot[:2], slot[2:]))
+    ends = (end for slot in sweep.slots for end in (slot[:2], slot[2:]))
     for key, (value, idx) in zip(NUMBER_KEYS, ends):
         if idx not in witnesses:
             witnesses[idx] = orientation_from_index(g, idx << 1)
@@ -818,6 +907,32 @@ def orientable_numbers(
         m=g.m,
         **fields,
         orientations=1 << (g.m - 1),
-        exact_searches=tuple(searches),
-        scalar_kernels=kernels,
+        exact_searches=tuple(sweep.runs),
+        scalar_kernels=sweep.kernels,
     )
+
+
+def orientable_numbers_each(
+    graphs,
+    *,
+    edge_budget: int = DEFAULT_EDGE_BUDGET,
+):
+    """`orientable_numbers` of each graph, in order, as each pack finishes.
+
+    Consecutive graphs of one order that each fit in one batch share a BFS
+    (`_packs`); the results are those of sweeping each graph alone.  A graph
+    the sweep refuses raises where it stands, after the results before it.
+    """
+    for pack in _packs(graphs, edge_budget):
+        yield from _sweep_pack(pack, edge_budget)
+
+
+def orientable_numbers(
+    g: Graph,
+    *,
+    edge_budget: int = DEFAULT_EDGE_BUDGET,
+) -> OrientableNumbers:
+    """Sweep one orientation of each {D, reverse(D)} pair of g's
+    orientations, and aggregate the six extremes (reversal changes none).
+    The graph is a pack of one (see `orientable_numbers_each`)."""
+    return _sweep_pack([g], edge_budget)[0]

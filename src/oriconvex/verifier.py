@@ -36,10 +36,12 @@ from .invariants import (
     NUMBER_KEYS,
     OrientableNumbers,
     _digraph_kernel,
+    _packs,
     convexity_number,
     geodetic_number,
     hull_number,
     orientable_numbers,
+    orientable_numbers_each,
 )
 from .orienters import (
     complete_graph_orientations,
@@ -446,46 +448,66 @@ def _normalize_suites(suite: str) -> tuple[str, ...]:
     return (suite,)
 
 
-def _run_line(args) -> LineRecord:
-    lineno, text, suites, edge_budget = args
-    try:
-        g = parse_graph6(text)
-    except GraphFormatError as exc:
-        return LineRecord(lineno, text, "parse-error", str(exc))
-    if g.n < 3 or not is_connected(g):
-        return LineRecord(
-            lineno, text, "skipped", "theorem suites need a connected graph on >= 3 vertices"
-        )
-    if g.m > edge_budget:
-        return LineRecord(
-            lineno, text, "skipped", f"{g.m} edges exceeds the budget of {edge_budget}"
-        )
-    numbers = orientable_numbers(g, edge_budget=edge_budget)
-    record = LineRecord(lineno, text, "ok", numbers=numbers)
-    if "separation" in suites:
-        record.separation = verify_separation(g, numbers=numbers)
-    if "convexity" in suites:
-        record.convexity = verify_convexity(g, numbers=numbers)
-    if "classify" in suites:
-        record.classification = classify_hg(g, numbers=numbers)
-    return record
+def _line_entries(lines, edge_budget: int):
+    """Each nonblank graph6 line, in order: (line number, text, graph) when
+    the suites take its graph, else its finished parse-error or skipped
+    record."""
+    for lineno, text in graph6_lines(lines):
+        try:
+            g = parse_graph6(text)
+        except GraphFormatError as exc:
+            yield LineRecord(lineno, text, "parse-error", str(exc))
+            continue
+        if g.n < 3 or not is_connected(g):
+            yield LineRecord(
+                lineno, text, "skipped", "theorem suites need a connected graph on >= 3 vertices"
+            )
+        elif g.m > edge_budget:
+            yield LineRecord(
+                lineno, text, "skipped", f"{g.m} edges exceeds the budget of {edge_budget}"
+            )
+        else:
+            yield lineno, text, g
 
 
-def fan_out(fn, jobs: list, workers: int | None = None) -> Iterator:
-    """``fn(j)`` for each of `jobs`, yielded in input order as they finish,
-    across `workers` processes when there are two or more of each; `fn` must
-    pickle (a top-level function, or a partial of one)."""
+def _run_pack(job) -> list[LineRecord]:
+    """The records of one pack of corpus lines: a finished record alone, or
+    graphs whose sweeps share one BFS, each then run through the suites."""
+    entries, suites, edge_budget = job
+    if isinstance(entries[0], LineRecord):
+        return entries
+    swept = orientable_numbers_each([g for _, _, g in entries], edge_budget=edge_budget)
+    records = []
+    for (lineno, text, g), numbers in zip(entries, swept):
+        record = LineRecord(lineno, text, "ok", numbers=numbers)
+        if "separation" in suites:
+            record.separation = verify_separation(g, numbers=numbers)
+        if "convexity" in suites:
+            record.convexity = verify_convexity(g, numbers=numbers)
+        if "classify" in suites:
+            record.classification = classify_hg(g, numbers=numbers)
+        records.append(record)
+    return records
+
+
+def fan_out(fn, jobs, workers: int | None = None) -> Iterator:
+    """``fn(j)`` for each of the iterable `jobs`, yielded in input order as
+    they finish, across `workers` processes when there are two or more of
+    each; `fn` must pickle (a top-level function, or a partial of one).  A
+    serial run reads each job only when it is its turn."""
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    if workers and workers > 1 and len(jobs) > 1:
-        # imported here: multiprocessing costs every serial run its load time
-        from concurrent.futures import ProcessPoolExecutor
+    if workers and workers > 1:
+        jobs = list(jobs)  # a pool takes every job at once
+        if len(jobs) > 1:
+            # imported here: multiprocessing costs every serial run its load time
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(fn, jobs)
-    else:
-        for j in jobs:
-            yield fn(j)
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                yield from pool.map(fn, jobs)
+            return
+    for j in jobs:
+        yield fn(j)
 
 
 def corpus_run(
@@ -499,10 +521,16 @@ def corpus_run(
     read by `graphs.graph6_lines`).
 
     One record per nonblank input line, in input order; parse failures are
-    recorded and the run continues.
+    recorded and the run continues.  Consecutive graphs that fit in one
+    batch are swept in packs that share one BFS (`invariants._packs`), and
+    each pack is one job of `fan_out`, so `workers` splits packs.  A parse
+    error or a skipped line ends a pack.
     """
     suites = _normalize_suites(suite)
     if edge_budget < 0:
         raise ValueError(f"edge budget must be at least 0, got {edge_budget}")
-    jobs = [(i, text, suites, edge_budget) for i, text in graph6_lines(lines)]
-    return CorpusReport(records=list(fan_out(_run_line, jobs, workers)), suites=suites)
+    packs = _packs(_line_entries(lines, edge_budget), edge_budget,
+                   lambda entry: None if isinstance(entry, LineRecord) else entry[2])
+    jobs = ((pack, suites, edge_budget) for pack in packs)
+    records = [rec for done in fan_out(_run_pack, jobs, workers) for rec in done]
+    return CorpusReport(records=records, suites=suites)

@@ -8,7 +8,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from oriconvex.graphs import Graph
-from oriconvex.invariants import orientable_numbers
+from oriconvex.invariants import orientable_numbers_each
 from oriconvex.smallgraphs import connected_graphs
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
@@ -51,13 +51,14 @@ def connected_upto_6():
 
 @pytest.fixture(scope="session")
 def swept_numbers(connected_upto_6):
-    """One exhaustive orientation sweep shared by the theorem criteria.
+    """One exhaustive orientation sweep shared by the theorem criteria, each
+    order swept in packs, as `verify` sweeps a corpus.
 
     Returns ({(n, index): OrientableNumbers}, elapsed_seconds).
     """
     t0 = time.perf_counter()
     table = {}
     for n, graphs in connected_upto_6.items():
-        for i, g in enumerate(graphs):
-            table[(n, i)] = orientable_numbers(g)
+        for i, nums in enumerate(orientable_numbers_each(graphs)):
+            table[(n, i)] = nums
     return table, time.perf_counter() - t0

@@ -127,9 +127,10 @@ INVARIANTS_CSV_SHA256 = "70d6f1bc289a7ace2f34c215bef2956bdaddd2303066847f401ecee
     ("connected_n5", "json", INVARIANTS_JSON_SHA256, ["--workers", "3"]),
     ("connected_n6", "json", INVARIANTS_N6_JSON_SHA256, []),
     ("connected_n6", "json", INVARIANTS_N6_JSON_SHA256, ["--workers", "2"]),
+    ("connected_n6", "json", INVARIANTS_N6_JSON_SHA256, ["--workers", "3"]),
     ("connected_n5", "text", INVARIANTS_TEXT_SHA256, []),
     ("connected_n5", "csv", INVARIANTS_CSV_SHA256, []),
-], ids=["serial", "1", "2", "3", "n6-serial", "n6-2", "text", "csv"])
+], ids=["serial", "1", "2", "3", "n6-serial", "n6-2", "n6-3", "text", "csv"])
 def test_invariants_json_witnesses_are_pinned(capsys, corpus, fmt, sha, workers):
     code, out, _ = run(capsys, "invariants", "--input", str(DATA_DIR / f"{corpus}.g6"),
                        "--format", fmt, *workers)
@@ -208,6 +209,20 @@ def test_invariants_print_the_graphs_before_one_over_the_budget(capsys, tmp_path
         assert "graph has 21 edges, over the enumeration budget of 20" in err
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+def test_invariants_print_the_pack_before_a_graph_over_the_budget(capsys):
+    # under --budget 6 the ninth n = 5 graph (7 edges) is refused; the eight
+    # before it share one pack and are printed, in order, before the refusal
+    path = str(DATA_DIR / "connected_n5.g6")
+    _, full, _ = run(capsys, "invariants", "--input", path, "--format", "json")
+    for workers in ([], ["--workers", "2"]):
+        code, out, err = run(capsys, "invariants", "--input", path, "--format", "json",
+                             "--budget", "6", *workers)
+        assert code == 2
+        assert out.splitlines() == full.splitlines()[:8]
+        assert err.endswith("error: graph has 7 edges, over the enumeration budget of 6 "
+                            "(2^7 orientations); rerun with an edge budget of at least 7\n")
 
 
 @pytest.mark.parametrize("flag", ["--symmetry", "--no-symmetry"])
@@ -633,6 +648,15 @@ def test_verify_json_stdout_is_pinned(capsys, corpus, fmt):
                        str(DATA_DIR / f"{corpus}.g6"))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_STDOUT_SHA256[corpus, fmt]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_verify_n6_stdout_is_pinned_across_workers(capsys, workers):
+    # the workers share the corpus's packs; the output is that of one process
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--format", "json",
+                       "--workers", workers, str(DATA_DIR / "connected_n6.g6"))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_STDOUT_SHA256["connected_n6", "json"]
 
 
 # a corpus with a pass, a parse error, a pass, a 21-edge skip and an n = 2

@@ -13,9 +13,12 @@ from hypothesis import strategies as st
 
 from oriconvex import invariants
 from oriconvex.graphs import (
+    DEFAULT_EDGE_BUDGET,
     Digraph,
+    EdgeBudgetError,
     Graph,
     bits,
+    encode_graph6,
     enumerate_orientations,
     is_connected,
     mask_of,
@@ -799,8 +802,14 @@ def test_pruned_chunk_matches_the_exhaustive_chunk(g, data):
     # batch boundary, and a batch may start at an orientation with no
     # extreme vertex
     k = data.draw(st.integers(0, g.m - 1))
-    slots, _, _ = invariants._sweep(g.n, g.edges, k)
-    assert slots == oracle_sweep(g)
+    assert invariants._sweep(g.n, g.edges, k).slots == oracle_sweep(g)
+
+
+def _batch(g, base, k):
+    """The batch of g's sweep indices base .. base + 2^k - 1, from a BFS
+    over that one block."""
+    (batch,) = invariants._batches(g.n, [(g.edges, base, k)])
+    return batch
 
 
 @pytest.mark.parametrize("seed, case", [pytest.param(s, "random", id=str(s)) for s in range(8)]
@@ -820,7 +829,7 @@ def test_batch_masks_match_the_scalar_kernel(seed, case):
     n, full = g.n, (1 << g.n) - 1
     k = 0 if case == "k0" else rng.randint(1, min(5, g.m - 2))
     base = 0 if case == "base0" else rng.randrange(1, 2 ** (g.m - 1 - k)) << k
-    batch = invariants._Batch(n, g.edges, base, k)
+    batch = _batch(g, base, k)
     witnesses = [rng.getrandbits(n) & full for _ in range(4)] + [0, full ^ 1]
     rows = {(u, v): dict(row) for u, v, row in batch.rows}
     assert sorted(rows) == list(itertools.combinations(range(n), 2))
@@ -856,7 +865,8 @@ def test_sweep_takes_the_g_min_from_the_first_index_where_g_is_2(k):
     # from the batch's `two` mask, not from a search, and keeps its index
     g = parse_graph6("ECZg")
     assert (g.n, g.m) == (6, 7)
-    slots, searched, _ = invariants._sweep(g.n, g.edges, k)
+    sweep = invariants._sweep(g.n, g.edges, k)
+    slots, searched = sweep.slots, sweep.runs
     assert slots == oracle_sweep(g)
     assert slots[0][:2] == [2, 43]
     # once the g min is 2 no g search runs, so every one falls before the
@@ -876,7 +886,7 @@ def test_a_step_records_the_values_known_exactly_with_no_kernel(monkeypatch):
     # the first step of a sweep, with no slot yet, and a later index on `two`
     # with an extreme vertex, under a g and h min of 3 and a con max of n - 1
     g = _cube()
-    batch = invariants._Batch(g.n, g.edges, 0, 4)
+    batch = _batch(g, 0, 4)
     assert batch.two & 1 and batch.ext[0] & 1
     later = next(i for i in range(1, 16) if batch.two >> i & ~batch.ext_at_most[0] >> i & 1)
 
@@ -906,7 +916,7 @@ def _skip_walk(seed):
             break
     k = min(5, g.m - 2)
     base = rng.randrange(1, 2 ** (g.m - 1 - k)) << k
-    batch = invariants._Batch(g.n, g.edges, base, k)
+    batch = _batch(g, base, k)
     sweep = invariants._Sweep(g.n)
 
     def has_extreme(idx):
@@ -915,7 +925,7 @@ def _skip_walk(seed):
     yield g, k, base, batch, sweep
     for idx in sorted(rng.sample(range(2 ** (g.m - 1)), 8), key=has_extreme):
         at = idx >> k << k
-        sweep.step(invariants._Batch(g.n, g.edges, at, k), idx - at, 0, 0, 0)
+        sweep.step(_batch(g, at, k), idx - at, 0, 0, 0)
         yield
 
 
@@ -994,6 +1004,137 @@ def test_exact_searches_counted_on_the_n6_corpus():
     assert (searched, kernels) == ((234, 504, 118), 684)
 
 
+# ---------------------------------------------------------------------------
+# packs: the sweeps of consecutive graphs share one BFS
+
+
+def _corpus(name):
+    return [parse_graph6(ln) for ln in (DATA_DIR / f"{name}.g6").read_text().split()]
+
+
+def _batch_state(batch):
+    """Everything a batch holds that the sweep reads."""
+    return (batch.n, batch.base, batch.all, batch.rows, batch.ext, batch.two,
+            batch.ext_at_most, batch.lows)
+
+
+def _lanes(pack):
+    return sum(2 ** (g.m - 1) for g in pack)
+
+
+@pytest.mark.parametrize("name", ["connected_n3", "connected_n4", "connected_n5", "connected_n6"])
+def test_packed_batches_equal_the_one_block_batches(name):
+    # each lane block of a shared BFS holds the masks of a BFS over that
+    # block alone.  A pack is consecutive graphs of one order, as many as fit
+    # in 2^12 lanes; a graph wider than one batch is a pack of its own
+    graphs = _corpus(name)
+    packs = list(invariants._packs(graphs, DEFAULT_EDGE_BUDGET))
+    assert [g for pack in packs for g in pack] == graphs
+    assert max(map(len, packs)) > 1
+    cap = 2 ** invariants._BATCH_BITS
+    for pack, after in zip(packs, packs[1:] + [[]]):
+        if pack[0].m - 1 > invariants._BATCH_BITS:
+            assert len(pack) == 1
+            continue
+        assert len({g.n for g in pack}) == 1 and _lanes(pack) <= cap
+        if after and after[0].m - 1 <= invariants._BATCH_BITS:
+            assert _lanes(pack) + _lanes(after[:1]) > cap  # the pack is full
+        shared = invariants._batches(pack[0].n, [(g.edges, 0, g.m - 1) for g in pack])
+        assert [_batch_state(b) for b in shared] == [
+            _batch_state(_batch(g, 0, g.m - 1)) for g in pack]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_a_shared_bfs_over_mixed_blocks_matches_each_block_alone(seed):
+    # blocks of different graphs on one vertex set, with different m, k and
+    # base (a base > 0 fixes the edges above k), side by side in one BFS
+    rng = random.Random(seed)
+    n = rng.randint(4, 7)
+    blocks = []
+    while len(blocks) < 5:
+        g = random_graph(rng, n)
+        if g.m >= 2 and is_connected(g):
+            k = rng.randint(0, min(6, g.m - 1))
+            blocks.append((g, rng.randrange(2 ** (g.m - 1 - k)) << k, k))
+    shared = invariants._batches(n, [(g.edges, base, k) for g, base, k in blocks])
+    assert [_batch_state(b) for b in shared] == [
+        _batch_state(_batch(g, base, k)) for g, base, k in blocks]
+
+
+def _assert_same_sweeps(got, want):
+    assert got == want
+    assert [(r.exact_searches, r.scalar_kernels) for r in got] == [
+        (r.exact_searches, r.scalar_kernels) for r in want]
+
+
+@pytest.mark.parametrize("name", ["connected_n5", "connected_n6"])
+def test_the_packed_sweep_equals_the_sweep_of_each_graph_alone(name):
+    # values, witnesses and counters: each graph keeps its own sweep state
+    graphs = _corpus(name)
+    _assert_same_sweeps(list(invariants.orientable_numbers_each(graphs)),
+                        [orientable_numbers(g) for g in graphs])
+
+
+@pytest.mark.parametrize("name", ["connected_n4", "connected_n5", "connected_n6"])
+def test_the_first_pack_of_a_corpus_matches_the_oracle(name):
+    pack = next(invariants._packs(_corpus(name), DEFAULT_EDGE_BUDGET))
+    assert len(pack) > 1
+    for g, got in zip(pack, invariants.orientable_numbers_each(pack)):
+        want = oracle_orientable_numbers(g)
+        for key in invariants.NUMBER_KEYS:
+            assert (getattr(got, key), getattr(got, key + "_witness")) == want[key], key
+
+
+def test_a_graph_of_one_whole_batch_fills_its_pack():
+    # an m = 13 graph takes all 2^12 lanes, so it shares its BFS with neither
+    # m = 12 graph around it, and those two, 2^11 lanes each, share theirs
+    graphs = {text: parse_graph6(text) for text in ("F?r~o", "F?r~w", "F?zfw", "F?zVw")}
+    assert [g.m for g in graphs.values()] == [12, 13, 12, 12]
+    packs = list(invariants._packs(graphs.values(), DEFAULT_EDGE_BUDGET))
+    assert [[encode_graph6(g) for g in pack] for pack in packs] == [
+        ["F?r~o"], ["F?r~w"], ["F?zfw", "F?zVw"]]
+    _assert_same_sweeps(list(invariants.orientable_numbers_each(graphs.values())),
+                        [orientable_numbers(g) for g in graphs.values()])
+
+
+def test_packs_are_cut_where_the_order_changes():
+    trees = _corpus("trees_upto_n7")
+    packs = list(invariants._packs(trees, DEFAULT_EDGE_BUDGET))
+    assert [[g.n for g in pack] for pack in packs] == [
+        [3], [4] * 2, [5] * 3, [6] * 6, [7] * 11]
+    _assert_same_sweeps(list(invariants.orientable_numbers_each(trees)),
+                        [orientable_numbers(g) for g in trees])
+
+
+def test_bfs_runs_counted_on_the_n5_and_n6_corpora(monkeypatch):
+    # n = 5 is one BFS of 21 blocks; n = 6 is 12 packs and the 2 + 4 batches
+    # of its two graphs wider than a batch (m = 14 and K6): 18 BFS runs over
+    # the 116 blocks that were 116 BFS runs before packing
+    runs = []
+    real = invariants._batches
+    monkeypatch.setattr(invariants, "_batches",
+                        lambda n, blocks: runs.append(len(blocks)) or real(n, blocks))
+    for name, want in (("connected_n5", [21]),
+                       ("connected_n6", [47, 21, 7, 8, 10, 6, 3, 3, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1])):
+        runs.clear()
+        list(invariants.orientable_numbers_each(_corpus(name)))
+        assert runs == want, name
+    assert (len(runs), sum(runs)) == (18, 116)
+
+
+def test_a_refused_graph_ends_the_results_where_it_stands():
+    # the graphs before a refused one come out, then its error; it is a pack
+    # of its own, so the pack before it is swept whole
+    graphs = _corpus("connected_n5")
+    bad = next(i for i, g in enumerate(graphs) if g.m > 6)
+    got = []
+    with pytest.raises(EdgeBudgetError, match="graph has 7 edges, over the enumeration budget of 6"):
+        for nums in invariants.orientable_numbers_each(graphs, edge_budget=6):
+            got.append(nums)
+    assert (bad, len(got)) == (8, 8)
+    _assert_same_sweeps(got, [orientable_numbers(g) for g in graphs[:bad]])
+
+
 @pytest.mark.parametrize("g", [
     Graph.from_edges(11, [(0, i) for i in range(1, 11)]),
     complete_bipartite(3, 3),
@@ -1033,8 +1174,7 @@ def test_sweep_matches_the_oracle_at_every_batch_size(g):
     # index 0 on `two`, so its first step records g = h = 2 with no slot
     want = oracle_sweep(g)
     for k in range(g.m):
-        slots, _, _ = invariants._sweep(g.n, g.edges, k)
-        assert slots == want, k
+        assert invariants._sweep(g.n, g.edges, k).slots == want, k
 
 
 def test_each_witness_orientation_is_built_once(monkeypatch):
@@ -1057,8 +1197,6 @@ def test_preconditions():
         orientable_numbers(Graph.from_edges(4, [(0, 1), (2, 3)]))  # disconnected
     with pytest.raises(ValueError):
         orientable_numbers(path_graph(2))  # too small
-    from oriconvex.graphs import EdgeBudgetError
-
     with pytest.raises(EdgeBudgetError):
         orientable_numbers(complete_graph(5), edge_budget=5)
 

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from oriconvex import geodesic, orienters, verifier
+from oriconvex import geodesic, invariants, orienters, verifier
 from oriconvex.graphs import Digraph, Graph, encode_graph6, graph6_lines, is_complete, parse_graph6
 from oriconvex.invariants import hull_number, orientable_numbers
 from oriconvex.orienters import d2_construction
@@ -217,13 +217,52 @@ def test_corpus_run_skips_out_of_scope_lines():
 
 
 def test_corpus_run_workers_match_serial():
-    lines = [encode_graph6(g) for g in connected_graphs(4)]
+    # five packs (n = 3, n = 4, a parse error, n = 4 again, n = 5), so two
+    # workers share them
+    lines = [encode_graph6(g) for n in (3, 4) for g in connected_graphs(n)]
+    lines += ["D\x85hc", lines[-1]] + [encode_graph6(g) for g in connected_graphs(5)]
     serial = corpus_run(lines, suite="all")
     fanned = corpus_run(lines, suite="all", workers=2)
     assert json.dumps([r.to_json_dict() for r in serial.records]) == json.dumps(
         [r.to_json_dict() for r in fanned.records]
     )
     assert serial.summary() == fanned.summary()
+
+
+def test_corpus_packs_are_cut_by_a_parse_error_and_a_skip(monkeypatch):
+    # the n = 5 lines share one BFS alone; a parse error and a disconnected
+    # graph each end a pack, so the same lines around them take three BFS
+    # runs, and every record is that of its line run alone
+    n5 = (DATA_DIR / "connected_n5.g6").read_text().split()
+    lines = n5[:7] + ["D\x85hc"] + n5[7:12] + [encode_graph6(Graph.from_edges(5, [(0, 1)]))]
+    lines += n5[12:]
+    runs = []
+    real = invariants._batches
+    monkeypatch.setattr(invariants, "_batches",
+                        lambda n, blocks: runs.append(len(blocks)) or real(n, blocks))
+    assert corpus_run(n5).graphs == 21 and runs == [21]
+    runs.clear()
+    report = corpus_run(lines)
+    assert runs == [7, 5, 9]
+    assert [r.status for r in report.records] == ["ok"] * 7 + ["parse-error"] + ["ok"] * 5 + [
+        "skipped"] + ["ok"] * 9
+    for i, (text, rec) in enumerate(zip(lines, report.records), start=1):
+        (alone,) = corpus_run([text]).records
+        assert rec == dataclasses.replace(alone, line=i)
+        if rec.numbers is not None:
+            assert (rec.numbers.exact_searches, rec.numbers.scalar_kernels) == (
+                alone.numbers.exact_searches, alone.numbers.scalar_kernels)
+
+
+def test_corpus_run_sweeps_n6_in_18_bfs_runs(monkeypatch):
+    # as orientable_numbers_each does: 12 packs, and 2 + 4 batches of the two
+    # graphs wider than one batch
+    runs = []
+    real = invariants._batches
+    monkeypatch.setattr(invariants, "_batches",
+                        lambda n, blocks: runs.append(len(blocks)) or real(n, blocks))
+    assert corpus_run(DATA_DIR / "connected_n6.g6").exit_status() == 0
+    assert (len(runs), sum(runs)) == (18, 116)
 
 
 def test_corpus_run_rejects_out_of_range_settings():
