@@ -32,9 +32,9 @@ from .graphs import (
 from .invariants import (
     NUMBER_KEYS,
     _packs,
+    _sweep_pack,
     digraph_report,
     geodetic_number,
-    orientable_numbers_each,
 )
 from .orienters import (
     complete_graph_orientations,
@@ -112,10 +112,6 @@ def _write(fmt: str, results, header=None) -> None:
             rows.writerow(row)
 
 
-def _sweep_listed(pack, edge_budget: int) -> list:
-    return list(orientable_numbers_each(pack, edge_budget=edge_budget))
-
-
 def _graph_results(graphs, args):
     """Each graph's triple in input order, yielded as its pack's sweep
     finishes.  Consecutive graphs that fit in one batch share one BFS, and
@@ -124,7 +120,7 @@ def _graph_results(graphs, args):
     encoding limit) after those before.  Each graph's line on stderr gives
     the time since the line before, so a pack's sweep shows on its first
     graph."""
-    sweep = functools.partial(_sweep_listed, edge_budget=args.budget)
+    sweep = functools.partial(_sweep_pack, edge_budget=args.budget)
     todo = iter(graphs)
     t0 = time.perf_counter()
     for done in fan_out(sweep, _packs(graphs, args.budget), args.workers):

@@ -640,8 +640,6 @@ def _batches(n: int, blocks) -> list[_Batch]:
         if len(row) == n - 2:
             two |= every
         rows.append((u, v, row))
-    if len(blocks) == 1:
-        return [_Batch(n, blocks[0][1], full, rows, [full & ~m for m in inner], two)]
     return [
         _Batch(n, base, mask,
                [(u, v, [(y, s) for y, m in row if (s := m >> lo & mask)]) for u, v, row in rows],

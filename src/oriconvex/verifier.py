@@ -37,11 +37,11 @@ from .invariants import (
     OrientableNumbers,
     _digraph_kernel,
     _packs,
+    _sweep_pack,
     convexity_number,
     geodetic_number,
     hull_number,
     orientable_numbers,
-    orientable_numbers_each,
 )
 from .orienters import (
     complete_graph_orientations,
@@ -476,7 +476,7 @@ def _run_pack(job) -> list[LineRecord]:
     entries, suites, edge_budget = job
     if isinstance(entries[0], LineRecord):
         return entries
-    swept = orientable_numbers_each([g for _, _, g in entries], edge_budget=edge_budget)
+    swept = _sweep_pack([g for _, _, g in entries], edge_budget)
     records = []
     for (lineno, text, g), numbers in zip(entries, swept):
         record = LineRecord(lineno, text, "ok", numbers=numbers)
