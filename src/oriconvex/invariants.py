@@ -40,7 +40,9 @@ against values that the batch attains.  `skips` states the rules and why
 they keep every result.  The bit-parallel BFS behind a batch costs about the
 same for few lanes as for 2^12, so consecutive graphs of one order whose
 index spaces each fit in one batch share one BFS as lane blocks (a pack,
-see `_packs` and `_batches`), each with its own sweep state:
+see `_packs` and `_batches`), each with its own sweep state.  One loop,
+`_sweep_pack`, builds and folds every batch: a pack takes one pass, and a
+graph wider than one batch, a pack of its own, takes one pass per batch.
 `orientable_numbers_each` sweeps graphs this way, and `orientable_numbers`
 sweeps one graph as a pack of one.
 """
@@ -486,11 +488,15 @@ class _Sweep:
     number of exact g, h and con searches run and of kernels read off a batch.
     `_Batch.skips` decides where a search is needed.  The step records the
     values the batch knows exactly, and runs the searches left on the kernel
-    that `_Batch.kernel` reads off the batch masks."""
+    that `_Batch.kernel` reads off the batch masks.
+
+    Each slot starts at [n + 1, -1, 0, -1], past both ends of every value
+    (2 <= g, h <= n, and 1 <= con <= n - 1, since a single vertex is
+    convex), so the first value folded in sets both ends."""
 
     def __init__(self, n: int) -> None:
         self.n = n
-        self.slots = [None, None, None]
+        self.slots = [[n + 1, -1, 0, -1] for _ in range(3)]
         self.recent = ([], [])
         self.runs = [0, 0, 0]
         self.kernels = 0
@@ -523,8 +529,7 @@ class _Sweep:
                 gs = _record(gs, w.bit_count(), idx)
                 # h <= g, and extreme vertices and a single vertex give h >= low:
                 # the one bound the batch cannot see, since it needs the exact g
-                h_ok = h_ok or (hs is not None and max(ext.bit_count(), 2) >= hs[0]
-                                and w.bit_count() <= hs[2])
+                h_ok = h_ok or (max(ext.bit_count(), 2) >= hs[0] and w.bit_count() <= hs[2])
             if not h_ok:
                 w = _hull_witness(n, iv, ext)
                 self.runs[1] += 1
@@ -560,11 +565,13 @@ def _batches(n: int, blocks) -> list[_Batch]:
     """One bit-parallel BFS over lane blocks, and the `_Batch` of each block.
 
     Each block (edges, base, k) is the sweep indices base .. base + 2^k - 1
-    of a graph on the n vertices with those edges, base a multiple of 2^k.
-    The blocks stand side by side, each on the 2^k lanes after those of the
-    blocks before it, and may come from different graphs: every step of the
-    BFS is a bitwise operation, so each lane sees only its own orientation,
-    and each `_Batch` is its block's slice of the shared masks.
+    of a graph on the n vertices with those edges, base a multiple of 2^k:
+    `_sweep_pack` passes one block per graph of a pack, its whole index
+    space, or one batch of a graph wider than that.  The blocks stand side
+    by side, each on the 2^k lanes after those of the blocks before it, and
+    may come from different graphs: every step of the BFS is a bitwise
+    operation, so each lane sees only its own orientation, and each
+    `_Batch` is its block's slice of the shared masks.
 
     Index idx reverses edge j >= 1 where its bit j - 1 is set, so edge
     j <= k is reversed in a periodic pattern over a block, and a higher edge
@@ -656,8 +663,9 @@ class _Batch:
     other blocks of its pack.  `rows` holds, for each pair u < v, each y
     outside {u, v} with the mask where y is in I[u,v] (on a u->v or a v->u
     geodesic); `ext[x]` masks where x is extreme, and `two` where some
-    pair's interval is V (there g = 2, see `skips`).  The tests of a witness
-    w below do not depend on the running state, so `skips` caches them.
+    pair's interval is V (there g = 2, see `skips`).  A recent witness w has
+    one test below, `bound` for g and `convex` for con; neither depends on
+    the running state, so `skips` runs each once per batch and caches it.
     """
 
     def __init__(self, n: int, base: int, full: int, rows, ext, two: int) -> None:
@@ -697,24 +705,18 @@ class _Batch:
         """Where max(|ext|, floor) >= t."""
         return self.all if t <= floor else self.all & ~self.ext_at_most[t - 1]
 
-    def _members(self, w: int) -> list[int]:
-        """Where each vertex is in w | ext."""
-        return [self.all if w >> x & 1 else e for x, e in enumerate(self.ext)]
-
-    def sizes(self, w: int) -> list[int]:
-        """at[c]: where |w | ext| <= c."""
-        return self._at_most(self._members(w))
-
-    def cover(self, w: int) -> int:
-        """Where I[w | ext] = V."""
-        cur = self._members(w)
+    def bound(self, w: int) -> tuple[list[int], int]:
+        """(at, covers) of the set w | ext: at[c] masks where its size is at
+        most c, and covers where its interval I[w | ext] is V (there it
+        bounds g above by its size)."""
+        cur = [self.all if w >> x & 1 else e for x, e in enumerate(self.ext)]
         out = cur[:]
         for u, v, row in self.rows:
             both = cur[u] & cur[v]
             if both:
                 for y, m in row:
                     out[y] |= both & m
-        return functools.reduce(int.__and__, out, self.all)
+        return self._at_most(cur), functools.reduce(int.__and__, out, self.all)
 
     def convex(self, w: int) -> int:
         """Where w is convex: no interval of two vertices of w leaves w."""
@@ -735,7 +737,7 @@ class _Batch:
     def skips(self, sweep: _Sweep) -> tuple[int, int, int]:
         """(g_ok, h_ok, c_ok): where the exact search of g, h and con could
         change neither the final min nor the final max of the sweep, nor
-        their least indices; (0, 0, 0) before the first step.
+        their least indices.
 
         An index is settled on its min side when its lower bound is at least
         the running min (the search could not move the strict update), or
@@ -774,16 +776,18 @@ class _Batch:
         witness is convex here.  `_Sweep.step` records g = h = 2 on `two`
         and con = n - 1 where some vertex is extreme, with no search, and
         adds the one bound that needs an exact g: h <= g.
+
+        Before the first step these rules settle nothing, from the start
+        values of `_Sweep` alone: there is no recent witness, so no max side
+        settles; `two` settles no min side while the min is n + 1 > 2; and
+        con waits for a max of n - 1 >= 2.
         """
         gs, hs, cs = sweep.slots
-        if gs is None:
-            return 0, 0, 0
         g_low, h_low = self.lows
         g_hi, h_hi = max(gs[2], g_low - 1), max(hs[2], h_low - 1)
         g_ok = h_ok = 0
         for w in sweep.recent[0]:
-            at = self._cached(self.sizes, w)
-            covers = self._cached(self.cover, w)
+            at, covers = self._cached(self.bound, w)
             g_ok |= at[g_hi] & covers
             h_ok |= at[h_hi] & covers
         two = self.two
@@ -800,25 +804,8 @@ class _Batch:
         return g_ok, h_ok, c_ok
 
 
-def _sweep(n: int, edges, k: int) -> _Sweep:
-    """Every sweep index 0 .. 2^(m-1) - 1 (orientations idx << 1) of one
-    graph, 2^k at a time, each batch a BFS of its own (a pack of one block).
-
-    A step runs only at an index where `_Batch.skips` leaves some invariant
-    unsettled (see `_Sweep.fold`), so the state returned holds the slots,
-    the exact searches run and the kernels read off a batch.
-    """
-    sweep = _Sweep(n)
-    for base in range(0, 1 << (len(edges) - 1), 1 << k):
-        (batch,) = _batches(n, [(edges, base, k)])
-        sweep.fold(batch)
-    return sweep
-
-
 def _record(slot, v: int, idx: int):
     """Fold value `v` of orientation `idx` into a [min, idx, max, idx] slot."""
-    if slot is None:
-        return [v, idx, v, idx]
     if v < slot[0]:
         slot[0], slot[1] = v, idx
     if v > slot[2]:
@@ -873,19 +860,23 @@ def _packs(items, edge_budget: int, graph=lambda item: item):
 
 
 def _sweep_pack(graphs, edge_budget: int) -> list[OrientableNumbers]:
-    """The orientable numbers of each graph of a pack from `_packs`: one BFS
-    over the whole index space of each graph, or a BFS per batch for a graph
-    wider than a batch.  Each graph has its own sweep state, so its result
-    and its counters are those of a sweep of it alone."""
+    """The orientable numbers of each graph of a pack from `_packs`, over
+    every sweep index 0 .. 2^(m-1) - 1 (orientations idx << 1).
+
+    Each pass of the loop runs one BFS over a block of 2^k indices, k =
+    min(_BATCH_BITS, m - 1), of every graph of the pack, and folds each
+    block's batch into its graph's state (see `_Sweep.fold`).  A pack, each
+    index space within one batch, takes one pass; a graph wider than a
+    batch is alone in its pack and takes one pass per batch, in order.
+    Each graph has its own sweep state, so its result and its counters are
+    those of a sweep of it alone."""
     for g in graphs:
         _check(g, edge_budget)
     n = graphs[0].n
-    if graphs[0].m - 1 > _BATCH_BITS:
-        (g,) = graphs
-        sweeps = [_sweep(n, g.edges, _BATCH_BITS)]
-    else:
-        sweeps = [_Sweep(n) for _ in graphs]
-        for sweep, batch in zip(sweeps, _batches(n, [(g.edges, 0, g.m - 1) for g in graphs])):
+    sweeps = [_Sweep(n) for _ in graphs]
+    for base in range(0, 1 << (graphs[0].m - 1), 1 << _BATCH_BITS):
+        blocks = [(g.edges, base, min(_BATCH_BITS, g.m - 1)) for g in graphs]
+        for sweep, batch in zip(sweeps, _batches(n, blocks)):
             sweep.fold(batch)
     return [_sweep_result(g, sweep) for g, sweep in zip(graphs, sweeps)]
 

@@ -68,7 +68,6 @@ from _oracles import (
     oracle_min_superset,
     oracle_orientable_numbers,
     oracle_set_interval,
-    oracle_sweep,
     random_digraph,
     random_graph,
 )
@@ -798,11 +797,15 @@ def test_pruned_sweep_matches_the_exhaustive_sweep(g):
 @settings(max_examples=40, deadline=None)
 @given(small_connected_graphs(), st.data())
 def test_pruned_chunk_matches_the_exhaustive_chunk(g, data):
-    # the whole sweep at any batch size 2^k: the running state crosses every
-    # batch boundary, and a batch may start at an orientation with no
-    # extreme vertex
+    # the whole sweep at any batch size 2^k, through the loop the CLI runs:
+    # the running state crosses every batch boundary, and a batch may start
+    # at an orientation with no extreme vertex
     k = data.draw(st.integers(0, g.m - 1))
-    assert invariants._sweep(g.n, g.edges, k).slots == oracle_sweep(g)
+    with mock.patch.object(invariants, "_BATCH_BITS", k):
+        got = orientable_numbers(g)
+    want = oracle_orientable_numbers(g)
+    for key in invariants.NUMBER_KEYS:
+        assert (getattr(got, key), getattr(got, key + "_witness")) == want[key], key
 
 
 def _batch(g, base, k):
@@ -852,9 +855,10 @@ def test_batch_masks_match_the_scalar_kernel(seed, case):
         assert batch.two >> i & 1 == (invariants._geodetic_witness(n, iv, ext).bit_count() == 2)
         for w in witnesses:
             s = w | ext
-            assert [batch.sizes(w)[t] >> i & 1 for t in range(n + 1)] == [
+            at, covers = batch.bound(w)
+            assert [at[t] >> i & 1 for t in range(n + 1)] == [
                 s.bit_count() <= t for t in range(n + 1)]
-            assert batch.cover(w) >> i & 1 == (oracle_set_interval(iv, s) == full)
+            assert covers >> i & 1 == (oracle_set_interval(iv, s) == full)
             assert batch.convex(w) >> i & 1 == (oracle_set_interval(iv, w) == w)
 
 
@@ -865,13 +869,15 @@ def test_sweep_takes_the_g_min_from_the_first_index_where_g_is_2(k):
     # from the batch's `two` mask, not from a search, and keeps its index
     g = parse_graph6("ECZg")
     assert (g.n, g.m) == (6, 7)
-    sweep = invariants._sweep(g.n, g.edges, k)
-    slots, searched = sweep.slots, sweep.runs
-    assert slots == oracle_sweep(g)
-    assert slots[0][:2] == [2, 43]
+    with mock.patch.object(invariants, "_BATCH_BITS", k):
+        got = orientable_numbers(g)
+    want = oracle_orientable_numbers(g)
+    for key in invariants.NUMBER_KEYS:
+        assert (getattr(got, key), getattr(got, key + "_witness")) == want[key], key
+    assert (got.g_min, got.g_min_witness) == (2, orientation_from_index(g, 43 << 1))
     # once the g min is 2 no g search runs, so every one falls before the
     # batch that holds index 43
-    assert searched[0] == (1 if k == 6 else 3)
+    assert got.exact_searches[0] == (1 if k == 6 else 3)
     assert geodetic_number(orientation_from_index(g, 0))[0] == 6
 
 
@@ -883,8 +889,9 @@ def _cube():
 
 
 def test_a_step_records_the_values_known_exactly_with_no_kernel(monkeypatch):
-    # the first step of a sweep, with no slot yet, and a later index on `two`
-    # with an extreme vertex, under a g and h min of 3 and a con max of n - 1
+    # the first step of a sweep, from the slots' start values, and a later
+    # index on `two` with an extreme vertex, under a g and h min of 3 and a
+    # con max of n - 1
     g = _cube()
     batch = _batch(g, 0, 4)
     assert batch.two & 1 and batch.ext[0] & 1
@@ -1106,6 +1113,25 @@ def test_packs_are_cut_where_the_order_changes():
                         [orientable_numbers(g) for g in trees])
 
 
+@pytest.mark.parametrize("name, k", [
+    ("connected_n5", 1), ("connected_n5", 3), ("connected_n5", 6),
+    ("trees_upto_n7", 1), ("trees_upto_n7", 3), ("trees_upto_n7", 6),
+    ("connected_n6", 6),
+])
+def test_the_public_sweep_is_the_same_at_a_small_batch_size(name, k):
+    # at 2^k lanes the packs are cut at a smaller cap, and graphs that are
+    # one batch by default are swept a batch at a time, packs of their own.
+    # The records must not move; the counters may, since the batch-wide
+    # bounds depend on the batch
+    graphs = _corpus(name)
+    packs = list(invariants._packs(graphs, DEFAULT_EDGE_BUDGET))
+    want = [r.to_json_dict() for r in invariants.orientable_numbers_each(graphs)]
+    with mock.patch.object(invariants, "_BATCH_BITS", k):
+        assert list(invariants._packs(graphs, DEFAULT_EDGE_BUDGET)) != packs
+        got = [r.to_json_dict() for r in invariants.orientable_numbers_each(graphs)]
+    assert got == want
+
+
 def test_bfs_runs_counted_on_the_n5_and_n6_corpora(monkeypatch):
     # n = 5 is one BFS of 21 blocks; n = 6 is 12 packs and the 2 + 4 batches
     # of its two graphs wider than a batch (m = 14 and K6): 18 BFS runs over
@@ -1171,10 +1197,14 @@ def test_sweep_matches_the_oracle_at_every_batch_size(g):
     # the skips bound values by what other indices of the batch attain, so
     # the running slot may lag inside a batch: at every k the final values
     # and least indices must still be those of the unpruned sweep.  Q3 has
-    # index 0 on `two`, so its first step records g = h = 2 with no slot
-    want = oracle_sweep(g)
+    # index 0 on `two`, so its first step records g = h = 2 over the start
+    # values
+    want = oracle_orientable_numbers(g)
     for k in range(g.m):
-        assert invariants._sweep(g.n, g.edges, k).slots == want, k
+        with mock.patch.object(invariants, "_BATCH_BITS", k):
+            got = orientable_numbers(g)
+        for key in invariants.NUMBER_KEYS:
+            assert (getattr(got, key), getattr(got, key + "_witness")) == want[key], (k, key)
 
 
 def test_each_witness_orientation_is_built_once(monkeypatch):
