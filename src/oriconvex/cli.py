@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import json
 import sys
 import time
@@ -31,10 +30,9 @@ from .graphs import (
 )
 from .invariants import (
     NUMBER_KEYS,
-    _packs,
-    _sweep_pack,
     digraph_report,
     geodetic_number,
+    orientable_numbers_each,
 )
 from .orienters import (
     complete_graph_orientations,
@@ -42,7 +40,7 @@ from .orienters import (
     d2_construction,
     extreme_free_orientation,
 )
-from .verifier import SUITES, complete_check, corpus_run, d1d2_check, fan_out
+from .verifier import SUITES, complete_check, corpus_run, d1d2_check
 
 _SUP = dict(zip(NUMBER_KEYS, ("g⁻", "g⁺", "h⁻", "h⁺", "con⁻", "con⁺")))
 
@@ -113,28 +111,26 @@ def _write(fmt: str, results, header=None) -> None:
 
 
 def _graph_results(graphs, args):
-    """Each graph's triple in input order, yielded as its pack's sweep
-    finishes.  Consecutive graphs that fit in one batch share one BFS, and
-    each pack is one job of `fan_out`, so --workers splits packs.  The sweep
-    validates each graph, so a bad one fails as what it is (not a graph6
-    encoding limit) after those before.  Each graph's line on stderr gives
-    the time since the line before, so a pack's sweep shows on its first
-    graph."""
-    sweep = functools.partial(_sweep_pack, edge_budget=args.budget)
-    todo = iter(graphs)
+    """Each graph's triple in input order, yielded as its sweep finishes.
+    `invariants.orientable_numbers_each` sweeps them: consecutive graphs
+    that fit in one batch share one BFS, and --workers splits the packs.
+    The sweep validates each graph, so a bad one fails as what it is (not a
+    graph6 encoding limit) after those before.  Each graph's line on stderr
+    gives the time since the line before, so a pack's sweep shows on its
+    first graph."""
     t0 = time.perf_counter()
-    for done in fan_out(sweep, _packs(graphs, args.budget), args.workers):
-        for nums, g in zip(done, todo):  # done first: todo is not read past the pack
-            gid = encode_graph6(g)
-            print(f"{gid}: {time.perf_counter() - t0:.2f}s", file=sys.stderr)
-            t0 = time.perf_counter()
-            rec = nums.to_json_dict()
-            rec["graph"] = gid
-            vals = " ".join(f"{_SUP[k]}={getattr(nums, k)}" for k in NUMBER_KEYS)
-            lines = [f"{gid} (n={g.n} m={g.m}): {vals}"]
-            lines += [f"  {_SUP[k]} witness: {_arcs_str(getattr(nums, k + '_witness'))}"
-                      for k in NUMBER_KEYS]
-            yield rec, [gid, g.n, g.m, *(getattr(nums, k) for k in NUMBER_KEYS)], lines
+    swept = orientable_numbers_each(graphs, edge_budget=args.budget, workers=args.workers)
+    for g, nums in zip(graphs, swept):
+        gid = encode_graph6(g)
+        print(f"{gid}: {time.perf_counter() - t0:.2f}s", file=sys.stderr)
+        t0 = time.perf_counter()
+        rec = nums.to_json_dict()
+        rec["graph"] = gid
+        vals = " ".join(f"{_SUP[k]}={getattr(nums, k)}" for k in NUMBER_KEYS)
+        lines = [f"{gid} (n={g.n} m={g.m}): {vals}"]
+        lines += [f"  {_SUP[k]} witness: {_arcs_str(getattr(nums, k + '_witness'))}"
+                  for k in NUMBER_KEYS]
+        yield rec, [gid, g.n, g.m, *(getattr(nums, k) for k in NUMBER_KEYS)], lines
 
 
 def cmd_invariants(args) -> int:

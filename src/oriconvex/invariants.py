@@ -43,8 +43,9 @@ index spaces each fit in one batch share one BFS as lane blocks (a pack,
 see `_packs` and `_batches`), each with its own sweep state.  One loop,
 `_sweep_pack`, builds and folds every batch: a pack takes one pass, and a
 graph wider than one batch, a pack of its own, takes one pass per batch.
-`orientable_numbers_each` sweeps graphs this way, and `orientable_numbers`
-sweeps one graph as a pack of one.
+`orientable_numbers_each` is the one driver that forms packs and hands
+them out, to worker processes when asked: the corpus run and the CLI sweep
+through it, and `orientable_numbers` sweeps one graph as a pack of one.
 """
 
 from __future__ import annotations
@@ -833,28 +834,26 @@ def _lanes(g: Graph, edge_budget: int) -> int:
     return 1 << (g.m - 1) if g.m - 1 <= _BATCH_BITS else 0
 
 
-def _packs(items, edge_budget: int, graph=lambda item: item):
-    """The items in order, in lists that share one BFS: packs.
+def _packs(graphs, edge_budget: int):
+    """The graphs in order, in lists that share one BFS: packs.
 
-    `graph(item)` is the graph of an item, or None for an item with no graph
-    to sweep.  A pack holds consecutive graphs of one order whose lanes
-    (`_lanes`) add up to at most 2^_BATCH_BITS.  Every other item is a pack
-    of its own: a graph wider than one batch, which is swept a batch at a
-    time, a graph whose sweep raises, and an item with no graph.  A pack is
-    yielded as soon as the item after it is read.
+    A pack holds consecutive graphs of one order whose lanes (`_lanes`) add
+    up to at most 2^_BATCH_BITS.  Every other graph is a pack of its own: a
+    graph wider than one batch, which is swept a batch at a time, and a
+    graph whose sweep raises.  A pack is yielded as soon as the graph after
+    it is read.
     """
     pack, n, lanes = [], 0, 0
-    for item in items:
-        g = graph(item)
-        width = 0 if g is None else _lanes(g, edge_budget)
+    for g in graphs:
+        width = _lanes(g, edge_budget)
         if pack and not (width and g.n == n and lanes + width <= 1 << _BATCH_BITS):
             yield pack
             pack, lanes = [], 0
         if width:
-            pack.append(item)
+            pack.append(g)
             n, lanes = g.n, lanes + width
         else:
-            yield [item]
+            yield [g]
     if pack:
         yield pack
 
@@ -901,19 +900,43 @@ def _sweep_result(g: Graph, sweep: _Sweep) -> OrientableNumbers:
     )
 
 
+def _fan_out(fn, jobs, workers: int | None):
+    """``fn(j)`` for each of the iterable `jobs`, yielded in input order as
+    they finish, across `workers` processes when there are two or more of
+    each; `fn` must pickle (a top-level function, or a partial of one).  A
+    serial run reads each job only when it is its turn."""
+    if workers and workers > 1:
+        jobs = list(jobs)  # a pool takes every job at once
+        if len(jobs) > 1:
+            # imported here: multiprocessing costs every serial run its load time
+            from concurrent.futures import ProcessPoolExecutor
+
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                yield from pool.map(fn, jobs)
+            return
+    yield from map(fn, jobs)
+
+
 def orientable_numbers_each(
     graphs,
     *,
     edge_budget: int = DEFAULT_EDGE_BUDGET,
+    workers: int | None = None,
 ):
     """`orientable_numbers` of each graph, in order, as each pack finishes.
 
-    Consecutive graphs of one order that each fit in one batch share a BFS
-    (`_packs`); the results are those of sweeping each graph alone.  A graph
+    The one driver of packed sweeps.  Consecutive graphs of one order that
+    each fit in one batch share a BFS (`_packs`); the results are those of
+    sweeping each graph alone.  Each pack is one call of `_sweep_pack`, run
+    across `workers` processes when there are two or more; a serial run
+    reads `graphs` only up to the graph after the pack it sweeps.  A graph
     the sweep refuses raises where it stands, after the results before it.
+    A `workers` below 1 is refused here, before any graph is read.
     """
-    for pack in _packs(graphs, edge_budget):
-        yield from _sweep_pack(pack, edge_budget)
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    sweep = functools.partial(_sweep_pack, edge_budget=edge_budget)
+    return itertools.chain.from_iterable(_fan_out(sweep, _packs(graphs, edge_budget), workers))
 
 
 def orientable_numbers(

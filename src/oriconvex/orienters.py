@@ -227,6 +227,9 @@ def extreme_free_orientation_steps(g: Graph) -> Iterator[tuple[int, ...]]:
     """The construction one step at a time, for audit: the out-masks so far
     (bit y of entry x means x -> y, as in ``Digraph.out_masks``) after each
     cycle, each path, and the final cleanup."""
+    if not g.n:
+        raise ValueError(
+            "extreme-free orientation needs minimum degree 2: the graph has no vertex")
     low = next((v for v in range(g.n) if g.degree(v) < 2), None)
     if low is not None:
         deg = g.degree(low)

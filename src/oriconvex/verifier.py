@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from . import geodesic
 from .graphs import (
@@ -36,12 +35,11 @@ from .invariants import (
     NUMBER_KEYS,
     OrientableNumbers,
     _digraph_kernel,
-    _packs,
-    _sweep_pack,
     convexity_number,
     geodetic_number,
     hull_number,
     orientable_numbers,
+    orientable_numbers_each,
 )
 from .orienters import (
     complete_graph_orientations,
@@ -449,65 +447,23 @@ def _normalize_suites(suite: str) -> tuple[str, ...]:
 
 
 def _line_entries(lines, edge_budget: int):
-    """Each nonblank graph6 line, in order: (line number, text, graph) when
-    the suites take its graph, else its finished parse-error or skipped
-    record."""
+    """Each nonblank graph6 line, in order, as its record and the graph the
+    suites take: an "ok" record to fill in and its graph, or a finished
+    parse-error or skipped record and None."""
     for lineno, text in graph6_lines(lines):
         try:
             g = parse_graph6(text)
         except GraphFormatError as exc:
-            yield LineRecord(lineno, text, "parse-error", str(exc))
+            yield LineRecord(lineno, text, "parse-error", str(exc)), None
             continue
         if g.n < 3 or not is_connected(g):
-            yield LineRecord(
-                lineno, text, "skipped", "theorem suites need a connected graph on >= 3 vertices"
-            )
+            reason = "theorem suites need a connected graph on >= 3 vertices"
         elif g.m > edge_budget:
-            yield LineRecord(
-                lineno, text, "skipped", f"{g.m} edges exceeds the budget of {edge_budget}"
-            )
+            reason = f"{g.m} edges exceeds the budget of {edge_budget}"
         else:
-            yield lineno, text, g
-
-
-def _run_pack(job) -> list[LineRecord]:
-    """The records of one pack of corpus lines: a finished record alone, or
-    graphs whose sweeps share one BFS, each then run through the suites."""
-    entries, suites, edge_budget = job
-    if isinstance(entries[0], LineRecord):
-        return entries
-    swept = _sweep_pack([g for _, _, g in entries], edge_budget)
-    records = []
-    for (lineno, text, g), numbers in zip(entries, swept):
-        record = LineRecord(lineno, text, "ok", numbers=numbers)
-        if "separation" in suites:
-            record.separation = verify_separation(g, numbers=numbers)
-        if "convexity" in suites:
-            record.convexity = verify_convexity(g, numbers=numbers)
-        if "classify" in suites:
-            record.classification = classify_hg(g, numbers=numbers)
-        records.append(record)
-    return records
-
-
-def fan_out(fn, jobs, workers: int | None = None) -> Iterator:
-    """``fn(j)`` for each of the iterable `jobs`, yielded in input order as
-    they finish, across `workers` processes when there are two or more of
-    each; `fn` must pickle (a top-level function, or a partial of one).  A
-    serial run reads each job only when it is its turn."""
-    if workers is not None and workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
-    if workers and workers > 1:
-        jobs = list(jobs)  # a pool takes every job at once
-        if len(jobs) > 1:
-            # imported here: multiprocessing costs every serial run its load time
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                yield from pool.map(fn, jobs)
-            return
-    for j in jobs:
-        yield fn(j)
+            yield LineRecord(lineno, text, "ok"), g
+            continue
+        yield LineRecord(lineno, text, "skipped", reason), None
 
 
 def corpus_run(
@@ -521,16 +477,28 @@ def corpus_run(
     read by `graphs.graph6_lines`).
 
     One record per nonblank input line, in input order; parse failures are
-    recorded and the run continues.  Consecutive graphs that fit in one
-    batch are swept in packs that share one BFS (`invariants._packs`), and
-    each pack is one job of `fan_out`, so `workers` splits packs.  A parse
-    error or a skipped line ends a pack.
+    recorded and the run continues.  The graphs are swept by
+    `invariants.orientable_numbers_each`, consecutive ones that fit in one
+    batch in packs that share one BFS, whatever lines lie between them;
+    `workers` splits the packs across processes.  The suites then run on
+    each graph in line order, in this process.  A serial run reads the
+    lines only as far as the sweep needs them.
     """
     suites = _normalize_suites(suite)
     if edge_budget < 0:
         raise ValueError(f"edge budget must be at least 0, got {edge_budget}")
-    packs = _packs(_line_entries(lines, edge_budget), edge_budget,
-                   lambda entry: None if isinstance(entry, LineRecord) else entry[2])
-    jobs = ((pack, suites, edge_budget) for pack in packs)
-    records = [rec for done in fan_out(_run_pack, jobs, workers) for rec in done]
+    entries, ahead = itertools.tee(_line_entries(lines, edge_budget))
+    swept = orientable_numbers_each((g for _, g in ahead if g is not None),
+                                    edge_budget=edge_budget, workers=workers)
+    records = []
+    for record, g in entries:
+        if g is not None:
+            record.numbers = numbers = next(swept)
+            if "separation" in suites:
+                record.separation = verify_separation(g, numbers=numbers)
+            if "convexity" in suites:
+                record.convexity = verify_convexity(g, numbers=numbers)
+            if "classify" in suites:
+                record.classification = classify_hg(g, numbers=numbers)
+        records.append(record)
     return CorpusReport(records=records, suites=suites)

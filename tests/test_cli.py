@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import oriconvex
-from oriconvex import cli, verifier
+from oriconvex import cli, invariants, verifier
 from oriconvex.cli import main
 from oriconvex.graphs import Digraph, encode_graph6
 from oriconvex.orienters import complete_graph_orientations, d2_construction
@@ -285,6 +285,14 @@ def test_orient_extreme_free_names_an_isolated_vertex(capsys, edges, vertex):
     assert err == ("error: extreme-free orientation needs minimum degree 2: "
                    f"vertex {vertex} has degree 0, and an isolated vertex is interior "
                    "to no geodesic, hence extreme\n")
+
+
+def test_orient_extreme_free_refuses_the_empty_graph_in_its_own_words(capsys):
+    # not the cycle packing's message, which the command never names
+    code, out, err = run(capsys, "orient", "extreme-free", "--edges", "0")
+    assert (code, out) == (2, "")
+    assert err == ("error: extreme-free orientation needs minimum degree 2: "
+                   "the graph has no vertex\n")
 
 
 def _d1_numbers_like_d2(monkeypatch, g, *searches):
@@ -657,6 +665,25 @@ def test_verify_n6_stdout_is_pinned_across_workers(capsys, workers):
                        "--workers", workers, str(DATA_DIR / "connected_n6.g6"))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_STDOUT_SHA256["connected_n6", "json"]
+
+
+def test_verify_and_invariants_sweep_each_pack_once_through_one_driver(capsys, monkeypatch):
+    # corpus_run, verify and invariants all sweep through
+    # invariants.orientable_numbers_each: one call of the module's
+    # _sweep_pack per pack, 12 packs and the 2 graphs wider than a batch
+    calls = []
+    real = invariants._sweep_pack
+    monkeypatch.setattr(invariants, "_sweep_pack",
+                        lambda graphs, edge_budget: calls.append(len(graphs))
+                        or real(graphs, edge_budget))
+    corpus = str(DATA_DIR / "connected_n6.g6")
+    for sweep in (lambda: verifier.corpus_run(corpus).exit_status(),
+                  lambda: main(["verify", corpus]),
+                  lambda: main(["invariants", "--input", corpus])):
+        calls.clear()
+        assert sweep() == 0
+        assert (len(calls), sum(calls)) == (14, 112)
+    capsys.readouterr()
 
 
 # a corpus with a pass, a parse error, a pass, a 21-edge skip and an n = 2

@@ -1082,6 +1082,14 @@ def test_the_packed_sweep_equals_the_sweep_of_each_graph_alone(name):
                         [orientable_numbers(g) for g in graphs])
 
 
+@pytest.mark.parametrize("name", ["connected_n5", "connected_n6"])
+def test_the_sweep_across_two_workers_equals_the_serial_sweep(name):
+    # values, witnesses and counters: the workers sweep the same packs
+    graphs = _corpus(name)
+    _assert_same_sweeps(list(invariants.orientable_numbers_each(graphs, workers=2)),
+                        list(invariants.orientable_numbers_each(graphs)))
+
+
 @pytest.mark.parametrize("name", ["connected_n4", "connected_n5", "connected_n6"])
 def test_the_first_pack_of_a_corpus_matches_the_oracle(name):
     pack = next(invariants._packs(_corpus(name), DEFAULT_EDGE_BUDGET))

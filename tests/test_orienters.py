@@ -299,6 +299,14 @@ def test_end_vertex_refusal_mentions_the_obstruction():
         extreme_free_orientation(path_graph(3))
 
 
+def test_the_empty_graph_is_refused_by_the_construction_itself():
+    msg = "^extreme-free orientation needs minimum degree 2: the graph has no vertex$"
+    with pytest.raises(ValueError, match=msg):
+        extreme_free_orientation(Graph(0, ()))
+    with pytest.raises(ValueError, match=msg):
+        next(orienters.extreme_free_orientation_steps(Graph(0, ())))
+
+
 def _permanently_non_extreme(g, out, v):
     """Arcs u -> v and v -> w exist with uw absent or already oriented w -> u."""
     for u in g.neighbors(v):

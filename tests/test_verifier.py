@@ -217,8 +217,8 @@ def test_corpus_run_skips_out_of_scope_lines():
 
 
 def test_corpus_run_workers_match_serial():
-    # five packs (n = 3, n = 4, a parse error, n = 4 again, n = 5), so two
-    # workers share them
+    # three packs (n = 3, n = 4 with the n = 4 graph after the parse error,
+    # n = 5), so two workers share them
     lines = [encode_graph6(g) for n in (3, 4) for g in connected_graphs(n)]
     lines += ["D\x85hc", lines[-1]] + [encode_graph6(g) for g in connected_graphs(5)]
     serial = corpus_run(lines, suite="all")
@@ -229,10 +229,10 @@ def test_corpus_run_workers_match_serial():
     assert serial.summary() == fanned.summary()
 
 
-def test_corpus_packs_are_cut_by_a_parse_error_and_a_skip(monkeypatch):
+def test_corpus_packs_span_a_parse_error_and_a_skipped_line(monkeypatch):
     # the n = 5 lines share one BFS alone; a parse error and a disconnected
-    # graph each end a pack, so the same lines around them take three BFS
-    # runs, and every record is that of its line run alone
+    # graph between them end no pack, so the same lines around them take
+    # one BFS too, and every record is that of its line run alone
     n5 = (DATA_DIR / "connected_n5.g6").read_text().split()
     lines = n5[:7] + ["D\x85hc"] + n5[7:12] + [encode_graph6(Graph.from_edges(5, [(0, 1)]))]
     lines += n5[12:]
@@ -243,7 +243,7 @@ def test_corpus_packs_are_cut_by_a_parse_error_and_a_skip(monkeypatch):
     assert corpus_run(n5).graphs == 21 and runs == [21]
     runs.clear()
     report = corpus_run(lines)
-    assert runs == [7, 5, 9]
+    assert runs == [21]
     assert [r.status for r in report.records] == ["ok"] * 7 + ["parse-error"] + ["ok"] * 5 + [
         "skipped"] + ["ok"] * 9
     for i, (text, rec) in enumerate(zip(lines, report.records), start=1):
@@ -266,8 +266,12 @@ def test_corpus_run_sweeps_n6_in_18_bfs_runs(monkeypatch):
 
 
 def test_corpus_run_rejects_out_of_range_settings():
-    with pytest.raises(ValueError, match="workers must be at least 1, got 0"):
-        corpus_run(["Bw"], workers=0)
+    # workers are refused at the call, also when there is no graph to sweep
+    for run in (lambda: corpus_run(["Bw"], workers=0), lambda: corpus_run(["@"], workers=0),
+                lambda: corpus_run([], workers=0),
+                lambda: invariants.orientable_numbers_each([], workers=0)):
+        with pytest.raises(ValueError, match="workers must be at least 1, got 0"):
+            run()
     with pytest.raises(ValueError, match="edge budget must be at least 0, got -1"):
         corpus_run(["Bw"], edge_budget=-1)
 
