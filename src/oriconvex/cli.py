@@ -276,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="edge budget guarding the 2^m enumeration (default %(default)s)")
     sweep.add_argument("--workers", type=int, default=None,
                        help="worker processes (>= 1) across packs of input graphs or "
-                       "corpus lines (consecutive small graphs share one sweep BFS)")
+                       "corpus lines (consecutive small graphs share one sweep BFS); "
+                       "at most one per pack and per CPU")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("invariants", parents=[sweep], help="six orientable numbers "

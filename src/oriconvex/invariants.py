@@ -53,6 +53,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
 from dataclasses import dataclass, field
 
 from .graphs import (
@@ -902,12 +903,15 @@ def _sweep_result(g: Graph, sweep: _Sweep) -> OrientableNumbers:
 
 def _fan_out(fn, jobs, workers: int | None):
     """``fn(j)`` for each of the iterable `jobs`, yielded in input order as
-    they finish, across `workers` processes when there are two or more of
-    each; `fn` must pickle (a top-level function, or a partial of one).  A
-    serial run reads each job only when it is its turn."""
+    they finish, across ``min(workers, len(jobs), os.cpu_count())``
+    processes when that is two or more; `fn` must pickle (a top-level
+    function, or a partial of one).  A serial run reads each job only when
+    it is its turn."""
     if workers and workers > 1:
         jobs = list(jobs)  # a pool takes every job at once
-        if len(jobs) > 1:
+        # a forked pool starts all its processes at the first submit
+        workers = min(workers, len(jobs), os.cpu_count() or 1)
+        if workers > 1:
             # imported here: multiprocessing costs every serial run its load time
             from concurrent.futures import ProcessPoolExecutor
 

@@ -93,6 +93,11 @@ def test_invariants_parse_error(capsys):
     assert "out of range" in err
 
 
+def test_invariants_refuse_a_digraph_report_on_one_vertex(capsys):
+    code, out, err = run(capsys, "invariants", "--arcs", "1")
+    assert (code, out, err) == (2, "", "error: reports need at least two vertices\n")
+
+
 @pytest.mark.parametrize("flag", ["--edges", "--arcs"])
 def test_invariants_refuse_a_vertex_count_over_the_limit(capsys, flag):
     code, out, err = run(capsys, "invariants", flag, "99999999999")

@@ -204,6 +204,11 @@ def test_hull_rejects_a_distance_matrix_of_another_order():
         convex_hull(DIR_C4, {0, 2}, all_pairs_distances(DIR_P3))
 
 
+def test_hull_refuses_the_empty_set():
+    with pytest.raises(ValueError, match=r"^hull of the empty set is undefined$"):
+        convex_hull(DIR_C4, [])
+
+
 def test_hull_is_idempotent_and_convex():
     rng = random.Random(23)
     for _ in range(60):

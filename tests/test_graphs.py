@@ -49,6 +49,16 @@ def test_single_vertex_is_at_sign():
     assert encode_graph6(g) == "@"
 
 
+def test_graph6_refuses_to_encode_more_than_62_vertices():
+    assert encode_graph6(Graph(62, ()))[0] == chr(63 + 62)
+    with pytest.raises(ValueError, match=r"^graph6 short form supports n <= 62, got 63$"):
+        encode_graph6(Graph(63, ()))
+
+
+def test_the_empty_graph_has_minimum_degree_0():
+    assert min_degree(Graph(0, ())) == 0
+
+
 def test_b_underscore_is_single_edge_on_three_vertices():
     g = parse_graph6("B_")
     assert g.n == 3 and g.edges == ((0, 1),)

@@ -1,7 +1,9 @@
+import concurrent.futures
 import copy
 import hashlib
 import itertools
 import math
+import multiprocessing.process
 import pickle
 import random
 import time
@@ -1237,6 +1239,65 @@ def test_preconditions():
         orientable_numbers(path_graph(2))  # too small
     with pytest.raises(EdgeBudgetError):
         orientable_numbers(complete_graph(5), edge_budget=5)
+
+
+def test_the_searches_and_the_report_refuse_too_few_vertices():
+    for search, name in ((geodetic_number, "geodetic"), (hull_number, "hull")):
+        with pytest.raises(ValueError, match=rf"^{name} number needs at least one vertex$"):
+            search(Digraph(0, ()))
+    for n in (0, 1):
+        with pytest.raises(ValueError, match=r"^reports need at least two vertices$"):
+            digraph_report(Digraph(n, ()))
+
+
+class _InlinePool:
+    """Stands in for `ProcessPoolExecutor`: records the pool sizes asked for
+    and maps in the calling process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+def _refuse_to_start(process):
+    raise AssertionError(f"a process was started: {process!r}")
+
+
+@pytest.mark.parametrize("cpus, want", [(4, {2: 2, 3: 3, 64: 4, 10**6: 4}),
+                                        (16, {2: 2, 64: 14, 10**6: 14}),
+                                        (1, {2: None, 64: None}),
+                                        (None, {64: None})])
+def test_the_pool_is_bounded_by_the_packs_and_the_cpus(monkeypatch, cpus, want):
+    # the 112 graphs of n = 6 form 14 packs; a pool starts every process at
+    # once, so `workers` is capped at the packs and the CPUs, and a cap of 1
+    # runs in the calling process (None: no pool was asked for)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", _refuse_to_start)
+    monkeypatch.setattr(invariants.os, "cpu_count", lambda: cpus)
+    graphs = _corpus("connected_n6")
+    assert sum(1 for _ in invariants._packs(graphs, DEFAULT_EDGE_BUDGET)) == 14
+    serial = list(invariants.orientable_numbers_each(graphs))
+    for workers, size in want.items():
+        _InlinePool.sizes = []
+        _assert_same_sweeps(list(invariants.orientable_numbers_each(graphs, workers=workers)),
+                            serial)
+        assert _InlinePool.sizes == ([] if size is None else [size]), workers
+    # one pack: no pool, whatever the CPUs
+    _InlinePool.sizes = []
+    pack = _corpus("connected_n5")
+    assert list(invariants.orientable_numbers_each(pack, workers=64)) == \
+        list(invariants.orientable_numbers_each(pack))
+    assert _InlinePool.sizes == []
 
 
 def test_witness_orientations_attain_their_numbers():

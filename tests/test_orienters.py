@@ -50,6 +50,11 @@ def test_c5_yields_its_single_cycle():
     assert find_edge_disjoint_induced_cycles(cycle_graph(5)) == [(0, 1, 2, 3, 4)]
 
 
+def test_the_packing_refuses_a_graph_with_an_end_vertex():
+    with pytest.raises(ValueError, match=r"^cycle packing needs minimum degree 2$"):
+        find_edge_disjoint_induced_cycles(path_graph(4))
+
+
 def test_k4_packs_exactly_one_triangle():
     # any two triangles of K4 share an edge
     assert find_edge_disjoint_induced_cycles(complete_graph(4)) == [(0, 1, 2)]

@@ -8,7 +8,7 @@ pinned so a generator regression is caught immediately.
     trees_upto_n7.g6                     all trees on 3..7 vertices
     mindeg2_connected_upto_n8.g6         all connected min-degree-2 graphs on 3..8 vertices
 
-Takes 30-40 s.  Listing the graphs on 8 vertices is nearly all of it;
+Takes about 5 s.  Listing the graphs on 8 vertices is nearly all of it;
 connected_n8.g6 and the min-degree-2 file filter the same cached listing.
 """
 
