@@ -212,14 +212,16 @@ def parse_graph6(text: str) -> Graph:
     return Graph(n, tuple(sorted(edges)))
 
 
-def graph6_lines(source) -> list[tuple[int, str]]:
-    """(line number, text) of each nonblank line of a graph6 source.
+def graph6_lines(source) -> Iterator[tuple[int, str]]:
+    """(line number, text) of each nonblank line of a graph6 source, yielded
+    as the source is read.
 
     The edge and arc lists of `_parse_pairs` are read by the same rule.
     `source` is a file path (str, bytes or os.PathLike) or an iterable of
-    lines, each str or bytes.  A file and bytes are read as latin-1, one
-    character per byte, so a byte that is not graph6 (non-ASCII included)
-    fails to parse on its own line.
+    lines, each str or bytes.  A path is opened at the first line asked for
+    and closed after the last, so an unreadable file raises there.  A file
+    and bytes are read as latin-1, one character per byte, so a byte that
+    is not graph6 (non-ASCII included) fails to parse on its own line.
     A file's lines end at '\n' only: a bare '\r' stays inside its line and
     fails it.
     Lines lose ASCII whitespace only, which is never a graph6 byte: a bare
@@ -227,15 +229,14 @@ def graph6_lines(source) -> list[tuple[int, str]]:
     """
     if isinstance(source, (str, bytes, os.PathLike)):
         with open(source, "r", encoding="latin-1", newline="\n") as fh:
-            return graph6_lines(list(fh))
-    out = []
+            yield from graph6_lines(fh)
+        return
     for lineno, raw in enumerate(source, start=1):
         if isinstance(raw, bytes):
             raw = raw.decode("latin-1")
         text = raw.strip(string.whitespace)
         if text:
-            out.append((lineno, text))
-    return out
+            yield lineno, text
 
 
 def encode_graph6(g: Graph) -> str:
@@ -324,17 +325,20 @@ def parse_arc_list(text: str) -> Digraph:
 # predicates
 
 def is_connected(g: Graph) -> bool:
-    if g.n <= 1:
-        return True
-    seen = 1
-    frontier = 1
+    return _adj_connected(g.adj)
+
+
+def _adj_connected(adj: tuple[int, ...]) -> bool:
+    """Whether the graph of these neighbour bitmasks is connected; the
+    listing in `smallgraphs` tests its adjacencies before it builds a Graph."""
+    seen = frontier = 1 if adj else 0
     while frontier:
-        nxt = 0
+        reach = 0
         for v in bits(frontier):
-            nxt |= g.adj[v]
-        frontier = nxt & ~seen
+            reach |= adj[v]
+        frontier = reach & ~seen
         seen |= frontier
-    return seen == (1 << g.n) - 1
+    return seen == (1 << len(adj)) - 1
 
 
 def end_vertices(g: Graph) -> frozenset[int]:

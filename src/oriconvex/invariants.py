@@ -54,7 +54,7 @@ import functools
 import itertools
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .graphs import (
     DEFAULT_EDGE_BUDGET,
@@ -399,15 +399,7 @@ class DigraphReport:
     convexity_witness: tuple[int, ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "g": self.g,
-            "h": self.h,
-            "con": self.con,
-            "geodetic_witness": list(self.geodetic_witness),
-            "hull_witness": list(self.hull_witness),
-            "convexity_witness": list(self.convexity_witness),
-        }
+        return asdict(self)
 
 
 def digraph_report(d: Digraph) -> DigraphReport:

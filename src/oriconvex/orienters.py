@@ -314,16 +314,9 @@ class TripleSelection:
     u5: frozenset[int]
 
     def to_json_dict(self) -> dict:
-        return {
-            "v0": self.v0,
-            "v1": self.v1,
-            "v2": self.v2,
-            "u1": sorted(self.u1),
-            "u2": sorted(self.u2),
-            "u3": sorted(self.u3),
-            "u4": sorted(self.u4),
-            "u5": sorted(self.u5),
-        }
+        """The fields but `u`, the union of u1..u5, with the sets sorted."""
+        return {name: sorted(v) if isinstance(v, frozenset) else v
+                for name, v in vars(self).items() if name != "u"}
 
 
 def triple_selection(g: Graph) -> TripleSelection:

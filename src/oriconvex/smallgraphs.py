@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 from collections import defaultdict
 
-from .graphs import Graph, bits, is_connected, min_degree
+from .graphs import Graph, _adj_connected, bits
 
 Adjacency = tuple[int, ...]  # neighbour bitmask per vertex
 
@@ -87,20 +87,27 @@ def _all_adjacencies(n: int) -> tuple[Adjacency, ...]:
     return tuple(kept)
 
 
+def _graphs(n: int, keep) -> tuple[Graph, ...]:
+    """The graphs of `_all_adjacencies(n)` whose adjacency passes `keep`, in
+    its order; only the kept ones are built."""
+    return tuple(_to_graph(adj) for adj in _all_adjacencies(n) if keep(adj))
+
+
 def all_graphs(n: int) -> tuple[Graph, ...]:
     """One representative per isomorphism class, disconnected included."""
-    return tuple(_to_graph(adj) for adj in _all_adjacencies(n))
+    return _graphs(n, lambda adj: True)
 
 
 def connected_graphs(n: int) -> tuple[Graph, ...]:
     """The connected members of `all_graphs(n)`, in its order."""
-    return tuple(g for g in all_graphs(n) if is_connected(g))
+    return _graphs(n, _adj_connected)
 
 
 def trees(n: int) -> tuple[Graph, ...]:
     """Connected graphs with n - 1 edges."""
-    return tuple(g for g in connected_graphs(n) if g.m == n - 1)
+    return _graphs(n, lambda adj: sum(map(int.bit_count, adj)) == 2 * (n - 1)
+                   and _adj_connected(adj))
 
 
 def connected_min_degree_2(n: int) -> tuple[Graph, ...]:
-    return tuple(g for g in connected_graphs(n) if min_degree(g) >= 2)
+    return _graphs(n, lambda adj: min(map(int.bit_count, adj)) >= 2 and _adj_connected(adj))

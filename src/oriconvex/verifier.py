@@ -14,7 +14,8 @@ carry the offending orientation and vertex set, so they can be replayed.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field, fields
 
 from . import geodesic
 from .graphs import (
@@ -32,7 +33,6 @@ from .graphs import (
     parse_graph6,
 )
 from .invariants import (
-    NUMBER_KEYS,
     OrientableNumbers,
     _digraph_kernel,
     convexity_number,
@@ -67,16 +67,33 @@ class Failure:
     vertex_set: tuple[int, ...] | None = None
 
     def to_json_dict(self) -> dict:
-        out: dict = {"check": self.check, "message": self.message}
-        if self.orientation is not None:
-            out["orientation"] = [list(a) for a in self.orientation]
-        if self.vertex_set is not None:
-            out["vertex_set"] = list(self.vertex_set)
+        """The fields that are not None, in declaration order."""
+        return {name: v for name, v in vars(self).items() if v is not None}
+
+
+class _SuiteReport:
+    """`ok` and the JSON record of a suite's report, a dataclass whose fields
+    run from `graph_id` to `failures`: the record is `graph`, `ok`, the
+    fields between in declaration order (`numbers` as its six values), then
+    the failures.  The fields are read off the instance's `__dict__`,
+    which holds them in declaration order; `dataclasses.fields` would cost
+    as much as the rest of the record again, once per line of a corpus."""
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+    def to_json_dict(self) -> dict:
+        out = {"graph": self.graph_id, "ok": self.ok, **vars(self)}
+        del out["graph_id"]
+        if "numbers" in out:
+            out["numbers"] = self.numbers.values()
+        out["failures"] = [f.to_json_dict() for f in self.failures]
         return out
 
 
 @dataclass
-class SeparationReport:
+class SeparationReport(_SuiteReport):
     graph_id: str
     numbers: OrientableNumbers
     route: str  # "complete" or "induced-path"
@@ -84,43 +101,14 @@ class SeparationReport:
     hull_sets_checked: int
     failures: list[Failure] = field(default_factory=list)
 
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def to_json_dict(self) -> dict:
-        return {
-            "graph": self.graph_id,
-            "ok": self.ok,
-            "numbers": self.numbers.values(),
-            "route": self.route,
-            "constructed": self.constructed,
-            "hull_sets_checked": self.hull_sets_checked,
-            "failures": [f.to_json_dict() for f in self.failures],
-        }
-
 
 @dataclass
-class ConvexityReport:
+class ConvexityReport(_SuiteReport):
     graph_id: str
     con_min: int
     con_max: int
     has_end_vertex: bool
     failures: list[Failure] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def to_json_dict(self) -> dict:
-        return {
-            "graph": self.graph_id,
-            "ok": self.ok,
-            "con_min": self.con_min,
-            "con_max": self.con_max,
-            "has_end_vertex": self.has_end_vertex,
-            "failures": [f.to_json_dict() for f in self.failures],
-        }
 
 
 @dataclass(frozen=True)
@@ -133,17 +121,19 @@ class HgClassification:
     """
 
     graph_id: str
+    case: str
     g_min: int
     g_max: int
     h_min: int
     h_max: int
     con_min: int
     con_max: int
-    case: str
 
     def to_json_dict(self) -> dict:
-        return {"graph": self.graph_id, "case": self.case,
-                **{k: getattr(self, k) for k in NUMBER_KEYS}}
+        """The fields in declaration order, `graph_id` as `graph`."""
+        out = {"graph": self.graph_id, **vars(self)}
+        del out["graph_id"]
+        return out
 
 
 def classify_values(g_min: int, g_max: int, h_min: int, h_max: int) -> str:
@@ -390,41 +380,34 @@ class LineRecord:
 
 @dataclass
 class CorpusReport:
+    """The records of a corpus run and their tally: `graphs` counts the
+    checked lines, `violations` those of them that failed a suite."""
+
     records: list[LineRecord]
     suites: tuple[str, ...]
+    graphs: int = field(init=False)
+    parse_errors: int = field(init=False)
+    skipped: int = field(init=False)
+    violations: int = field(init=False)
 
-    @property
-    def graphs(self) -> int:
-        return sum(1 for r in self.records if r.status == "ok")
-
-    @property
-    def parse_errors(self) -> int:
-        return sum(1 for r in self.records if r.status == "parse-error")
-
-    @property
-    def skipped(self) -> int:
-        return sum(1 for r in self.records if r.status == "skipped")
-
-    @property
-    def violations(self) -> int:
-        return sum(1 for r in self.records if r.status == "ok" and not r.ok)
+    def __post_init__(self) -> None:
+        # a parse error is not ok either, but it is no violation
+        tally = Counter("violation" if r.status == "ok" and not r.ok else r.status
+                        for r in self.records)
+        self.graphs = tally["ok"] + tally["violation"]
+        self.parse_errors, self.skipped = tally["parse-error"], tally["skipped"]
+        self.violations = tally["violation"]
 
     def case_histogram(self) -> dict[str, int]:
-        hist: dict[str, int] = {}
-        for r in self.records:
-            if r.classification is not None:
-                hist[r.classification.case] = hist.get(r.classification.case, 0) + 1
-        return dict(sorted(hist.items()))
+        cases = Counter(r.classification.case for r in self.records if r.classification)
+        return dict(sorted(cases.items()))
 
     def summary(self) -> dict:
-        out = {
-            "lines": len(self.records),
-            "graphs": self.graphs,
-            "parse_errors": self.parse_errors,
-            "skipped": self.skipped,
-            "violations": self.violations,
-            "suites": list(self.suites),
-        }
+        """The line count, the tally in field order, the suites run and, with
+        classify, the case histogram."""
+        out = {"lines": len(self.records)}
+        out.update((f.name, getattr(self, f.name)) for f in fields(self)[2:])
+        out["suites"] = list(self.suites)
         if "classify" in self.suites:
             out["cases"] = self.case_histogram()
         return out
@@ -474,7 +457,7 @@ def corpus_run(
     workers: int | None = None,
 ) -> CorpusReport:
     """Run the selected suites over graph6 lines (an iterable or a file path,
-    read by `graphs.graph6_lines`).
+    read line by line by `graphs.graph6_lines`).
 
     One record per nonblank input line, in input order; parse failures are
     recorded and the run continues.  The graphs are swept by
@@ -482,7 +465,9 @@ def corpus_run(
     batch in packs that share one BFS, whatever lines lie between them;
     `workers` splits the packs across processes.  The suites then run on
     each graph in line order, in this process.  A serial run reads the
-    lines only as far as the sweep needs them.
+    lines only as far as the sweep needs them, up to the line after the
+    pack being swept; with two or more workers every line is read before
+    the first pack is swept.
     """
     suites = _normalize_suites(suite)
     if edge_budget < 0:

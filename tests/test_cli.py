@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import json
@@ -636,6 +637,49 @@ def test_a_failing_record_exits_1(capsys, monkeypatch, tmp_path, fmt):
             "orientation": [[0, 1], [0, 3], [1, 2], [2, 3]], "vertex_set": [0, 1, 2]}]
     else:
         assert lines[1] == "1,Cl,ok,False,,2,4,2,4,1,3"
+
+
+# a corpus with a pass (K3), two violations (C4 and C5), a parse error and a
+# skip, and the sha256 of `verify --suite all --format <fmt>` stdout on it
+# with the faults of _break_the_suites
+FAILING_CORPUS = "Bw\nCl\nzz@@@\nDhc\nA_\n"
+FAILING_STDOUT_SHA256 = {
+    "text": "3ef3020c08e25b1a04700d38f9aaa127f53386f19e6d967c483c73737be86073",
+    "csv": "0f3ddafe5044f78c0fdefadb57c81304c7202f6f93b0d6ffd6b54677449bc86e",
+    "json": "76f7ee1b9599af787d2661a6b320262c6c138fd2b61b9c8ea852db5376349b5a",
+}
+
+
+def _break_the_suites(monkeypatch):
+    """C4's extreme-free orientation keeps its extreme vertices (a failure
+    with an orientation and a vertex set); C5's D1 is its D2 (construct-g
+    and construct-h, with an orientation only, and claim1) and its g+ is
+    its g- (g-separation, with neither)."""
+    free, d1 = verifier.extreme_free_orientation, verifier.d1_from_d2
+    sweep = verifier.orientable_numbers_each
+    monkeypatch.setattr(verifier, "extreme_free_orientation",
+                        lambda g: Digraph(g.n, g.edges) if g.n == 4 else free(g))
+    monkeypatch.setattr(verifier, "d1_from_d2",
+                        lambda d2, sel: d2 if d2.n == 5 else d1(d2, sel))
+    monkeypatch.setattr(verifier, "orientable_numbers_each", lambda graphs, **kw: (
+        dataclasses.replace(nums, g_max=nums.g_min) if nums.n == 5 else nums
+        for nums in sweep(graphs, **kw)))
+
+
+@pytest.mark.parametrize("fmt", sorted(FAILING_STDOUT_SHA256))
+def test_failing_records_are_pinned(capsys, monkeypatch, tmp_path, fmt):
+    _break_the_suites(monkeypatch)
+    path = tmp_path / "failing.g6"
+    path.write_text(FAILING_CORPUS)
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--format", fmt, str(path))
+    assert code == 2  # the parse error outranks the violations
+    if fmt == "json":
+        records = [json.loads(line) for line in out.splitlines()]
+        assert [r["ok"] for r in records[:5]] == [True, False, False, False, True]
+        assert [f["check"] for f in records[3]["separation"]["failures"]] == [
+            "g-separation", "construct-g", "construct-h", "claim1", "claim1"]
+        assert records[5]["summary"]["violations"] == 2
+    assert hashlib.sha256(out.encode()).hexdigest() == FAILING_STDOUT_SHA256[fmt]
 
 
 # sha256 of `verify --suite all --format <fmt>` stdout, pinned so that a

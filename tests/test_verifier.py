@@ -209,6 +209,26 @@ def test_corpus_run_from_a_binary_handle_ends_lines_at_newline_only(tmp_path):
     assert report.exit_status() == 2
 
 
+def test_a_serial_run_reads_the_lines_only_as_far_as_the_sweep_needs(monkeypatch):
+    # the first pack of connected_n6.g6 is swept, and its first graph
+    # checked, long before the last of its 112 lines is read
+    read = []
+
+    def lines():
+        with open(DATA_DIR / "connected_n6.g6") as fh:
+            for line in fh:
+                read.append(line)
+                yield line
+
+    at_first_check = []
+    real = verifier.verify_separation
+    monkeypatch.setattr(verifier, "verify_separation",
+                        lambda g, **kw: at_first_check.append(len(read)) or real(g, **kw))
+    report = corpus_run(lines())
+    assert (report.graphs, len(read)) == (112, 112)
+    assert 0 < at_first_check[0] < 112
+
+
 def test_corpus_run_skips_out_of_scope_lines():
     lines = ["@", "A_", encode_graph6(Graph.from_edges(4, [(0, 1), (2, 3)]))]
     report = corpus_run(lines, suite="convexity")
