@@ -42,12 +42,39 @@ class EdgeBudgetError(ValueError):
         return type(self), (self.required_budget, self.budget)
 
 
-def bits(mask: int) -> Iterator[int]:
-    """Indices of the set bits of `mask`, ascending."""
-    while mask:
-        b = mask & -mask
-        yield b.bit_length() - 1
-        mask ^= b
+def _bit_tables() -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    # by doubling: the bytes with bit i set are those without it, plus i
+    low, high = [()], [()]
+    for i in range(8):
+        low += [t + (i,) for t in low]
+        high += [t + (i + 8,) for t in high]
+    return low, high
+
+
+# the set bits of each byte b, and of b << 8
+_BYTE_BITS, _HIGH_BYTE_BITS = map(tuple, _bit_tables())
+
+
+def bits(mask: int) -> tuple[int, ...]:
+    """Indices of the set bits of `mask`, ascending, as a tuple.
+
+    A mask below 2^8 is one lookup in a table of the bytes' bits, one below
+    2^16 the concatenation of two, and a wider one is listed a byte at a
+    time.  The tables and their tuples are shared by every caller, and
+    none of them can be changed.  A negative mask, whose set bits never end,
+    raises ValueError.
+    """
+    if mask < 256:
+        if mask < 0:
+            raise ValueError(f"a negative mask has no finite bit list: {mask}")
+        return _BYTE_BITS[mask]
+    if mask < 65536:
+        return _BYTE_BITS[mask & 255] + _HIGH_BYTE_BITS[mask >> 8]
+    out = []
+    for k, byte in enumerate(mask.to_bytes((mask.bit_length() + 7) // 8, "little")):
+        if byte:
+            out += [8 * k + i for i in _BYTE_BITS[byte]]
+    return tuple(out)
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -107,7 +134,7 @@ class Graph:
         return self.adj[v].bit_count()
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(bits(self.adj[v]))
+        return bits(self.adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
         return u != v and bool(self.adj[u] >> v & 1)

@@ -50,6 +50,7 @@ through it, and `orientable_numbers` sweeps one graph as a pack of one.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -113,15 +114,11 @@ def _hull_mask(iv, smask: int, convex: int = 0, stop: int = 0) -> int:
     fresh = smask & ~convex
     while fresh and not cur & stop:
         nxt = cur
-        while fresh:
-            b = fresh & -fresh
-            fresh ^= b
-            row = iv[b.bit_length() - 1]
-            m = cur
-            while m:
-                c = m & -m
-                m ^= c
-                nxt |= row[c.bit_length() - 1]
+        members = bits(cur)
+        for v in bits(fresh):
+            row = iv[v]
+            for u in members:
+                nxt |= row[u]
         fresh = nxt & ~cur
         cur = nxt
     return cur
@@ -190,43 +187,39 @@ def _kernel(n: int, out_masks):
     """(interval-mask matrix, extreme-vertex mask): the input of every search.
 
     iv[u][v] = I[u,v] as a bitmask, from one BFS per source.  The BFS from
-    u gives row[w], the vertices on some u->w geodesic: every vertex first
-    reached at depth k + 1 ORs in the row of each of its in-neighbours at
-    depth k.  A vertex u cannot reach keeps row 0, so no distance matrix
-    and no unreachable sentinel are needed.  A vertex is extreme iff it is
-    interior to no geodesic (see `geodesic.is_extreme`), so the extreme
-    vertices are those in no interval I[u,v] less its ends.
+    u gives row[w], the vertices on some u->w geodesic: each row starts as
+    {w}, and every vertex first reached at depth k + 1 ORs in the row of
+    each of its in-neighbours at depth k.  A vertex u cannot reach keeps row
+    {w}, which the ends of the pair {u, w} hold anyway, so no distance
+    matrix and no unreachable sentinel are needed.  A vertex is extreme iff
+    it is interior to no geodesic (see `geodesic.is_extreme`), so the
+    extreme vertices are those in no interval I[u,v] less its ends.
     """
+    singles = [1 << w for w in range(n)]
     rows = []
     for u in range(n):
-        row = [0] * n
-        row[u] = seen = frontier = 1 << u
+        row = singles[:]
+        seen = frontier = singles[u]
         while frontier:
             nxt = 0
-            f = frontier
-            while f:
-                b = f & -f
-                f ^= b
-                p = b.bit_length() - 1
+            for p in bits(frontier):
                 new = out_masks[p] & ~seen
-                nxt |= new
-                rp = row[p]
-                while new:
-                    c = new & -new
-                    new ^= c
-                    row[c.bit_length() - 1] |= rp | c
+                if new:
+                    nxt |= new
+                    rp = row[p]
+                    for w in bits(new):
+                        row[w] |= rp
             seen |= nxt
             frontier = nxt
         rows.append(row)
-    # in place: each pair reads rows[u][v] and rows[v][u] once, before writing both
+    # in place: each pair reads rows[u][v] and rows[v][u] once, before writing
+    # both; row v holds v and row u holds u, so their union holds the ends
     inner = 0
     for u in range(n):
         ru = rows[u]
         for v in range(u + 1, n):
-            ends = (1 << u) | (1 << v)
-            m = ru[v] | rows[v][u]
-            ru[v] = rows[v][u] = m | ends
-            inner |= m & ~ends
+            ru[v] = rows[v][u] = m = ru[v] | rows[v][u]
+            inner |= m & ~(singles[u] | singles[v])
     return rows, ((1 << n) - 1) & ~inner
 
 
@@ -315,18 +308,16 @@ def _convex_up(n: int, iv) -> int:
         cand = full & ~((1 << (core + 1)) - 1) & ~c & ~forb
         if size + cand.bit_count() <= bsize:
             continue
-        members = list(bits(c))
+        members = bits(c)
         kids = []
-        while cand:
-            b = cand & -cand
-            cand ^= b
+        for v in bits(cand):
+            b = 1 << v
             # a hull that meets a forbidden vertex f holds hull(C | {f}) = V;
             # one that meets a vertex below b outside c leaves the prefix
             below = (b - 1) & ~c
             stop = forb | below
             # the first round of hull(C | {b}): c is convex, so the pairs at b
             cb = h = c | b
-            v = b.bit_length() - 1
             row = iv[v]
             for u in members:
                 h |= row[u]
@@ -362,7 +353,7 @@ def _digraph_kernel(d: Digraph):
 
 def _number(d: Digraph, search) -> tuple[int, tuple[int, ...]]:
     w = search(d.n, *_digraph_kernel(d))
-    return w.bit_count(), tuple(bits(w))
+    return w.bit_count(), bits(w)
 
 
 def geodetic_number(d: Digraph) -> tuple[int, tuple[int, ...]]:
@@ -895,21 +886,29 @@ def _sweep_result(g: Graph, sweep: _Sweep) -> OrientableNumbers:
 
 def _fan_out(fn, jobs, workers: int | None):
     """``fn(j)`` for each of the iterable `jobs`, yielded in input order as
-    they finish, across ``min(workers, len(jobs), os.cpu_count())``
-    processes when that is two or more; `fn` must pickle (a top-level
-    function, or a partial of one).  A serial run reads each job only when
-    it is its turn."""
+    they finish, across ``min(workers, os.cpu_count(), jobs)`` processes
+    when that is two or more; `fn` must pickle (a top-level function, or a
+    partial of one).  Jobs are read as they are needed: a serial run reads
+    each one when it is its turn, and a pool holds at most twice its
+    processes' count of jobs that have not been yielded yet."""
+    jobs = iter(jobs)
     if workers and workers > 1:
-        jobs = list(jobs)  # a pool takes every job at once
-        # a forked pool starts all its processes at the first submit
-        workers = min(workers, len(jobs), os.cpu_count() or 1)
-        if workers > 1:
+        # a forked pool starts all its processes at the first submit, so
+        # it is sized by the jobs there are to start them on
+        first = list(itertools.islice(jobs, min(workers, os.cpu_count() or 1)))
+        if len(first) > 1:
             # imported here: multiprocessing costs every serial run its load time
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                yield from pool.map(fn, jobs)
+            with ProcessPoolExecutor(max_workers=len(first)) as pool:
+                window = collections.deque(pool.submit(fn, job) for job in first)
+                ahead = 2 * len(first)
+                while window:
+                    for job in itertools.islice(jobs, ahead - len(window)):
+                        window.append(pool.submit(fn, job))
+                    yield window.popleft().result()
             return
+        jobs = itertools.chain(first, jobs)
     yield from map(fn, jobs)
 
 
@@ -925,7 +924,8 @@ def orientable_numbers_each(
     each fit in one batch share a BFS (`_packs`); the results are those of
     sweeping each graph alone.  Each pack is one call of `_sweep_pack`, run
     across `workers` processes when there are two or more; a serial run
-    reads `graphs` only up to the graph after the pack it sweeps.  A graph
+    reads `graphs` only up to the graph after the pack it sweeps, and a
+    pool a window of packs ahead (`_fan_out`).  A graph
     the sweep refuses raises where it stands, after the results before it.
     A `workers` below 1 is refused here, before any graph is read.
     """

@@ -157,23 +157,30 @@ def _suite_numbers(g: Graph, numbers) -> OrientableNumbers:
     return numbers if numbers is not None else orientable_numbers(g)
 
 
-def _hull_sets(d2: Digraph, dist2, sizes) -> list[tuple[int, ...]]:
-    """Hull-sets of d2 whose size is in `sizes`, by size, then in
-    lexicographic order; `dist2` is d2's distance matrix.  The minimum
-    hull-sets are the scan at size h(D2) alone."""
+def _hull_sets(d2: Digraph, dist2, sizes, held: int = 0) -> list[tuple[int, ...]]:
+    """Hull-sets of d2 whose size is in `sizes` and that hold the vertex
+    mask `held`, by size, then in lexicographic order; `dist2` is d2's
+    distance matrix.  The minimum hull-sets are the scan at size h(D2)
+    alone.  Every hull-set holds every extreme vertex, so with `held` the
+    extreme vertices the scan still finds every hull-set of those sizes,
+    from the subsets of the other vertices alone; merging each into `held`
+    keeps the order of `itertools.combinations`."""
     full = frozenset(range(d2.n))
-    return [
-        s
+    fixed = bits(held)
+    rest = [v for v in range(d2.n) if not held >> v & 1]
+    candidates = (
+        tuple(sorted(fixed + extra))
         for r in sizes
-        for s in itertools.combinations(range(d2.n), r)
-        if geodesic.convex_hull(d2, s, dist2) == full
-    ]
+        if r >= len(fixed)
+        for extra in itertools.combinations(rest, r - len(fixed))
+    )
+    return [s for s in candidates if geodesic.convex_hull(d2, s, dist2) == full]
 
 
 def _set_interval(iv, s: int) -> int:
     """I[S] as a bitmask: S with I[u,v] ORed in for each pair of its vertices."""
     out = s
-    verts = list(bits(s))
+    verts = bits(s)
     for i, u in enumerate(verts):
         row = iv[u]
         for v in verts[i + 1:]:
@@ -181,13 +188,14 @@ def _set_interval(iv, s: int) -> int:
     return out
 
 
-def _check_claims(d2, sel, d1, sizes, failures: list[Failure]) -> int:
+def _check_claims(d2, sel, d1, sizes, failures: list[Failure], held: int = 0) -> int:
     """Claims 1 and 2 on the hull-sets of d2 whose size is in `sizes`:
     I^k_D2(S) lies within I^k_D1(S - v1) at every step k until both stop
     growing.  The intervals are bitmasks read off the cached kernels of d2
     and d1, which `d1d2_check` has just built; the hull-sets come from the
-    frozenset scan of `_hull_sets`.  Returns the number of hull-sets."""
-    hull_sets = _hull_sets(d2, geodesic.all_pairs_distances(d2), sizes)
+    frozenset scan of `_hull_sets`, of the sets that hold `held`.  Returns
+    the number of hull-sets."""
+    hull_sets = _hull_sets(d2, geodesic.all_pairs_distances(d2), sizes, held)
     iv2, iv1 = _digraph_kernel(d2)[0], _digraph_kernel(d1)[0]
     for s in hull_sets:
         a = mask_of(s)
@@ -203,7 +211,7 @@ def _check_claims(d2, sel, d1, sizes, failures: list[Failure]) -> int:
                         f"I^{level}_D2(S) not within I^{level}_D1(S - v1) "
                         f"for hull-set S={sorted(s)}",
                         orientation=d2.arcs,
-                        vertex_set=tuple(bits(a2 & ~b2)),
+                        vertex_set=bits(a2 & ~b2),
                     )
                 )
                 break
@@ -270,9 +278,13 @@ def verify_separation(g: Graph, *, numbers: OrientableNumbers | None = None) -> 
         constructed, found = d1d2_check(d1, d2)
         failures += found
         h2 = constructed["h_d2"]
-        # every hull-set for n <= 5, the minimum ones (size h(D2)) beyond
-        sizes = range(1, g.n + 1) if g.n <= 5 else range(h2, h2 + 1)
-        hull_sets_checked = _check_claims(d2, sel, d1, sizes, failures)
+        # every hull-set for n <= 5, the minimum ones (size h(D2)) beyond,
+        # from the supersets of D2's extreme vertices, which all of them hold
+        if g.n <= 5:
+            sizes, held = range(1, g.n + 1), 0
+        else:
+            sizes, held = range(h2, h2 + 1), _digraph_kernel(d2)[1]
+        hull_sets_checked = _check_claims(d2, sel, d1, sizes, failures, held)
         if not hull_sets_checked:
             failures.append(
                 Failure("claims", f"no hull-set of D2 has size h(D2)={h2}", d2.arcs)
@@ -466,8 +478,8 @@ def corpus_run(
     `workers` splits the packs across processes.  The suites then run on
     each graph in line order, in this process.  A serial run reads the
     lines only as far as the sweep needs them, up to the line after the
-    pack being swept; with two or more workers every line is read before
-    the first pack is swept.
+    pack being swept; with two or more workers, up to a window of twice as
+    many packs as processes ahead of the suites.
     """
     suites = _normalize_suites(suite)
     if edge_budget < 0:

@@ -14,6 +14,7 @@ from oriconvex.graphs import (
     EdgeBudgetError,
     Graph,
     GraphFormatError,
+    bits,
     encode_graph6,
     end_vertices,
     enumerate_orientations,
@@ -31,6 +32,45 @@ from oriconvex.invariants import orientable_numbers
 from conftest import complete_graph, cycle_graph, path_graph
 
 from _oracles import random_digraph
+
+
+# ---------------------------------------------------------------------------
+# bit lists
+
+
+def _bits_by_definition(m: int) -> tuple[int, ...]:
+    return tuple(i for i in range(m.bit_length()) if m >> i & 1)
+
+
+def test_bits_lists_the_set_bits_of_every_mask_below_2_to_the_17():
+    # one table lookup below 2^8, two below 2^16, a byte at a time beyond
+    for m in range(1 << 17):
+        assert bits(m) == _bits_by_definition(m), m
+
+
+def test_bits_lists_the_set_bits_of_wide_masks():
+    # arc lists allow 1,000 vertices
+    rng = random.Random(39)
+    masks = [rng.getrandbits(rng.randint(17, 1000)) for _ in range(300)]
+    masks += [(1 << k) - 1 for k in (17, 24, 64, 1000)] + [1 << 999, 1 << 16 | 1, 255 << 992]
+    for m in masks:
+        assert bits(m) == _bits_by_definition(m), m
+
+
+def test_bits_is_a_sequence_of_every_width():
+    for m in (0, 0b1011, 0b1_0000_0101, 1 << 40 | 1 << 9 | 1):
+        got = bits(m)
+        assert len(got) == m.bit_count()
+        assert [got[i] for i in range(len(got))] == list(_bits_by_definition(m))
+        if got:
+            assert (got[0], got[-1]) == ((m & -m).bit_length() - 1, m.bit_length() - 1)
+
+
+@pytest.mark.parametrize("m", [-1, -2, -256, -(1 << 16), -(1 << 40)])
+def test_bits_of_a_negative_mask_is_refused(m):
+    # its set bits never end; a lookup would index the table from its end
+    with pytest.raises(ValueError):
+        bits(m)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 import concurrent.futures
 import copy
 import hashlib
+import inspect
 import itertools
 import math
 import multiprocessing.process
 import pickle
 import random
+import sys
 import time
 from unittest import mock
 
@@ -474,9 +476,11 @@ def _up_walk_hulls(d):
     """Run the upward walk on d, checking each candidate's hull against the
     full one and the walk's bookkeeping.
 
-    Returns the answer, the sets whose vertices the walk listed (the sets it
-    extends, in order), each candidate it tried, as (set with the candidate,
-    set, outcome), and each `_hull_mask` call, as (smask, convex, stop).  A
+    Returns the answer, the sets the walk extends, in order (each logged
+    where the walk lists its members; its other `bits` calls and those of
+    `_hull_mask` are not logged), each candidate it tried, as (set with the
+    candidate, set, outcome), and each `_hull_mask` call, as (smask,
+    convex, stop).  A
     candidate's outcome is that of its first hull round, taken inline:
     "convex" (it adds no vertex), "V", "below" (it meets a vertex below the
     candidate outside the set) or "forbidden" (it meets a forbidden
@@ -487,9 +491,13 @@ def _up_walk_hulls(d):
     hull = invariants._hull_mask
     full = (1 << n) - 1
     events = []
+    lines, start = inspect.getsourcelines(invariants._convex_up)
+    [members_line] = [start + i for i, line in enumerate(lines) if "members = bits(" in line]
 
     def listed(mask):
-        events.append(("node", mask))
+        caller = sys._getframe(1)
+        if caller.f_code is invariants._convex_up.__code__ and caller.f_lineno == members_line:
+            events.append(("node", mask))
         return bits(mask)
 
     def spy(rows, smask, convex=0, stop=0):
@@ -1265,8 +1273,10 @@ class _InlinePool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, jobs):
-        return map(fn, jobs)
+    def submit(self, fn, job):
+        future = concurrent.futures.Future()
+        future.set_result(fn(job))
+        return future
 
 
 def _refuse_to_start(process):

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import math
 import operator
 import re
 from types import SimpleNamespace
@@ -209,9 +210,9 @@ def test_corpus_run_from_a_binary_handle_ends_lines_at_newline_only(tmp_path):
     assert report.exit_status() == 2
 
 
-def test_a_serial_run_reads_the_lines_only_as_far_as_the_sweep_needs(monkeypatch):
-    # the first pack of connected_n6.g6 is swept, and its first graph
-    # checked, long before the last of its 112 lines is read
+def _lines_read_at_the_first_check(monkeypatch, **kw):
+    """Run the corpus of connected_n6.g6 from a line iterator that counts
+    the lines it gives; return the count at the first suite call."""
     read = []
 
     def lines():
@@ -224,9 +225,22 @@ def test_a_serial_run_reads_the_lines_only_as_far_as_the_sweep_needs(monkeypatch
     real = verifier.verify_separation
     monkeypatch.setattr(verifier, "verify_separation",
                         lambda g, **kw: at_first_check.append(len(read)) or real(g, **kw))
-    report = corpus_run(lines())
+    report = corpus_run(lines(), **kw)
     assert (report.graphs, len(read)) == (112, 112)
-    assert 0 < at_first_check[0] < 112
+    return at_first_check[0]
+
+
+def test_a_serial_run_reads_the_lines_only_as_far_as_the_sweep_needs(monkeypatch):
+    # the first pack of connected_n6.g6 is swept, and its first graph
+    # checked, long before the last of its 112 lines is read
+    assert 0 < _lines_read_at_the_first_check(monkeypatch) < 112
+
+
+def test_a_run_on_two_workers_reads_a_window_of_packs_ahead(monkeypatch):
+    # the pool holds at most four of the 14 packs that have not been checked
+    # yet, so the first graph is checked before the last line is read
+    monkeypatch.setattr(invariants.os, "cpu_count", lambda: 2)
+    assert 0 < _lines_read_at_the_first_check(monkeypatch, workers=2) < 112
 
 
 def test_corpus_run_skips_out_of_scope_lines():
@@ -331,24 +345,49 @@ def _least_hull_layer(d2):
     raise AssertionError("V itself is a hull-set")
 
 
-def test_hull_sets_at_size_h_d2_are_the_least_layer_of_a_full_scan():
+def _d2s_for_the_least_layer():
+    """(g, D2, h(D2), D2's distances) of each graph of connected_n6.g6 and
+    each n <= 7 graph of mindeg2_connected_upto_n8.g6 that is not complete."""
     graphs = [parse_graph6(t) for _, t in graph6_lines(str(DATA_DIR / "connected_n6.g6"))]
     graphs += [
         g
         for _, t in graph6_lines(str(DATA_DIR / "mindeg2_connected_upto_n8.g6"))
         if (g := parse_graph6(t)).n <= 7
     ]
-    checked = 0
     for g in graphs:
-        if is_complete(g):
-            continue
-        d2, _ = d2_construction(g)
-        h2 = hull_number(d2)[0]
-        dist2 = geodesic.all_pairs_distances(d2)
+        if not is_complete(g):
+            d2, _ = d2_construction(g)
+            yield g, d2, hull_number(d2)[0], geodesic.all_pairs_distances(d2)
+
+
+def test_hull_sets_at_size_h_d2_are_the_least_layer_of_a_full_scan():
+    checked = 0
+    for g, d2, h2, dist2 in _d2s_for_the_least_layer():
         got = verifier._hull_sets(d2, dist2, range(h2, h2 + 1))
         assert got == _least_hull_layer(d2), encode_graph6(g)
         checked += 1
     assert checked == 111 + 578  # K6 and K3..K7 are complete
+
+
+def test_hull_sets_over_the_extreme_vertices_are_the_least_layer(monkeypatch):
+    # every hull-set holds every extreme vertex, so the scan of the sets that
+    # hold ext(D2), which verify_separation runs beyond n = 5, loses none;
+    # it computes one hull per (h(D2) - |ext|)-subset of the other vertices
+    hulls = []
+    real = geodesic.convex_hull
+    monkeypatch.setattr(geodesic, "convex_hull", lambda *a: hulls.append(a[1]) or real(*a))
+    checked = 0
+    for g, d2, h2, dist2 in _d2s_for_the_least_layer():
+        ext = invariants._digraph_kernel(d2)[1]
+        hulls.clear()
+        got = verifier._hull_sets(d2, dist2, range(h2, h2 + 1), ext)
+        assert len(hulls) == math.comb(d2.n - ext.bit_count(), h2 - ext.bit_count())
+        assert got == _least_hull_layer(d2), encode_graph6(g)
+        checked += 1
+    assert checked == 111 + 578
+    # a size below the held vertices has no set to test
+    d2 = next(_d2s_for_the_least_layer())[1]
+    assert verifier._hull_sets(d2, None, range(0, 2), 0b111) == []
 
 
 def test_no_hull_set_at_size_h_d2_is_a_failure(monkeypatch):
