@@ -59,10 +59,12 @@ def bits(mask: int) -> tuple[int, ...]:
     """Indices of the set bits of `mask`, ascending, as a tuple.
 
     A mask below 2^8 is one lookup in a table of the bytes' bits, one below
-    2^16 the concatenation of two, and a wider one is listed a byte at a
-    time.  The tables and their tuples are shared by every caller, and
-    none of them can be changed.  A negative mask, whose set bits never end,
-    raises ValueError.
+    2^16 the concatenation of two.  A wider one is listed a lowest bit at a
+    time: its masks (arc lists reach n = 1000) are mostly sparse, and a
+    walk over every byte would cost n / 8 steps whatever the bit count.
+    The tables and their tuples are shared by every caller, and none of
+    them can be changed.  A negative mask, whose set bits never end, raises
+    ValueError.
     """
     if mask < 256:
         if mask < 0:
@@ -71,9 +73,10 @@ def bits(mask: int) -> tuple[int, ...]:
     if mask < 65536:
         return _BYTE_BITS[mask & 255] + _HIGH_BYTE_BITS[mask >> 8]
     out = []
-    for k, byte in enumerate(mask.to_bytes((mask.bit_length() + 7) // 8, "little")):
-        if byte:
-            out += [8 * k + i for i in _BYTE_BITS[byte]]
+    while mask:
+        b = mask & -mask
+        out.append(b.bit_length() - 1)
+        mask ^= b
     return tuple(out)
 
 

@@ -43,7 +43,7 @@ def _bits_by_definition(m: int) -> tuple[int, ...]:
 
 
 def test_bits_lists_the_set_bits_of_every_mask_below_2_to_the_17():
-    # one table lookup below 2^8, two below 2^16, a byte at a time beyond
+    # one table lookup below 2^8, two below 2^16, a lowest bit at a time beyond
     for m in range(1 << 17):
         assert bits(m) == _bits_by_definition(m), m
 
@@ -52,6 +52,8 @@ def test_bits_lists_the_set_bits_of_wide_masks():
     # arc lists allow 1,000 vertices
     rng = random.Random(39)
     masks = [rng.getrandbits(rng.randint(17, 1000)) for _ in range(300)]
+    # and sparse ones, as a neighbour mask of a large graph is
+    masks += [sum(1 << v for v in rng.sample(range(1000), rng.randint(1, 6))) for _ in range(100)]
     masks += [(1 << k) - 1 for k in (17, 24, 64, 1000)] + [1 << 999, 1 << 16 | 1, 255 << 992]
     for m in masks:
         assert bits(m) == _bits_by_definition(m), m
